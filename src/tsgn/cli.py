@@ -14,18 +14,20 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .features import concat_features, feature_matrix
+from .features import FEATURE_NAMES, PCA, concat_features, feature_matrix
 from .graphs import TIERS
 from .ingest import (
     FORMS,
     SIZE_PROFILES,
+    DatasetManifest,
     dataset_stats,
     generate_synthetic_dataset,
     load_dataset,
+    numbered_graph_ids,
     save_dataset,
     stats_table,
 )
-from .ml import EvalReport, ForestConfig, evaluate
+from .ml import EvalReport, ForestConfig, evaluate, train_rows
 from .transforms import BUILDERS, VARIANTS, require_attributes
 
 
@@ -43,6 +45,25 @@ def _dedup(variants):
         if v not in seen:
             seen.append(v)
     return seen
+
+
+def _require_variants(manifest: DatasetManifest, variants) -> None:
+    """Raise one ValueError naming every graph a requested variant cannot map.
+
+    Commands call this before writing anything, so a bad graph anywhere in the
+    dataset leaves no partial output behind.
+    """
+    failures: dict[str, list[str]] = {}
+    for variant in variants:
+        for graph_id, g in zip(manifest.graph_ids, manifest.graphs):
+            try:
+                require_attributes(g, variant)
+            except ValueError as exc:
+                failures.setdefault(str(exc), []).append(graph_id)
+    if failures:
+        raise ValueError(
+            "; ".join(f"{reason} (graphs: {', '.join(ids)})" for reason, ids in failures.items())
+        )
 
 
 def cmd_synth(args) -> int:
@@ -69,9 +90,7 @@ def cmd_transform(args) -> int:
     if not variants:
         return 0
     manifest = load_dataset(args.dataset, tier=args.tier, form=args.form)
-    probe = manifest.graphs[0]
-    for variant in variants:
-        require_attributes(probe, variant)  # fail before any file is written
+    _require_variants(manifest, variants)
     out = Path(args.out)
     for variant in variants:
         builder = BUILDERS[variant]
@@ -80,11 +99,9 @@ def cmd_transform(args) -> int:
         elapsed = time.perf_counter() - started
         variant_dir = out / variant
         variant_dir.mkdir(parents=True, exist_ok=True)
-        width = max(4, len(str(len(mapped) - 1)))
         with open(variant_dir / "summary.csv", "w", encoding="utf-8", newline="") as sfh:
             sfh.write("graph_id,nodes,edges\n")
-            for i, t in enumerate(mapped):
-                graph_id = f"graph_{i:0{width}d}"
+            for graph_id, t in zip(numbered_graph_ids(len(mapped)), mapped):
                 sfh.write(f"{graph_id},{t.node_count},{t.edge_count}\n")
                 with open(
                     variant_dir / f"{graph_id}.csv", "w", encoding="utf-8", newline=""
@@ -116,11 +133,14 @@ def cmd_evaluate(args) -> int:
     variants = _dedup(args.variant)
     manifest = load_dataset(args.dataset, tier=args.tier, form=args.form)
     name = Path(args.dataset).name
-    probe = manifest.graphs[0]
-    for variant in variants:
-        require_attributes(probe, variant)
-    config = ForestConfig(n_trees=args.trees, seed=args.seed)
+    _require_variants(manifest, variants)
     labels = manifest.labels
+    # each fusion is projected back to the tn width by a PCA fitted on the
+    # training rows of every split; check there are enough before any work
+    pca_dim = len(FEATURE_NAMES)
+    if variants:
+        PCA(pca_dim).require_rows(train_rows(labels))
+    config = ForestConfig(n_trees=args.trees, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tn = feature_matrix(manifest.graphs, labels, variant="tn", threads=args.threads)
@@ -138,7 +158,7 @@ def cmd_evaluate(args) -> int:
             fused,
             config,
             n_repeats=args.repeats,
-            pca_dim=tn.n_columns,
+            pca_dim=pca_dim,
             dataset_name=name,
             variant=f"tn+{variant}",
         ).with_baseline(tn_report)

@@ -319,10 +319,7 @@ class PCA:
             raise ValueError(
                 f"n_components={self.n_components} out of range for width {x.shape[1]}"
             )
-        if self.n_components > x.shape[0]:
-            raise ValueError(
-                f"n_components={self.n_components} exceeds the {x.shape[0]} fitted rows"
-            )
+        self.require_rows(x.shape[0])
         self.mean_ = x.mean(axis=0)
         _, _, vt = np.linalg.svd(x - self.mean_, full_matrices=False)
         comps = vt[: self.n_components]
@@ -330,6 +327,13 @@ class PCA:
         flip[flip == 0] = 1.0
         self.components_ = comps * flip[:, None]
         return self
+
+    def require_rows(self, n_rows: int) -> None:
+        """Raise ValueError unless a fit on ``n_rows`` rows can keep every component."""
+        if self.n_components > n_rows:
+            raise ValueError(
+                f"n_components={self.n_components} exceeds the {n_rows} fitted rows"
+            )
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         if self.components_ is None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from decimal import Decimal
-from functools import cached_property
 from typing import Iterable
 
 TIERS = ("plain", "directed", "multiedge")
@@ -101,10 +100,6 @@ class TransactionGraph:
             multiedge=multiedge,
             label=label,
         )
-
-    @cached_property
-    def node_set(self) -> frozenset[str]:
-        return frozenset(self.nodes)
 
     @property
     def node_count(self) -> int:

@@ -182,8 +182,16 @@ class DatasetManifest:
     provenance: str
     form: str
     tier: str
+    # one id per graph, as in labels.csv; empty means numbered_graph_ids
+    graph_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not self.graph_ids:
+            object.__setattr__(self, "graph_ids", numbered_graph_ids(len(self.graphs)))
+        if len(self.graph_ids) != len(self.graphs):
+            raise ValueError(
+                f"got {len(self.graph_ids)} graph ids for {len(self.graphs)} graphs"
+            )
         for g in self.graphs:
             if g.label is None:
                 raise ValueError("every graph in a manifest must be labeled")
@@ -200,7 +208,16 @@ class DatasetManifest:
         return len(self.graphs)
 
 
-def make_manifest(graphs, provenance: str, form: str, tier: str) -> DatasetManifest:
+def numbered_graph_ids(n: int) -> tuple[str, ...]:
+    """``graph_0000``, ``graph_0001``, ...: the ids the dataset and transform
+    writers give the graphs, zero-padded to at least four digits."""
+    width = max(4, len(str(max(n - 1, 0))))
+    return tuple(f"graph_{i:0{width}d}" for i in range(n))
+
+
+def make_manifest(
+    graphs, provenance: str, form: str, tier: str, graph_ids=()
+) -> DatasetManifest:
     graphs = tuple(graphs)
     return DatasetManifest(
         graphs=graphs,
@@ -208,6 +225,7 @@ def make_manifest(graphs, provenance: str, form: str, tier: str) -> DatasetManif
         provenance=provenance,
         form=form,
         tier=tier,
+        graph_ids=tuple(graph_ids),
     )
 
 
@@ -454,10 +472,8 @@ def save_dataset(manifest: DatasetManifest, out_dir) -> Path:
     """Write a manifest as a dataset directory (graph CSVs + labels.csv)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    width = max(4, len(str(max(manifest.n_graphs - 1, 0))))
     label_rows = []
-    for i, g in enumerate(manifest.graphs):
-        graph_id = f"graph_{i:0{width}d}"
+    for graph_id, g in zip(numbered_graph_ids(manifest.n_graphs), manifest.graphs):
         with open(out / f"{graph_id}.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write("src,dst,amount,timestamp\n")
             for r in g.edges:
@@ -488,4 +504,7 @@ def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetMan
     for graph_id, center, label in entries:
         records = load_edge_list(root / f"{graph_id}.csv")
         graphs.append(extract_ego_network(records, center, form, tier).with_label(label))
-    return make_manifest(graphs, provenance=str(root), form=form, tier=tier)
+    return make_manifest(
+        graphs, provenance=str(root), form=form, tier=tier,
+        graph_ids=[graph_id for graph_id, _, _ in entries],
+    )

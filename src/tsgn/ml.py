@@ -11,12 +11,16 @@ how the work is scheduled.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .features import PCA, FeatureMatrix
+
+# share of every class that stratified_split puts in the training rows (9:1)
+TRAIN_FRACTION = 0.9
 
 
 def f1_score(predictions: Sequence, truth: Sequence, positive_class) -> float:
@@ -78,15 +82,19 @@ class ForestConfig:
             raise ValueError("seed must be non-negative")
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "probs")
+class _Tree(NamedTuple):
+    """One fitted tree as flat node arrays; ``feature == -1`` marks a leaf.
 
-    def __init__(self):
-        self.feature = None
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.probs = None
+    Internal node ``i`` sends a row to ``left[i]`` when
+    ``row[feature[i]] <= threshold[i]`` and to ``right[i]`` otherwise; a leaf
+    holds its class distribution in ``probs[i]``.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    probs: np.ndarray
 
 
 class RandomForest:
@@ -95,7 +103,7 @@ class RandomForest:
     def __init__(self, config: ForestConfig):
         self.config = config
         self.classes_: tuple | None = None
-        self._trees: list[_Node] = []
+        self._trees: list[_Tree] = []
 
     def fit(self, x: np.ndarray, labels: Sequence) -> "RandomForest":
         x = np.asarray(x, dtype=float)
@@ -125,16 +133,27 @@ class RandomForest:
             raise ValueError("predict called before fit")
         x = np.asarray(x, dtype=float)
         votes = np.zeros((x.shape[0], len(self.classes_)))
-        for root in self._trees:
-            for i in range(x.shape[0]):
-                node = root
-                row = x[i]
-                while node.feature is not None:
-                    node = node.left if row[node.feature] <= node.threshold else node.right
-                votes[i] += node.probs
-        return [self.classes_[int(np.argmax(v))] for v in votes]
+        # trees vote one after another, in fit order, so the float sums (and
+        # hence argmax ties) do not depend on how the rows are routed
+        for tree in self._trees:
+            votes += tree.probs[self._route(tree, x)]
+        return [self.classes_[i] for i in votes.argmax(axis=1)]
 
-    def _grow(self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> _Node:
+    @staticmethod
+    def _route(tree: _Tree, x: np.ndarray) -> np.ndarray:
+        """Leaf index of every row of ``x``, all rows moving down together."""
+        leaf = np.zeros(x.shape[0], dtype=np.intp)
+        rows = np.arange(x.shape[0])
+        while rows.size:
+            node = leaf[rows]
+            feature = tree.feature[node]
+            inner = feature >= 0
+            rows, node, feature = rows[inner], node[inner], feature[inner]
+            go_left = x[rows, feature] <= tree.threshold[node]
+            leaf[rows] = np.where(go_left, tree.left[node], tree.right[node])
+        return leaf
+
+    def _grow(self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> _Tree:
         n_classes = len(self.classes_)
         n_features = x.shape[1]
         if self.config.features_per_split == "all":
@@ -143,10 +162,18 @@ class RandomForest:
             k = max(1, int(math.sqrt(n_features)))
         min_leaf = self.config.min_samples_leaf
         max_depth = self.config.max_depth
+        columns = np.ascontiguousarray(x.T)  # one row per feature
+        onehot = np.eye(n_classes)[y]
 
-        root = _Node()
-        # explicit stack instead of recursion: depth can approach n_samples
-        work = [(np.arange(len(y)), 0, root)]
+        feature = [-1]
+        threshold = [0.0]
+        left = [-1]
+        right = [-1]
+        probs = {}
+        # explicit depth-first stack instead of recursion: depth can approach
+        # n_samples. The pop order fixes the order of the per-node feature
+        # draws from rng, so it must not change.
+        work = [(np.arange(len(y)), 0, 0)]
         while work:
             idx, depth, node = work.pop()
             counts = np.bincount(y[idx], minlength=n_classes)
@@ -156,56 +183,74 @@ class RandomForest:
                 or m < 2 * min_leaf
                 or (max_depth is not None and depth >= max_depth)
             ):
-                node.probs = counts / m
+                probs[node] = counts / m
                 continue
             parent_gini = 1.0 - float(((counts / m) ** 2).sum())
-            best = self._best_split(x, y, idx, k, min_leaf, n_classes, rng)
+            best = self._best_split(columns, onehot, counts, idx, k, min_leaf, rng)
             if best is None or parent_gini - best[0] <= 1e-12:
-                node.probs = counts / m
+                probs[node] = counts / m
                 continue
-            _, feature, threshold = best
-            mask = x[idx, feature] <= threshold
-            node.feature = feature
-            node.threshold = threshold
-            node.left = _Node()
-            node.right = _Node()
-            work.append((idx[mask], depth + 1, node.left))
-            work.append((idx[~mask], depth + 1, node.right))
-        return root
+            _, split_feature, split_threshold = best
+            mask = columns[split_feature, idx] <= split_threshold
+            feature[node] = split_feature
+            threshold[node] = split_threshold
+            left[node] = len(feature)
+            right[node] = len(feature) + 1
+            feature += [-1, -1]
+            threshold += [0.0, 0.0]
+            left += [-1, -1]
+            right += [-1, -1]
+            work.append((idx[mask], depth + 1, left[node]))
+            work.append((idx[~mask], depth + 1, right[node]))
+        leaf_probs = np.zeros((len(feature), n_classes))
+        for node, p in probs.items():
+            leaf_probs[node] = p
+        return _Tree(
+            np.array(feature, dtype=np.intp),
+            np.array(threshold),
+            np.array(left, dtype=np.intp),
+            np.array(right, dtype=np.intp),
+            leaf_probs,
+        )
 
-    def _best_split(self, x, y, idx, k, min_leaf, n_classes, rng):
-        features = rng.choice(x.shape[1], size=k, replace=False)
+    @staticmethod
+    def _best_split(columns, onehot, counts, idx, k, min_leaf, rng):
+        """Lowest weighted Gini over the drawn features, or None.
+
+        Only positions where the sorted values strictly increase can split, so
+        only those are scored, and the tie order inside a run of equal values
+        (hence the sort's stability) cannot change any score. Ties between
+        scores go to the earliest drawn feature, then to the lowest value: the
+        row-major order of the candidates.
+        """
+        features = rng.choice(columns.shape[0], size=k, replace=False)
         m = len(idx)
-        onehot = np.zeros((m, n_classes))
-        onehot[np.arange(m), y[idx]] = 1.0
-        sizes_left = np.arange(1, m, dtype=float)
+        # take() rather than fancy indexing: same arrays, far less overhead
+        block = columns.take(features, axis=0).take(idx, axis=1)
+        rows = idx.take(block.argsort(axis=1))  # sample ids in value order
+        sv = np.sort(block, axis=1)  # block's values in that order; ties are equal
+        # split after position p leaves p + 1 rows on the left; lo..hi-1 are
+        # the positions that leave at least min_leaf rows on both sides
+        lo, hi = min_leaf - 1, m - min_leaf
+        row, pos = np.nonzero(sv[:, lo + 1 : hi + 1] > sv[:, lo:hi])
+        if not pos.size:
+            return None
+        pos += lo
+        # the float expressions below repeat the per-position formulas term
+        # by term, so the scores are bit-identical to scoring every position
+        left = np.cumsum(onehot.take(rows, axis=0), axis=1)[row, pos]
+        right = counts - left
+        sizes_left = pos + 1.0
         sizes_right = m - sizes_left
-        best = None
-        for feature in features:
-            vals = x[idx, feature]
-            order = np.argsort(vals, kind="stable")
-            sv = vals[order]
-            valid = (
-                (sv[1:] > sv[:-1])
-                & (sizes_left >= min_leaf)
-                & (sizes_right >= min_leaf)
-            )
-            if not valid.any():
-                continue
-            cum = np.cumsum(onehot[order], axis=0)
-            left = cum[:-1]
-            right = cum[-1] - left
-            gini_left = 1.0 - ((left / sizes_left[:, None]) ** 2).sum(axis=1)
-            gini_right = 1.0 - ((right / sizes_right[:, None]) ** 2).sum(axis=1)
-            score = (sizes_left * gini_left + sizes_right * gini_right) / m
-            score[~valid] = np.inf
-            pos = int(np.argmin(score))
-            if best is None or score[pos] < best[0]:
-                threshold = (sv[pos] + sv[pos + 1]) / 2.0
-                if threshold >= sv[pos + 1]:  # fp rounding collapsed the midpoint
-                    threshold = sv[pos]
-                best = (float(score[pos]), int(feature), float(threshold))
-        return best
+        gini_left = 1.0 - ((left / sizes_left[:, None]) ** 2).sum(axis=1)
+        gini_right = 1.0 - ((right / sizes_right[:, None]) ** 2).sum(axis=1)
+        score = (sizes_left * gini_left + sizes_right * gini_right) / m
+        best = int(np.argmin(score))
+        r, p = row[best], pos[best]
+        threshold = (sv[r, p] + sv[r, p + 1]) / 2.0
+        if threshold >= sv[r, p + 1]:  # fp rounding collapsed the midpoint
+            threshold = sv[r, p]
+        return float(score[best]), int(features[r]), float(threshold)
 
 
 @dataclass(frozen=True)
@@ -229,6 +274,17 @@ class EvalReport:
         )
 
 
+def _class_train_size(class_size: int, train_fraction: float) -> int:
+    return int(round(train_fraction * class_size))
+
+
+def train_rows(labels: Sequence, train_fraction: float = TRAIN_FRACTION) -> int:
+    """Number of training rows every ``stratified_split`` of ``labels`` draws."""
+    return sum(
+        _class_train_size(n, train_fraction) for n in Counter(labels).values()
+    )
+
+
 def stratified_split(
     labels: np.ndarray,
     train_fraction: float,
@@ -247,7 +303,7 @@ def stratified_split(
         for c in classes:
             idx = np.flatnonzero(labels == c)
             perm = rng.permutation(idx)
-            k = int(round(train_fraction * len(idx)))
+            k = _class_train_size(len(idx), train_fraction)
             train.append(perm[:k])
             test.append(perm[k:])
         train_idx = np.sort(np.concatenate(train))
@@ -263,7 +319,7 @@ def evaluate(
     dataset: FeatureMatrix,
     config: ForestConfig,
     n_repeats: int = 300,
-    train_fraction: float = 0.9,
+    train_fraction: float = TRAIN_FRACTION,
     *,
     pca_dim: int | None = None,
     positive_class: str = "phishing",

@@ -6,12 +6,13 @@ eigensolves) and independent of the library code paths it is used to check.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 
 import numpy as np
 
-from tsgn import TransactionGraph, TsgnGraph
+from tsgn import RandomForest, TransactionGraph, TsgnGraph
 
 
 # ---------------------------------------------------------------- mappings
@@ -214,6 +215,111 @@ def feature_oracle(graph):
             float(np.mean(closeness_oracle(adj))),
         ]
     )
+
+
+# ------------------------------------------------------------------ forest
+
+class _Node:
+    __slots__ = ("feature", "threshold", "left", "right", "probs")
+
+    def __init__(self):
+        self.feature = None
+        self.threshold = 0.0
+        self.left = None
+        self.right = None
+        self.probs = None
+
+
+class ReferenceForest(RandomForest):
+    """The per-feature CART search: every drawn feature is stable-sorted and
+    scored at every position, and trees are linked ``_Node`` objects walked
+    one row at a time. Same bootstrap draws and RNG order as RandomForest."""
+
+    def predict(self, x: np.ndarray) -> list:
+        if self.classes_ is None:
+            raise ValueError("predict called before fit")
+        x = np.asarray(x, dtype=float)
+        votes = np.zeros((x.shape[0], len(self.classes_)))
+        for root in self._trees:
+            for i in range(x.shape[0]):
+                node = root
+                row = x[i]
+                while node.feature is not None:
+                    node = node.left if row[node.feature] <= node.threshold else node.right
+                votes[i] += node.probs
+        return [self.classes_[int(np.argmax(v))] for v in votes]
+
+    def _grow(self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> _Node:
+        n_classes = len(self.classes_)
+        n_features = x.shape[1]
+        if self.config.features_per_split == "all":
+            k = n_features
+        else:
+            k = max(1, int(math.sqrt(n_features)))
+        min_leaf = self.config.min_samples_leaf
+        max_depth = self.config.max_depth
+
+        root = _Node()
+        work = [(np.arange(len(y)), 0, root)]
+        while work:
+            idx, depth, node = work.pop()
+            counts = np.bincount(y[idx], minlength=n_classes)
+            m = len(idx)
+            if (
+                counts.max() == m
+                or m < 2 * min_leaf
+                or (max_depth is not None and depth >= max_depth)
+            ):
+                node.probs = counts / m
+                continue
+            parent_gini = 1.0 - float(((counts / m) ** 2).sum())
+            best = self._best_split(x, y, idx, k, min_leaf, n_classes, rng)
+            if best is None or parent_gini - best[0] <= 1e-12:
+                node.probs = counts / m
+                continue
+            _, feature, threshold = best
+            mask = x[idx, feature] <= threshold
+            node.feature = feature
+            node.threshold = threshold
+            node.left = _Node()
+            node.right = _Node()
+            work.append((idx[mask], depth + 1, node.left))
+            work.append((idx[~mask], depth + 1, node.right))
+        return root
+
+    def _best_split(self, x, y, idx, k, min_leaf, n_classes, rng):
+        features = rng.choice(x.shape[1], size=k, replace=False)
+        m = len(idx)
+        onehot = np.zeros((m, n_classes))
+        onehot[np.arange(m), y[idx]] = 1.0
+        sizes_left = np.arange(1, m, dtype=float)
+        sizes_right = m - sizes_left
+        best = None
+        for feature in features:
+            vals = x[idx, feature]
+            order = np.argsort(vals, kind="stable")
+            sv = vals[order]
+            valid = (
+                (sv[1:] > sv[:-1])
+                & (sizes_left >= min_leaf)
+                & (sizes_right >= min_leaf)
+            )
+            if not valid.any():
+                continue
+            cum = np.cumsum(onehot[order], axis=0)
+            left = cum[:-1]
+            right = cum[-1] - left
+            gini_left = 1.0 - ((left / sizes_left[:, None]) ** 2).sum(axis=1)
+            gini_right = 1.0 - ((right / sizes_right[:, None]) ** 2).sum(axis=1)
+            score = (sizes_left * gini_left + sizes_right * gini_right) / m
+            score[~valid] = np.inf
+            pos = int(np.argmin(score))
+            if best is None or score[pos] < best[0]:
+                threshold = (sv[pos] + sv[pos + 1]) / 2.0
+                if threshold >= sv[pos + 1]:  # fp rounding collapsed the midpoint
+                    threshold = sv[pos]
+                best = (float(score[pos]), int(feature), float(threshold))
+        return best
 
 
 # ------------------------------------------------------------ random graphs

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from tsgn import TransactionGraph, save_dataset, make_manifest
+from tsgn import cli
 from tsgn.cli import main
 
 from oracles import star_with_neighbor_trades
@@ -147,3 +148,51 @@ def test_evaluate_rejects_incompatible_variant(tmp_path, capsys):
 def test_cli_rejects_unknown_variant(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["transform", "--dataset", "x", "--variant", "bogus", "--out", "y"])
+
+
+def _dataset_missing_timestamps(tmp_path, untimed) -> Path:
+    graphs = []
+    for i in range(5):
+        label = "phishing" if i % 2 else "benign"
+        records = [("a", "b", 1, 1), ("b", "c", 2, 2), ("c", "a", 3, 3)]
+        if i in untimed:
+            records = [(src, dst, amount) for src, dst, amount, _ in records]
+        graphs.append(
+            TransactionGraph.build(
+                records, "b", directed=True, temporal=i not in untimed
+            ).with_label(label)
+        )
+    manifest = make_manifest(graphs, "partly untimed", "net", "directed")
+    return save_dataset(manifest, tmp_path / "untimed")
+
+
+@pytest.mark.parametrize("command", ["transform", "evaluate"])
+def test_untimed_graphs_are_all_named_before_any_output(tmp_path, capsys, command):
+    ds = _dataset_missing_timestamps(tmp_path, untimed={2, 4})
+    out = tmp_path / "out"
+    code = main([command, "--dataset", str(ds), "--variant", "tsgn",
+                 "--variant", "ttsgn", "--tier", "directed", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ttsgn: temporal attribute required (graphs: graph_0002, graph_0004)" in err
+    assert "graph_0000" not in err
+    assert not out.exists()
+
+
+def test_evaluate_rejects_too_few_training_rows_before_featurizing(
+    tmp_path, capsys, monkeypatch
+):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--per-class", "5", "--seed", "3", "--out", str(ds)]) == 0
+
+    def no_features(*args, **kwargs):
+        raise AssertionError("features computed for a dataset evaluate must reject")
+
+    monkeypatch.setattr(cli, "feature_matrix", no_features)
+    out = tmp_path / "x"
+    code = main(["evaluate", "--dataset", str(ds), "--variant", "ttsgn",
+                 "--repeats", "2", "--out", str(out)])
+    assert code == 1
+    # 5 graphs per class put round(4.5) = 4 of each into every training split
+    assert "n_components=10 exceeds the 8 fitted rows" in capsys.readouterr().err
+    assert not out.exists()

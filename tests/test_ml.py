@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsgn import (
     EvalReport,
@@ -11,6 +13,9 @@ from tsgn import (
     percent_increase,
     stratified_split,
 )
+from tsgn.ml import _Tree, train_rows
+
+from oracles import ReferenceForest
 
 
 # -------------------------------------------------------------------- metrics
@@ -125,6 +130,82 @@ def test_forest_respects_max_depth_and_leaf_size():
     assert len(chunky.predict(x)) == len(y)
 
 
+def _tree_shape(tree, node=0):
+    if tree.feature[node] < 0:
+        return tuple(tree.probs[node])
+    return (
+        int(tree.feature[node]),
+        float(tree.threshold[node]),
+        _tree_shape(tree, tree.left[node]),
+        _tree_shape(tree, tree.right[node]),
+    )
+
+
+def _reference_shape(node):
+    if node.feature is None:
+        return tuple(node.probs)
+    return (
+        node.feature,
+        node.threshold,
+        _reference_shape(node.left),
+        _reference_shape(node.right),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(4, 60),
+    kinds=st.lists(
+        st.sampled_from(["ties", "constant", "continuous"]), min_size=1, max_size=6
+    ),
+    n_classes=st.integers(2, 4),
+    min_leaf=st.integers(1, 5),
+    max_depth=st.sampled_from([None, 1, 3]),
+    per_split=st.sampled_from(["sqrt", "all"]),
+)
+def test_forest_matches_reference_forest(
+    seed, n_rows, kinds, n_classes, min_leaf, max_depth, per_split
+):
+    rng = np.random.default_rng(seed)
+    columns = []
+    for kind in kinds:
+        if kind == "ties":  # few distinct values, long runs of equal ones
+            columns.append(np.round(rng.normal(scale=2.0, size=n_rows)))
+        elif kind == "constant":
+            columns.append(np.full(n_rows, rng.normal()))
+        else:
+            columns.append(rng.normal(size=n_rows))
+    x = np.column_stack(columns)
+    y = [f"c{v}" for v in rng.integers(0, n_classes, size=n_rows)]
+    y[:2] = ["c0", "c1"]
+    config = ForestConfig(
+        n_trees=4,
+        max_depth=max_depth,
+        min_samples_leaf=min_leaf,
+        features_per_split=per_split,
+        seed=seed % 1000,
+    )
+    forest = RandomForest(config).fit(x, y)
+    reference = ReferenceForest(config).fit(x, y)
+    assert [_tree_shape(t) for t in forest._trees] == [
+        _reference_shape(root) for root in reference._trees
+    ]
+    probe = np.vstack([x, np.round(rng.normal(scale=2.0, size=(20, x.shape[1])))])
+    assert forest.predict(probe) == reference.predict(probe)
+
+
+def test_forest_vote_tie_goes_to_smallest_class_label():
+    forest = RandomForest(ForestConfig(n_trees=2))
+    forest.classes_ = ("neg", "pos")
+    leaf = np.array([-1])
+    for probs in ([1.0, 0.0], [0.0, 1.0]):  # one full vote each way
+        forest._trees.append(
+            _Tree(leaf, np.zeros(1), leaf, leaf, np.array([probs]))
+        )
+    assert forest.predict(np.zeros((3, 1))) == ["neg", "neg", "neg"]
+
+
 # ---------------------------------------------------------------------- splits
 
 def test_stratified_split_keeps_both_classes():
@@ -135,6 +216,13 @@ def test_stratified_split_keeps_both_classes():
     assert set(labels[test]) == {"a", "b"}
     assert len(train) + len(test) == 40
     assert not set(train) & set(test)
+
+
+@pytest.mark.parametrize("sizes", [(30, 10), (5, 5), (15, 7, 6), (350, 350)])
+def test_train_rows_counts_what_stratified_split_draws(sizes):
+    labels = np.array([c for c, n in zip("abc", sizes) for _ in range(n)])
+    train, _ = stratified_split(labels, 0.9, np.random.default_rng(1))
+    assert train_rows(labels) == len(train)
 
 
 def test_stratified_split_errors_on_singleton_class():
