@@ -227,8 +227,9 @@ class RandomForest:
         m = len(idx)
         # take() rather than fancy indexing: same arrays, far less overhead
         block = columns.take(features, axis=0).take(idx, axis=1)
-        rows = idx.take(block.argsort(axis=1))  # sample ids in value order
-        sv = np.sort(block, axis=1)  # block's values in that order; ties are equal
+        order = block.argsort(axis=1)
+        rows = idx.take(order)  # sample ids in value order
+        sv = np.take_along_axis(block, order, axis=1)  # block's values, sorted
         # split after position p leaves p + 1 rows on the left; lo..hi-1 are
         # the positions that leave at least min_leaf rows on both sides
         lo, hi = min_leaf - 1, m - min_leaf
@@ -278,10 +279,11 @@ def _class_train_size(class_size: int, train_fraction: float) -> int:
     return int(round(train_fraction * class_size))
 
 
-def train_rows(labels: Sequence, train_fraction: float = TRAIN_FRACTION) -> int:
-    """Number of training rows every ``stratified_split`` of ``labels`` draws."""
+def train_rows(labels: Sequence) -> int:
+    """Training rows every ``stratified_split`` of ``labels`` at the default
+    ``TRAIN_FRACTION`` draws."""
     return sum(
-        _class_train_size(n, train_fraction) for n in Counter(labels).values()
+        _class_train_size(n, TRAIN_FRACTION) for n in Counter(labels).values()
     )
 
 

@@ -13,7 +13,7 @@ from tsgn import (
     percent_increase,
     stratified_split,
 )
-from tsgn.ml import _Tree, train_rows
+from tsgn.ml import TRAIN_FRACTION, _Tree, train_rows
 
 from oracles import ReferenceForest
 
@@ -221,7 +221,7 @@ def test_stratified_split_keeps_both_classes():
 @pytest.mark.parametrize("sizes", [(30, 10), (5, 5), (15, 7, 6), (350, 350)])
 def test_train_rows_counts_what_stratified_split_draws(sizes):
     labels = np.array([c for c, n in zip("abc", sizes) for _ in range(n)])
-    train, _ = stratified_split(labels, 0.9, np.random.default_rng(1))
+    train, _ = stratified_split(labels, TRAIN_FRACTION, np.random.default_rng(1))
     assert train_rows(labels) == len(train)
 
 
