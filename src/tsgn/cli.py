@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .features import FEATURE_NAMES, PCA, concat_features, feature_matrix
+from .features import FEATURE_NAMES, PCA, concat_features, feature_matrix, ordered_map
 from .graphs import TIERS
 from .ingest import (
     FORMS,
@@ -23,28 +22,12 @@ from .ingest import (
     dataset_stats,
     generate_synthetic_dataset,
     load_dataset,
-    numbered_graph_ids,
     save_dataset,
     stats_table,
+    write_csv,
 )
 from .ml import EvalReport, ForestConfig, evaluate, train_rows
 from .transforms import BUILDERS, VARIANTS, require_attributes
-
-
-def _map_graphs(fn, graphs, threads: int):
-    """Apply fn per graph; results keep input order for any thread count."""
-    if threads > 1 and len(graphs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, graphs))
-    return [fn(g) for g in graphs]
-
-
-def _dedup(variants):
-    seen = []
-    for v in variants:
-        if v not in seen:
-            seen.append(v)
-    return seen
 
 
 def _require_variants(manifest: DatasetManifest, variants) -> None:
@@ -86,7 +69,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    variants = _dedup(args.variant)
+    variants = list(dict.fromkeys(args.variant))  # drop repeats, keep order
     if not variants:
         return 0
     manifest = load_dataset(args.dataset, tier=args.tier, form=args.form)
@@ -95,20 +78,21 @@ def cmd_transform(args) -> int:
     for variant in variants:
         builder = BUILDERS[variant]
         started = time.perf_counter()
-        mapped = _map_graphs(builder, manifest.graphs, args.threads)
+        mapped = ordered_map(builder, manifest.graphs, args.threads)
         elapsed = time.perf_counter() - started
         variant_dir = out / variant
         variant_dir.mkdir(parents=True, exist_ok=True)
-        with open(variant_dir / "summary.csv", "w", encoding="utf-8", newline="") as sfh:
-            sfh.write("graph_id,nodes,edges\n")
-            for graph_id, t in zip(numbered_graph_ids(len(mapped)), mapped):
-                sfh.write(f"{graph_id},{t.node_count},{t.edge_count}\n")
-                with open(
-                    variant_dir / f"{graph_id}.csv", "w", encoding="utf-8", newline=""
-                ) as fh:
-                    fh.write("from_tx,to_tx,weight\n")
-                    for a, b, w in t.edges:
-                        fh.write(f"{a},{b},{format(w, '.12g')}\n")
+        summary = []
+        for graph_id, t in zip(manifest.graph_ids, mapped):
+            # Plain lines, not write_csv: every field is a number, so none ever
+            # needs quoting, and these files are most of transform's output,
+            # where csv.writer costs about twice as much per row.
+            with open(variant_dir / f"{graph_id}.csv", "w", encoding="utf-8", newline="") as fh:
+                fh.write("from_tx,to_tx,weight\n")
+                for a, b, w in t.edges:
+                    fh.write(f"{a},{b},{w:.12g}\n")
+            summary.append((graph_id, t.node_count, t.edge_count))
+        write_csv(variant_dir / "summary.csv", ("graph_id", "nodes", "edges"), summary)
         total_nodes = sum(t.node_count for t in mapped)
         total_edges = sum(t.edge_count for t in mapped)
         print(
@@ -118,28 +102,19 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _report_rows(reports: list[EvalReport]) -> list[str]:
-    rows = ["dataset,variant,mean_f1,std_f1,n_repeats,pct_increase_vs_tn,seed"]
-    for r in reports:
-        pct = "" if r.pct_increase is None else f"{r.pct_increase:.4f}"
-        rows.append(
-            f"{r.dataset},{r.variant},{r.mean_f1:.6f},{r.std_f1:.6f},"
-            f"{r.n_repeats},{pct},{r.seed}"
-        )
-    return rows
-
-
 def cmd_evaluate(args) -> int:
-    variants = _dedup(args.variant)
+    variants = list(dict.fromkeys(args.variant))
     manifest = load_dataset(args.dataset, tier=args.tier, form=args.form)
     name = Path(args.dataset).name
     _require_variants(manifest, variants)
     labels = manifest.labels
-    # each fusion is projected back to the tn width by a PCA fitted on the
-    # training rows of every split; check there are enough before any work
+    # every split must keep each class on both sides (train_rows raises
+    # otherwise), and each fusion is projected back to the tn width by a PCA
+    # fitted on the training rows of every split; check both before any work
+    n_train = train_rows(labels)
     pca_dim = len(FEATURE_NAMES)
     if variants:
-        PCA(pca_dim).require_rows(train_rows(labels))
+        PCA(pca_dim).require_rows(n_train)
     config = ForestConfig(n_trees=args.trees, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -150,7 +125,7 @@ def cmd_evaluate(args) -> int:
     )
     reports = [tn_report]
     for variant in variants:
-        mapped = _map_graphs(BUILDERS[variant], manifest.graphs, args.threads)
+        mapped = ordered_map(BUILDERS[variant], manifest.graphs, args.threads)
         mapped_matrix = feature_matrix(mapped, labels, variant=variant, threads=args.threads)
         mapped_matrix.to_csv(out / f"features_{variant}.csv")
         fused = concat_features(tn, mapped_matrix)
@@ -163,8 +138,15 @@ def cmd_evaluate(args) -> int:
             variant=f"tn+{variant}",
         ).with_baseline(tn_report)
         reports.append(report)
-    rows = _report_rows(reports)
-    (out / "report.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_csv(
+        out / "report.csv",
+        ("dataset", "variant", "mean_f1", "std_f1", "n_repeats", "pct_increase_vs_tn", "seed"),
+        (
+            (r.dataset, r.variant, f"{r.mean_f1:.6f}", f"{r.std_f1:.6f}", r.n_repeats,
+             None if r.pct_increase is None else f"{r.pct_increase:.4f}", r.seed)
+            for r in reports
+        ),
+    )
     text = _render_report(reports)
     (out / "report.txt").write_text(text + "\n", encoding="utf-8")
     print(text)

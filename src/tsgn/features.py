@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import TransactionGraph
+from .ingest import write_csv
 from .transforms import TsgnGraph
 
 FEATURE_NAMES = (
@@ -258,10 +259,20 @@ class FeatureMatrix:
 
     def to_csv(self, path) -> None:
         """Write header = column provenance, one row per graph, label last."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(self.columns) + ",label\n")
-            for row, label in zip(self.values, self.labels):
-                fh.write(",".join(format(v, ".12g") for v in row) + f",{label}\n")
+        rows = (
+            [*(format(v, ".12g") for v in row), label]
+            for row, label in zip(self.values, self.labels)
+        )
+        write_csv(path, (*self.columns, "label"), rows)
+
+
+def ordered_map(fn, items: Sequence, threads: int = 1) -> list:
+    """``[fn(x) for x in items]``, spread over ``threads`` threads when more
+    than one is asked for; results keep input order for any thread count."""
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def feature_matrix(
@@ -278,11 +289,7 @@ def feature_matrix(
     if len(graphs) != len(labels):
         raise ValueError("graphs and labels differ in length")
     columns = tuple(f"{variant}:{name}" for name in FEATURE_NAMES)
-    if threads > 1 and len(graphs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(handcrafted_features, graphs))
-    else:
-        rows = [handcrafted_features(g) for g in graphs]
+    rows = ordered_map(handcrafted_features, graphs, threads)
     values = np.vstack(rows) if rows else np.zeros((0, len(columns)))
     return FeatureMatrix(values, tuple(labels), columns)
 

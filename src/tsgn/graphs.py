@@ -113,9 +113,30 @@ class TransactionGraph:
         return replace(self, label=label)
 
 
-def _heaviest(records: list[EdgeRecord]) -> EdgeRecord:
-    # Collapse winner: largest amount; ties go to the earliest edge_id.
-    return max(records, key=lambda r: (r.amount, -r.edge_id))
+def _collapse(g: TransactionGraph, *, directed: bool) -> TransactionGraph:
+    """One record per address pair, the heaviest of the pair's records.
+
+    Pairs are ordered when ``directed`` and sorted otherwise, so anti-parallel
+    records share an undirected pair. Edge ids are renumbered in pair order,
+    the node set is kept, and the result is temporal when every kept record
+    has a timestamp.
+    """
+    groups: dict[tuple[str, str], list[EdgeRecord]] = {}
+    for r in g.edges:
+        key = (r.src, r.dst) if directed or r.src <= r.dst else (r.dst, r.src)
+        groups.setdefault(key, []).append(r)
+    records = []
+    for i, key in enumerate(sorted(groups)):
+        # largest amount; ties go to the earliest edge_id
+        winner = max(groups[key], key=lambda r: (r.amount, -r.edge_id))
+        records.append(EdgeRecord(key[0], key[1], winner.amount, winner.timestamp, i))
+    return replace(
+        g,
+        edges=tuple(records),
+        directed=directed,
+        temporal=all(r.timestamp is not None for r in records),
+        multiedge=False,
+    )
 
 
 def undirected_projection(g: TransactionGraph) -> TransactionGraph:
@@ -123,28 +144,14 @@ def undirected_projection(g: TransactionGraph) -> TransactionGraph:
 
     Parallel and anti-parallel records collapse to the record with the largest
     amount. Endpoints are stored in sorted order, edge ids are renumbered in
-    sorted-pair order, and the node set is preserved. Projecting an already
-    plain graph returns it unchanged, so the operation is idempotent.
+    sorted-pair order, and the node set is preserved. The result is temporal
+    only if the input was. Projecting an already plain graph returns it
+    unchanged, so the operation is idempotent.
     """
     if not g.directed and not g.multiedge:
         return g
-    groups: dict[tuple[str, str], list[EdgeRecord]] = {}
-    for r in g.edges:
-        key = (r.src, r.dst) if r.src <= r.dst else (r.dst, r.src)
-        groups.setdefault(key, []).append(r)
-    records = []
-    for i, key in enumerate(sorted(groups)):
-        winner = _heaviest(groups[key])
-        records.append(EdgeRecord(key[0], key[1], winner.amount, winner.timestamp, i))
-    return TransactionGraph(
-        nodes=g.nodes,
-        edges=tuple(records),
-        center=g.center,
-        directed=False,
-        temporal=g.temporal and all(r.timestamp is not None for r in records),
-        multiedge=False,
-        label=g.label,
-    )
+    plain = _collapse(g, directed=False)
+    return plain if g.temporal else replace(plain, temporal=False)
 
 
 def at_tier(g: TransactionGraph, tier: str) -> TransactionGraph:
@@ -164,24 +171,7 @@ def at_tier(g: TransactionGraph, tier: str) -> TransactionGraph:
     if not g.directed:
         raise ValueError(f"tier {tier!r} needs directed data but the graph is undirected")
     if tier == "directed":
-        if not g.multiedge:
-            return g
-        groups: dict[tuple[str, str], list[EdgeRecord]] = {}
-        for r in g.edges:
-            groups.setdefault((r.src, r.dst), []).append(r)
-        records = []
-        for i, key in enumerate(sorted(groups)):
-            winner = _heaviest(groups[key])
-            records.append(EdgeRecord(key[0], key[1], winner.amount, winner.timestamp, i))
-        return TransactionGraph(
-            nodes=g.nodes,
-            edges=tuple(records),
-            center=g.center,
-            directed=True,
-            temporal=all(r.timestamp is not None for r in records),
-            multiedge=False,
-            label=g.label,
-        )
+        return _collapse(g, directed=True) if g.multiedge else g
     return replace(g, multiedge=True, temporal=all(r.timestamp is not None for r in g.edges))
 
 

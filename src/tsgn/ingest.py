@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -209,8 +210,8 @@ class DatasetManifest:
 
 
 def numbered_graph_ids(n: int) -> tuple[str, ...]:
-    """``graph_0000``, ``graph_0001``, ...: the ids the dataset and transform
-    writers give the graphs, zero-padded to at least four digits."""
+    """``graph_0000``, ``graph_0001``, ...: the ids ``save_dataset`` gives the
+    graphs, zero-padded to at least four digits."""
     width = max(4, len(str(max(n - 1, 0))))
     return tuple(f"graph_{i:0{width}d}" for i in range(n))
 
@@ -468,22 +469,34 @@ def stats_table(name: str, form: str, per_tier: dict[str, DatasetStats]) -> str:
     return head + "\n" + body
 
 
+def write_csv(path, header: Sequence, rows) -> None:
+    """Write ``header`` then ``rows`` as CSV with "\n" line ends.
+
+    Fields holding a comma, a quote or a line break are quoted, so every file
+    reads back field for field; None is written as an empty field.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_dataset(manifest: DatasetManifest, out_dir) -> Path:
     """Write a manifest as a dataset directory (graph CSVs + labels.csv)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    label_rows = []
-    for graph_id, g in zip(numbered_graph_ids(manifest.n_graphs), manifest.graphs):
-        with open(out / f"{graph_id}.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("src,dst,amount,timestamp\n")
-            for r in g.edges:
-                ts = "" if r.timestamp is None else str(r.timestamp)
-                fh.write(f"{r.src},{r.dst},{r.amount},{ts}\n")
-        label_rows.append((graph_id, g.center, g.label))
-    with open(out / "labels.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("graph_id,center_address,label\n")
-        for graph_id, center, label in label_rows:
-            fh.write(f"{graph_id},{center},{label}\n")
+    graph_ids = numbered_graph_ids(manifest.n_graphs)
+    for graph_id, g in zip(graph_ids, manifest.graphs):
+        write_csv(
+            out / f"{graph_id}.csv",
+            ("src", "dst", "amount", "timestamp"),
+            ((r.src, r.dst, r.amount, r.timestamp) for r in g.edges),
+        )
+    write_csv(
+        out / "labels.csv",
+        ("graph_id", "center_address", "label"),
+        ((graph_id, g.center, g.label) for graph_id, g in zip(graph_ids, manifest.graphs)),
+    )
     return out
 
 
@@ -500,6 +513,13 @@ def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetMan
     if not entries:
         raise ValueError(f"{root}: labels.csv lists no graphs")
     entries.sort(key=lambda e: e[0])
+    # ids name the files transform writes, so each must be one unique file name
+    counts = Counter(graph_id for graph_id, _, _ in entries)
+    bad = [i for i, n in counts.items() if n > 1 or Path(i).name != i]
+    if bad:
+        raise ValueError(
+            f"{root}: labels.csv graph ids must be unique file names: {', '.join(bad)}"
+        )
     graphs = []
     for graph_id, center, label in entries:
         records = load_edge_list(root / f"{graph_id}.csv")

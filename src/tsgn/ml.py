@@ -275,53 +275,49 @@ class EvalReport:
         )
 
 
-def _class_train_size(class_size: int, train_fraction: float) -> int:
-    return int(round(train_fraction * class_size))
+def _class_train_sizes(labels: Sequence) -> dict:
+    """Training rows per class (in sorted class order) that every split
+    draws; raises ValueError naming each class that would then be absent from
+    the training or the test rows.
+
+    The sizes do not depend on the draw, so a class that is too small for one
+    split is too small for all of them.
+    """
+    counts = sorted(Counter(labels).items())
+    sizes = {c: int(round(TRAIN_FRACTION * n)) for c, n in counts}
+    small = [f"{c} ({n} members)" for c, n in counts if not 0 < sizes[c] < n]
+    if small:
+        raise ValueError(
+            "every split would leave these classes absent from the training "
+            f"or the test rows: {', '.join(small)}"
+        )
+    return sizes
 
 
 def train_rows(labels: Sequence) -> int:
-    """Training rows every ``stratified_split`` of ``labels`` at the default
-    ``TRAIN_FRACTION`` draws."""
-    return sum(
-        _class_train_size(n, TRAIN_FRACTION) for n in Counter(labels).values()
-    )
+    """Training rows every ``stratified_split`` of ``labels`` draws; raises
+    like ``stratified_split`` when a class cannot be split."""
+    return sum(_class_train_sizes(labels).values())
 
 
 def stratified_split(
-    labels: np.ndarray,
-    train_fraction: float,
-    rng: np.random.Generator,
-    max_retries: int = 10,
+    labels: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class random split keeping every class on both sides.
-
-    Retries with fresh draws a bounded number of times before raising (which
-    only happens when some class has a single member).
-    """
-    classes = sorted(set(labels))
-    for _ in range(max_retries):
-        train: list[np.ndarray] = []
-        test: list[np.ndarray] = []
-        for c in classes:
-            idx = np.flatnonzero(labels == c)
-            perm = rng.permutation(idx)
-            k = _class_train_size(len(idx), train_fraction)
-            train.append(perm[:k])
-            test.append(perm[k:])
-        train_idx = np.sort(np.concatenate(train))
-        test_idx = np.sort(np.concatenate(test))
-        train_classes = set(labels[train_idx])
-        test_classes = set(labels[test_idx])
-        if len(train_classes) == len(classes) and len(test_classes) == len(classes):
-            return train_idx, test_idx
-    raise ValueError("a class was absent from a split after stratification retries")
+    """Per-class random ``TRAIN_FRACTION`` split keeping every class on both
+    sides; raises ValueError when some class is too small for that."""
+    train: list[np.ndarray] = []
+    test: list[np.ndarray] = []
+    for c, k in _class_train_sizes(labels).items():
+        perm = rng.permutation(np.flatnonzero(labels == c))
+        train.append(perm[:k])
+        test.append(perm[k:])
+    return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
 
 
 def evaluate(
     dataset: FeatureMatrix,
     config: ForestConfig,
     n_repeats: int = 300,
-    train_fraction: float = TRAIN_FRACTION,
     *,
     pca_dim: int | None = None,
     positive_class: str = "phishing",
@@ -338,15 +334,13 @@ def evaluate(
     """
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
-    if not 0 < train_fraction < 1:
-        raise ValueError("train_fraction must lie strictly between 0 and 1")
     labels = np.array(dataset.labels)
     scores = np.zeros(n_repeats)
     for i in range(n_repeats):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(i,))
         )
-        train_idx, test_idx = stratified_split(labels, train_fraction, rng)
+        train_idx, test_idx = stratified_split(labels, rng)
         x_train = dataset.values[train_idx]
         x_test = dataset.values[test_idx]
         if pca_dim is not None:

@@ -5,13 +5,13 @@ transaction of the source graph becomes a node, and two nodes are linked when
 the underlying transactions interact. What counts as interaction depends on
 the variant:
 
-  tsgn   (plain)    shared address, undirected
-  dtsgn  (directed) head-to-tail flow (the first transaction's destination is
-                    the second one's source), directed
-  ttsgn  (temporal) head-to-tail flow whose timestamps strictly increase,
-                    directed and always acyclic
-  mtsgn  (multiple) the temporal rule applied per individual record, so
-                    parallel transactions each get their own node
+  tsgn   shared address, undirected
+  dtsgn  head-to-tail flow (the first transaction's destination is the second
+         one's source), directed
+  ttsgn  head-to-tail flow whose timestamps strictly increase, directed and
+         always acyclic
+  mtsgn  the ttsgn rule applied per individual record, so parallel
+         transactions each get their own node
 
 Every builder is a pure function of an immutable input graph, safe to run
 concurrently across graphs.
@@ -41,17 +41,21 @@ VARIANT_REQUIREMENTS = {
 class TsgnGraph:
     """A mapped subgraph network.
 
-    ``nodes`` are the source graph's transactions ordered by edge_id; each
-    edge is ``(from_edge_id, to_edge_id, mapped_weight)``. For the plain
-    variant edges are undirected and stored with from < to; the other
-    variants are directed. Edges are sorted lexicographically so repeated
-    builds emit identical structures.
+    ``variant`` is the VARIANTS key of the mapping that built it. ``nodes``
+    are the source graph's transactions ordered by edge_id; each edge is
+    ``(from_edge_id, to_edge_id, mapped_weight)``. For ``tsgn`` edges are
+    undirected and stored with from < to; the other variants are directed.
+    Edges are sorted lexicographically so repeated builds emit identical
+    structures.
     """
 
     variant: str
-    directed: bool
     nodes: tuple[EdgeRecord, ...]
     edges: tuple[tuple[int, int, float], ...]
+
+    @property
+    def directed(self) -> bool:
+        return self.variant != "tsgn"
 
     @property
     def node_count(self) -> int:
@@ -97,12 +101,6 @@ def require_attributes(g: TransactionGraph, variant: str) -> None:
         )
 
 
-def _check_timestamps(records: tuple[EdgeRecord, ...]) -> None:
-    for r in records:
-        if r.timestamp is None:
-            raise ValueError(f"edge {r.edge_id} ({r.src}->{r.dst}) has no timestamp")
-
-
 def _sorted_nodes(g: TransactionGraph) -> tuple[EdgeRecord, ...]:
     return tuple(sorted(g.edges, key=lambda r: r.edge_id))
 
@@ -137,7 +135,7 @@ def build_tsgn(g: TransactionGraph) -> TsgnGraph:
                 b = bucket[j]
                 edges.append((a.edge_id, b.edge_id, map_weight(w_a, amounts[b.edge_id])))
     edges.sort()
-    return TsgnGraph("plain", False, recs, tuple(edges))
+    return TsgnGraph("tsgn", recs, tuple(edges))
 
 
 def build_directed_tsgn(g: TransactionGraph) -> TsgnGraph:
@@ -148,9 +146,7 @@ def build_directed_tsgn(g: TransactionGraph) -> TsgnGraph:
     address is implied by that condition, so it is the only check.) An
     anti-parallel pair of transactions yields edges both ways — a 2-cycle.
     """
-    require_attributes(g, "dtsgn")
-    recs = _sorted_nodes(g)
-    return TsgnGraph("directed", True, recs, _flow_edges(recs, time_ordered=False))
+    return _build_flow(g, "dtsgn")
 
 
 def build_temporal_tsgn(g: TransactionGraph) -> TsgnGraph:
@@ -161,10 +157,7 @@ def build_temporal_tsgn(g: TransactionGraph) -> TsgnGraph:
     sequential flow of funds and the result is a DAG. Equal timestamps on a
     head-to-tail pair yield no edge.
     """
-    require_attributes(g, "ttsgn")
-    _check_timestamps(g.edges)
-    recs = _sorted_nodes(g)
-    return TsgnGraph("temporal", True, recs, _flow_edges(recs, time_ordered=True))
+    return _build_flow(g, "ttsgn")
 
 
 def build_multiple_tsgn(g: TransactionGraph) -> TsgnGraph:
@@ -174,10 +167,20 @@ def build_multiple_tsgn(g: TransactionGraph) -> TsgnGraph:
     break anti-parallel and parallel loops, so the result is a DAG. On a
     simple temporal graph this reduces exactly to build_temporal_tsgn.
     """
-    require_attributes(g, "mtsgn")
-    _check_timestamps(g.edges)
+    return _build_flow(g, "mtsgn")
+
+
+def _build_flow(g: TransactionGraph, variant: str) -> TsgnGraph:
+    """Head-to-tail mapping of ``g``; a variant that needs time keeps only the
+    pairs whose timestamps strictly increase."""
+    require_attributes(g, variant)
+    time_ordered = "temporal" in VARIANT_REQUIREMENTS[variant][0]
+    if time_ordered:
+        for r in g.edges:
+            if r.timestamp is None:
+                raise ValueError(f"edge {r.edge_id} ({r.src}->{r.dst}) has no timestamp")
     recs = _sorted_nodes(g)
-    return TsgnGraph("multiple", True, recs, _flow_edges(recs, time_ordered=True))
+    return TsgnGraph(variant, recs, _flow_edges(recs, time_ordered=time_ordered))
 
 
 def _flow_edges(
@@ -189,21 +192,13 @@ def _flow_edges(
         by_src[r.src].append(r)
     amounts = {r.edge_id: float(r.amount) for r in records}
     edges = []
-    if time_ordered:
-        for a in records:
-            t_a = a.timestamp
-            w_a = amounts[a.edge_id]
-            for b in by_src.get(a.dst, ()):
-                # strict inequality also rules out a pairing with itself
-                if t_a < b.timestamp:
-                    edges.append((a.edge_id, b.edge_id, map_weight(w_a, amounts[b.edge_id])))
-    else:
-        for a in records:
-            w_a = amounts[a.edge_id]
-            for b in by_src.get(a.dst, ()):
-                if b.edge_id == a.edge_id:
-                    continue
-                edges.append((a.edge_id, b.edge_id, map_weight(w_a, amounts[b.edge_id])))
+    for a in records:
+        t_a = a.timestamp
+        w_a = amounts[a.edge_id]
+        for b in by_src.get(a.dst, ()):
+            if b is a or (time_ordered and b.timestamp <= t_a):
+                continue
+            edges.append((a.edge_id, b.edge_id, map_weight(w_a, amounts[b.edge_id])))
     edges.sort()
     return tuple(edges)
 

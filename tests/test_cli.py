@@ -196,3 +196,46 @@ def test_evaluate_rejects_too_few_training_rows_before_featurizing(
     # 5 graphs per class put round(4.5) = 4 of each into every training split
     assert "n_components=10 exceeds the 8 fitted rows" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("variants", [[], ["--variant", "ttsgn"]])
+def test_evaluate_rejects_unsplittable_classes_before_any_output(
+    tmp_path, capsys, monkeypatch, variants
+):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--per-class", "4", "--seed", "3", "--out", str(ds)]) == 0
+
+    def no_features(*args, **kwargs):
+        raise AssertionError("features computed for a dataset evaluate must reject")
+
+    monkeypatch.setattr(cli, "feature_matrix", no_features)
+    out = tmp_path / "x"
+    code = main(["evaluate", "--dataset", str(ds), *variants, "--repeats", "2",
+                 "--out", str(out)])
+    assert code == 1
+    # round(0.9 * 4) = 4: every split would put all four of a class in training
+    err = capsys.readouterr().err
+    assert "absent" in err and "benign (4 members)" in err and "phishing (4 members)" in err
+    assert not out.exists()
+
+
+def test_transform_names_outputs_by_dataset_id(tmp_path):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    # acct_z has three transfers, acct_a one; loading sorts acct_a first
+    (ds / "acct_z.csv").write_text("src,dst,amount,timestamp\nz,a,1,1\nz,b,2,2\nz,c,3,3\n")
+    (ds / "acct_a.csv").write_text("src,dst,amount,timestamp\na,b,1,1\n")
+    (ds / "labels.csv").write_text(
+        "graph_id,center_address,label\nacct_z,z,phishing\nacct_a,a,benign\n"
+    )
+    out = tmp_path / "mapped"
+    assert main(["transform", "--dataset", str(ds), "--variant", "tsgn",
+                 "--tier", "plain", "--out", str(out)]) == 0
+    assert (out / "tsgn" / "summary.csv").read_text().splitlines() == [
+        "graph_id,nodes,edges", "acct_a,1,0", "acct_z,3,3",
+    ]
+    assert len((out / "tsgn" / "acct_a.csv").read_text().splitlines()) == 1
+    assert len((out / "tsgn" / "acct_z.csv").read_text().splitlines()) == 4
+    assert sorted(p.name for p in (out / "tsgn").iterdir()) == [
+        "acct_a.csv", "acct_z.csv", "summary.csv",
+    ]

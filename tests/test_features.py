@@ -156,7 +156,7 @@ def test_empty_graph_raises():
     from tsgn import TsgnGraph
 
     with pytest.raises(ValueError, match="empty"):
-        handcrafted_features(TsgnGraph("plain", False, (), ()))
+        handcrafted_features(TsgnGraph("tsgn", (), ()))
 
 
 def test_oracle_adjacency_agrees_with_simple_adjacency():

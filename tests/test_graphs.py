@@ -146,3 +146,21 @@ def test_build_assigns_sequential_edge_ids():
     g = random_digraph(rnd)
     assert [r.edge_id for r in g.edges] == list(range(g.edge_count))
     assert g.nodes == tuple(sorted(set(g.nodes)))
+
+
+def test_collapse_keeps_each_tiers_temporal_flag():
+    # every record carries a timestamp, but the graph does not claim them
+    g = TransactionGraph.build(
+        [("a", "b", 3, 5), ("a", "b", 3, 2), ("b", "a", 1, 9), ("a", "b", 2, 7)],
+        "a",
+        temporal=False,
+        multiedge=True,
+    )
+    plain = undirected_projection(g)
+    directed = at_tier(g, "directed")
+    assert not plain.temporal
+    assert directed.temporal
+    # heaviest record per pair; the tie at amount 3 goes to edge 0, not edge 1
+    fields = lambda graph: [(r.src, r.dst, r.amount, r.timestamp, r.edge_id) for r in graph.edges]
+    assert fields(plain) == [("a", "b", Decimal(3), 5, 0)]
+    assert fields(directed) == [("a", "b", Decimal(3), 5, 0), ("b", "a", Decimal(1), 9, 1)]

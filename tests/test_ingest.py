@@ -1,10 +1,13 @@
 import json
 import logging
 import random
+import tempfile
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsgn import (
     ColumnSchema,
@@ -18,6 +21,7 @@ from tsgn import (
     load_edge_list_jsonl,
     make_manifest,
     save_dataset,
+    TransactionGraph,
     validate,
 )
 from tsgn.ingest import stats_table
@@ -278,6 +282,57 @@ def test_save_load_roundtrip(tmp_path):
         ] == [(r.src, r.dst, r.amount, r.timestamp) for r in original.edges]
 
 
+def test_saved_address_with_comma_is_quoted_and_loads_back(tmp_path):
+    path = _write(
+        tmp_path,
+        json.dumps({"src": "a,b", "dst": "c", "amount": "1.5", "timestamp": 1}) + "\n",
+        name="records.jsonl",
+    )
+    g = extract_ego_network(load_edge_list_jsonl(path), "c", tier="multiedge")
+    manifest = make_manifest([g.with_label("phishing")], "jsonl", "net", "multiedge")
+    out = save_dataset(manifest, tmp_path / "ds")
+    assert (out / "graph_0000.csv").read_text().splitlines()[1] == '"a,b",c,1.5,1'
+    assert load_dataset(out).graphs == manifest.graphs
+
+
+# lowercase, no outer whitespace: the loaders lowercase and strip addresses
+_ADDRESSES = st.text(alphabet='ab0x ,"', min_size=1, max_size=6).filter(
+    lambda s: s == s.strip()
+)
+_AMOUNTS = st.decimals(min_value=0, max_value=10**9, allow_nan=False, allow_infinity=False)
+_TIMESTAMPS = st.one_of(st.none(), st.integers(0, 2**40))
+
+
+@st.composite
+def _star_egonets(draw):
+    center = draw(_ADDRESSES)
+    leaf = _ADDRESSES.filter(lambda a: a != center)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        other, inbound = draw(leaf), draw(st.booleans())
+        src, dst = (other, center) if inbound else (center, other)
+        rows.append((src, dst, draw(_AMOUNTS), draw(_TIMESTAMPS)))
+    return TransactionGraph.build(
+        rows,
+        center,
+        temporal=all(ts is not None for *_, ts in rows),
+        multiedge=True,
+        label=draw(st.sampled_from(["phishing", "benign"])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_star_egonets(), min_size=1, max_size=4))
+def test_load_of_save_gives_back_the_records(graphs):
+    manifest = make_manifest(graphs, "generated", "net", "multiedge")
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = load_dataset(save_dataset(manifest, tmp), tier="multiedge", form="net")
+    assert loaded.graphs == manifest.graphs
+    # Decimal equality ignores trailing zeros; the text must survive too
+    amounts = lambda m: [str(r.amount) for g in m.graphs for r in g.edges]
+    assert amounts(loaded) == amounts(manifest)
+
+
 def test_save_is_byte_identical_on_rerun(tmp_path):
     manifest = generate_synthetic_dataset("etherg1", n_per_class=5, seed=7)
     first = save_dataset(manifest, tmp_path / "a")
@@ -303,3 +358,13 @@ def test_load_dataset_at_lower_tiers(tmp_path):
         assert g.directed and not g.multiedge and g.temporal
     for g in plain.graphs:
         assert not g.directed and not g.temporal
+
+
+def test_load_dataset_rejects_ids_that_are_not_unique_file_names(tmp_path):
+    (tmp_path / "g.csv").write_text("src,dst,amount,timestamp\na,b,1,1\n")
+    (tmp_path / "labels.csv").write_text(
+        "graph_id,center_address,label\n"
+        "g,a,phishing\ng,b,benign\n../g,a,benign\n"
+    )
+    with pytest.raises(ValueError, match=r"unique file names: \.\./g, g$"):
+        load_dataset(tmp_path)

@@ -13,7 +13,7 @@ from tsgn import (
     percent_increase,
     stratified_split,
 )
-from tsgn.ml import TRAIN_FRACTION, _Tree, train_rows
+from tsgn.ml import _Tree, train_rows
 
 from oracles import ReferenceForest
 
@@ -211,7 +211,7 @@ def test_forest_vote_tie_goes_to_smallest_class_label():
 def test_stratified_split_keeps_both_classes():
     labels = np.array(["a"] * 30 + ["b"] * 10)
     rng = np.random.default_rng(0)
-    train, test = stratified_split(labels, 0.9, rng)
+    train, test = stratified_split(labels, rng)
     assert set(labels[train]) == {"a", "b"}
     assert set(labels[test]) == {"a", "b"}
     assert len(train) + len(test) == 40
@@ -221,14 +221,14 @@ def test_stratified_split_keeps_both_classes():
 @pytest.mark.parametrize("sizes", [(30, 10), (5, 5), (15, 7, 6), (350, 350)])
 def test_train_rows_counts_what_stratified_split_draws(sizes):
     labels = np.array([c for c, n in zip("abc", sizes) for _ in range(n)])
-    train, _ = stratified_split(labels, TRAIN_FRACTION, np.random.default_rng(1))
+    train, _ = stratified_split(labels, np.random.default_rng(1))
     assert train_rows(labels) == len(train)
 
 
 def test_stratified_split_errors_on_singleton_class():
     labels = np.array(["a"] * 10 + ["b"])
     with pytest.raises(ValueError, match="absent"):
-        stratified_split(labels, 0.9, np.random.default_rng(0))
+        stratified_split(labels, np.random.default_rng(0))
 
 
 # -------------------------------------------------------------------- evaluate
@@ -287,8 +287,6 @@ def test_evaluate_validates_parameters():
     x, y = _separable(10)
     with pytest.raises(ValueError, match="n_repeats"):
         evaluate(_matrix(x, y), ForestConfig(), n_repeats=0)
-    with pytest.raises(ValueError, match="train_fraction"):
-        evaluate(_matrix(x, y), ForestConfig(), n_repeats=1, train_fraction=1.0)
 
 
 def test_report_baseline_comparison():
