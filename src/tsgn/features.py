@@ -34,6 +34,10 @@ FEATURE_NAMES = (
     "average_closeness",
 )
 
+# How FeatureMatrix.to_csv writes a value; feature_matrix rounds to it, so the
+# forest trains on exactly the numbers that a written matrix loads back as.
+VALUE_FORMAT = ".12g"
+
 POWER_ITERATION_TOL = 1e-9
 POWER_ITERATION_MAX_STEPS = 1000
 
@@ -260,7 +264,7 @@ class FeatureMatrix:
     def to_csv(self, path) -> None:
         """Write header = column provenance, one row per graph, label last."""
         rows = (
-            [*(format(v, ".12g") for v in row), label]
+            [*(format(v, VALUE_FORMAT) for v in row), label]
             for row, label in zip(self.values, self.labels)
         )
         write_csv(path, (*self.columns, "label"), rows)
@@ -284,13 +288,18 @@ def feature_matrix(
     """Extract handcrafted features for a batch of graphs.
 
     Rows follow the input order regardless of thread count, so the result is
-    deterministic for a fixed input.
+    deterministic for a fixed input. Every value is rounded to VALUE_FORMAT,
+    so to_csv writes the matrix exactly and last-bit summation noise cannot
+    decide a split.
     """
     if len(graphs) != len(labels):
         raise ValueError("graphs and labels differ in length")
     columns = tuple(f"{variant}:{name}" for name in FEATURE_NAMES)
     rows = ordered_map(handcrafted_features, graphs, threads)
     values = np.vstack(rows) if rows else np.zeros((0, len(columns)))
+    values = np.array(
+        [float(format(v, VALUE_FORMAT)) for v in values.flat]
+    ).reshape(values.shape)
     return FeatureMatrix(values, tuple(labels), columns)
 
 

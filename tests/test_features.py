@@ -254,6 +254,18 @@ def test_feature_matrix_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(first, fm.values[0], rtol=1e-10)
 
 
+def test_written_feature_matrix_loads_back_bit_for_bit(tmp_path):
+    # evaluate trains on fm.values and writes features_*.csv; the two must agree
+    rnd = random.Random(53)
+    graphs = [random_undirected_graph(rnd) for _ in range(40)]
+    fm = feature_matrix(graphs, ["a", "b"] * 20)
+    out = tmp_path / "features.csv"
+    fm.to_csv(out)
+    rows = out.read_text().splitlines()[1:]
+    loaded = np.array([[float(v) for v in row.split(",")[:-1]] for row in rows])
+    np.testing.assert_array_equal(loaded, fm.values)
+
+
 def test_feature_matrix_threaded_extraction_matches_serial():
     rnd = random.Random(47)
     graphs = [random_undirected_graph(rnd) for _ in range(12)]
