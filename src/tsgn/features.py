@@ -10,7 +10,6 @@ transform exports.
 from __future__ import annotations
 
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,35 +40,29 @@ VALUE_FORMAT = ".12g"
 POWER_ITERATION_TOL = 1e-9
 POWER_ITERATION_MAX_STEPS = 1000
 
+# Sources per all-sources BFS pass: its working matrices are SOURCE_BLOCK x n.
+SOURCE_BLOCK = 256
 
-def simple_adjacency(graph: TransactionGraph | TsgnGraph) -> list[set[int]]:
-    """Unweighted undirected simple adjacency over contiguous indices 0..n-1.
 
-    Transaction graphs index their sorted address list; TsgnGraphs index their
-    nodes in edge_id order. Parallel, anti-parallel, and self edges collapse
-    away here, so multi-edge inputs featurize exactly like their simple view.
+def simple_adjacency(graph: TransactionGraph | TsgnGraph) -> np.ndarray:
+    """Dense unweighted undirected simple adjacency over indices 0..n-1.
+
+    A symmetric 0/1 float64 matrix with a zero diagonal. Transaction graphs
+    index their sorted address list; TsgnGraphs index their nodes in edge_id
+    order. Parallel, anti-parallel, and self edges collapse away here, so
+    multi-edge inputs featurize exactly like their simple view.
     """
     if isinstance(graph, TransactionGraph):
         index = {addr: i for i, addr in enumerate(graph.nodes)}
-        n = len(graph.nodes)
-        pairs = {
-            (min(index[r.src], index[r.dst]), max(index[r.src], index[r.dst]))
-            for r in graph.edges
-            if r.src != r.dst
-        }
+        pairs = [(index[r.src], index[r.dst]) for r in graph.edges]
     else:
         index = {r.edge_id: i for i, r in enumerate(graph.nodes)}
-        n = len(graph.nodes)
-        pairs = {
-            (min(index[a], index[b]), max(index[a], index[b]))
-            for a, b, _ in graph.edges
-            if a != b
-        }
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in pairs:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+        pairs = [(index[a], index[b]) for a, b, _ in graph.edges]
+    a = np.zeros((len(index), len(index)))
+    u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    a[u, v] = a[v, u] = 1.0
+    np.fill_diagonal(a, 0.0)
+    return a
 
 
 def handcrafted_features(graph: TransactionGraph | TsgnGraph) -> np.ndarray:
@@ -77,11 +70,11 @@ def handcrafted_features(graph: TransactionGraph | TsgnGraph) -> np.ndarray:
 
     Raises ValueError on an empty (zero-node) graph.
     """
-    adj = simple_adjacency(graph)
-    n = len(adj)
+    a = simple_adjacency(graph)
+    n = len(a)
     if n == 0:
         raise ValueError("cannot featurize an empty graph")
-    deg = np.array([len(a) for a in adj], dtype=float)
+    deg = a.sum(axis=1)
     m = float(deg.sum()) / 2.0
     density = 0.0 if n <= 1 else 2.0 * m / (n * (n - 1))
     values = np.array(
@@ -91,44 +84,36 @@ def handcrafted_features(graph: TransactionGraph | TsgnGraph) -> np.ndarray:
             2.0 * m / n,
             float((deg == 1).mean()),
             density,
-            average_neighbor_degree(adj),
-            average_clustering(adj),
-            largest_eigenvalue(adj),
-            float(betweenness_centrality(adj).mean()),
-            float(closeness_centrality(adj).mean()),
+            average_neighbor_degree(a),
+            average_clustering(a),
+            largest_eigenvalue(a),
+            float(betweenness_centrality(a).mean()),
+            float(closeness_centrality(a).mean()),
         ]
     )
     return values
 
 
-def average_neighbor_degree(adj: list[set[int]]) -> float:
+def average_neighbor_degree(a: np.ndarray) -> float:
     """Mean over nodes of the mean degree of their neighbors; isolated nodes count 0."""
-    if not adj:
+    if len(a) == 0:
         return 0.0
-    total = 0.0
-    for nbrs in adj:
-        if nbrs:
-            total += sum(len(adj[u]) for u in nbrs) / len(nbrs)
-    return total / len(adj)
+    deg = a.sum(axis=1)
+    per_node = np.divide(a @ deg, deg, out=np.zeros_like(deg), where=deg > 0)
+    return float(per_node.mean())
 
 
-def average_clustering(adj: list[set[int]]) -> float:
+def average_clustering(a: np.ndarray) -> float:
     """Mean local clustering coefficient; nodes of degree < 2 contribute 0."""
-    if not adj:
+    if len(a) == 0:
         return 0.0
-    total = 0.0
-    for nbrs in adj:
-        k = len(nbrs)
-        if k < 2:
-            continue
-        links = 0
-        for u in nbrs:
-            links += len(adj[u] & nbrs)
-        total += links / (k * (k - 1))  # each neighbor link counted twice
-    return total / len(adj)
+    deg = a.sum(axis=1)
+    links = ((a @ a) * a).sum(axis=1)  # each neighbor link counted twice
+    pairs = deg * (deg - 1)
+    return float(np.divide(links, pairs, out=np.zeros_like(deg), where=pairs > 0).mean())
 
 
-def largest_eigenvalue(adj: list[set[int]]) -> float:
+def largest_eigenvalue(a: np.ndarray) -> float:
     """Largest adjacency eigenvalue by power iteration.
 
     Deterministic all-ones start, Rayleigh-quotient tolerance 1e-9, at most
@@ -136,21 +121,14 @@ def largest_eigenvalue(adj: list[set[int]]) -> float:
     spectra (where +lambda/-lambda pairs tie in magnitude) from stalling the
     plain iteration, and leaves the reported Rayleigh quotient of A unchanged.
     """
-    n = len(adj)
-    deg = np.array([len(a) for a in adj], dtype=np.int64)
-    if n == 0 or deg.sum() == 0:
+    n = len(a)
+    if n == 0 or not a.any():
         return 0.0
-    nbrs = np.fromiter((u for a in adj for u in sorted(a)), dtype=np.int64, count=int(deg.sum()))
-    starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(deg[:-1], out=starts[1:])
-    has_nbrs = deg > 0
-    seg_starts = starts[has_nbrs]
     x = np.full(n, 1.0 / math.sqrt(n))
     rayleigh = 0.0
     prev = None
     for _ in range(POWER_ITERATION_MAX_STEPS):
-        ax = np.zeros(n)
-        ax[has_nbrs] = np.add.reduceat(x[nbrs], seg_starts)
+        ax = a @ x
         rayleigh = float(x @ ax)
         if prev is not None and abs(rayleigh - prev) <= POWER_ITERATION_TOL:
             break
@@ -160,70 +138,73 @@ def largest_eigenvalue(adj: list[set[int]]) -> float:
     return rayleigh
 
 
-def betweenness_centrality(adj: list[set[int]]) -> np.ndarray:
+def _source_blocks(n: int):
+    """Consecutive blocks of at most SOURCE_BLOCK source indices."""
+    for start in range(0, n, SOURCE_BLOCK):
+        yield np.arange(start, min(start + SOURCE_BLOCK, n))
+
+
+def _shortest_paths(a: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hop distances (-1 if unreachable) and shortest-path counts from each source.
+
+    Row i is for sources[i]. One level-synchronous BFS serves all the sources:
+    the path counts of each level, times the adjacency, give the counts of the
+    next level on the nodes that no earlier level reached.
+    """
+    rows = np.arange(len(sources))
+    dist = np.full((len(sources), len(a)), -1)
+    dist[rows, sources] = 0
+    sigma = np.zeros(dist.shape)
+    sigma[rows, sources] = 1.0
+    frontier = sigma.copy()
+    for level in range(1, len(a)):
+        frontier = frontier @ a
+        frontier[dist >= 0] = 0.0
+        reached = frontier > 0
+        if not reached.any():
+            break
+        dist[reached] = level
+        sigma += frontier
+    return dist, sigma
+
+
+def betweenness_centrality(a: np.ndarray) -> np.ndarray:
     """Normalized undirected betweenness for every node (Brandes accumulation).
 
     Only connected pairs contribute; with fewer than 3 nodes everything is 0.
     """
-    n = len(adj)
+    n = len(a)
     bc = np.zeros(n)
-    for s in range(n):
-        stack: list[int] = []
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma = np.zeros(n)
-        sigma[s] = 1.0
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = np.zeros(n)
-        while stack:
-            w = stack.pop()
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += delta[w]
-    if n > 2:
-        # accumulation counts each unordered pair twice; fold that into the scale
-        bc /= (n - 1) * (n - 2)
-    else:
-        bc[:] = 0.0
-    return bc
+    if n <= 2:
+        return bc
+    for sources in _source_blocks(n):
+        dist, sigma = _shortest_paths(a, sources)
+        # dependencies flow back one level at a time, deepest first; a
+        # source's own dependency (level 0) is never counted
+        delta = np.zeros_like(sigma)
+        for level in range(dist.max(), 1, -1):
+            coeff = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist == level)
+            delta += (coeff @ a) * np.where(dist == level - 1, sigma, 0.0)
+        bc += delta.sum(axis=0)
+    # accumulation counts each unordered pair twice; fold that into the scale
+    return bc / ((n - 1) * (n - 2))
 
 
-def closeness_centrality(adj: list[set[int]]) -> np.ndarray:
+def closeness_centrality(a: np.ndarray) -> np.ndarray:
     """Closeness with reachable-set scaling: (r-1)/sum(d) * (r-1)/(n-1).
 
     r counts the node itself plus everything it reaches; isolated nodes get 0.
     """
-    n = len(adj)
+    n = len(a)
     out = np.zeros(n)
     if n <= 1:
         return out
-    for s in range(n):
-        dist = {s: 0}
-        total = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    total += dist[w]
-                    queue.append(w)
-        r = len(dist)
-        if total > 0:
-            out[s] = ((r - 1) / total) * ((r - 1) / (n - 1))
+    for sources in _source_blocks(n):
+        dist, _ = _shortest_paths(a, sources)
+        reached = (dist > 0).sum(axis=1)  # r - 1
+        total = dist.clip(min=0).sum(axis=1)
+        scale = np.divide(reached, total, out=np.zeros(len(sources)), where=total > 0)
+        out[sources] = scale * (reached / (n - 1))
     return out
 
 

@@ -15,6 +15,7 @@ from tsgn import (
     fuse_and_project,
     handcrafted_features,
 )
+from tsgn import features
 from tsgn.features import (
     betweenness_centrality,
     closeness_centrality,
@@ -24,6 +25,7 @@ from tsgn.features import (
 
 from oracles import (
     betweenness_oracle,
+    bfs_distances,
     closeness_oracle,
     eigenvalue_oracle,
     feature_oracle,
@@ -92,13 +94,37 @@ def test_centralities_match_exhaustive_oracle():
     rnd = random.Random(21)
     for _ in range(150):
         g = random_undirected_graph(rnd)
-        adj = simple_adjacency(g)
+        a, adj = simple_adjacency(g), oracle_adjacency(g)
         np.testing.assert_allclose(
-            betweenness_centrality(adj), betweenness_oracle(adj), atol=1e-9
+            betweenness_centrality(a), betweenness_oracle(adj), atol=1e-9
         )
         np.testing.assert_allclose(
-            closeness_centrality(adj), closeness_oracle(adj), atol=1e-9
+            closeness_centrality(a), closeness_oracle(adj), atol=1e-9
         )
+
+
+def test_centralities_match_oracle_across_source_blocks(monkeypatch):
+    # three sources per BFS pass, so most graphs take several passes
+    monkeypatch.setattr(features, "SOURCE_BLOCK", 3)
+    rnd = random.Random(59)
+    isolated = disconnected = 0
+    for i in range(120):
+        if i % 2:
+            g = random_undirected_graph(rnd, max_nodes=12)
+        else:
+            g = build_multiple_tsgn(random_multigraph(rnd, max_nodes=5))
+            if g.node_count == 0:
+                continue
+        a, adj = simple_adjacency(g), oracle_adjacency(g)
+        isolated += not all(adj)
+        disconnected += len(bfs_distances(adj, 0)) < len(adj)
+        np.testing.assert_allclose(
+            betweenness_centrality(a), betweenness_oracle(adj), atol=1e-9
+        )
+        np.testing.assert_allclose(
+            closeness_centrality(a), closeness_oracle(adj), atol=1e-9
+        )
+    assert isolated > 10 and disconnected > 20
 
 
 def test_all_features_match_oracle_on_random_graphs():
@@ -163,7 +189,12 @@ def test_oracle_adjacency_agrees_with_simple_adjacency():
     rnd = random.Random(43)
     for _ in range(50):
         g = random_multigraph(rnd)
-        assert simple_adjacency(g) == oracle_adjacency(g)
+        a = simple_adjacency(g)
+        assert a.dtype == np.float64
+        np.testing.assert_array_equal(a, a.T)
+        assert set(np.unique(a).tolist()) <= {0.0, 1.0}
+        assert not a.diagonal().any()
+        assert [set(np.flatnonzero(row).tolist()) for row in a] == oracle_adjacency(g)
 
 
 # ----------------------------------------------------------------------- PCA
