@@ -103,6 +103,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     variants = list(dict.fromkeys(args.variant))
     manifest = load_dataset(args.dataset, tier=args.tier, form=args.form)
     name = Path(args.dataset).name

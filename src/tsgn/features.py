@@ -1,10 +1,18 @@
-"""Handcrafted topological features and the concatenate-then-project fusion.
+"""Handcrafted topological features and the pieces of the fusion.
 
 The ten features are always computed on the unweighted, undirected, simple
 view of the input graph, whether that input is an original transaction graph
 or a mapped TsgnGraph of any variant. That keeps one feature definition valid
 across every variant; mapped edge weights are exposed only through the
 transform exports.
+
+That view is one dense 0/1 adjacency matrix, and every feature is matrix code
+on it. Betweenness and closeness share one level-synchronous BFS that runs
+from a block of sources at once (Brandes, J. Math. Sociol. 2001; Kepner and
+Gilbert, Graph Algorithms in the Language of Linear Algebra, 2011).
+feature_matrix rounds each value to the digits FeatureMatrix.to_csv writes.
+Fusion is concat_features followed by a PCA that ml.evaluate fits on the
+training rows of each split.
 """
 
 from __future__ import annotations
@@ -337,24 +345,3 @@ class PCA:
             raise ValueError("PCA.transform called before fit")
         return (np.asarray(x, dtype=float) - self.mean_) @ self.components_.T
 
-
-def fuse_and_project(
-    tn: FeatureMatrix, mapped: FeatureMatrix, target_dim: int | None = None
-) -> FeatureMatrix:
-    """Concatenate original and mapped feature rows, then PCA-project.
-
-    target_dim defaults to the original matrix's width so the fused vectors
-    come out the same size as the unfused ones. This standalone form fits the
-    projection on all rows; the evaluation harness instead fits per split on
-    training rows only.
-    """
-    fused = concat_features(tn, mapped)
-    k = target_dim if target_dim is not None else tn.n_columns
-    if k > fused.n_columns:
-        raise ValueError(
-            f"target_dim={k} exceeds the concatenated width {fused.n_columns}"
-        )
-    projected = PCA(k).fit(fused.values).transform(fused.values)
-    return FeatureMatrix(
-        projected, fused.labels, tuple(f"pc{i + 1}" for i in range(k))
-    )

@@ -481,6 +481,9 @@ def write_csv(path, header: Sequence, rows) -> None:
         writer.writerows(rows)
 
 
+LABELS_HEADER = ("graph_id", "center_address", "label")
+
+
 def save_dataset(manifest: DatasetManifest, out_dir) -> Path:
     """Write a manifest as a dataset directory (graph CSVs + labels.csv)."""
     out = Path(out_dir)
@@ -494,7 +497,7 @@ def save_dataset(manifest: DatasetManifest, out_dir) -> Path:
         )
     write_csv(
         out / "labels.csv",
-        ("graph_id", "center_address", "label"),
+        LABELS_HEADER,
         ((graph_id, g.center, g.label) for graph_id, g in zip(graph_ids, manifest.graphs)),
     )
     return out
@@ -506,10 +509,12 @@ def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetMan
     labels_path = root / "labels.csv"
     if not labels_path.is_file():
         raise ValueError(f"{root}: not a dataset directory (labels.csv missing)")
-    entries = []
     with open(labels_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            entries.append((row["graph_id"], row["center_address"], row["label"]))
+        reader = csv.DictReader(fh)
+        missing = [c for c in LABELS_HEADER if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{labels_path}: missing column(s) {', '.join(missing)}")
+        entries = [tuple(row[c] for c in LABELS_HEADER) for row in reader]
     if not entries:
         raise ValueError(f"{root}: labels.csv lists no graphs")
     entries.sort(key=lambda e: e[0])

@@ -219,6 +219,30 @@ def test_evaluate_rejects_unsplittable_classes_before_any_output(
     assert not out.exists()
 
 
+def test_evaluate_rejects_zero_repeats_before_any_output(tmp_path, capsys, monkeypatch):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--per-class", "6", "--seed", "3", "--out", str(ds)]) == 0
+
+    def no_features(*args, **kwargs):
+        raise AssertionError("features computed for a run evaluate must reject")
+
+    monkeypatch.setattr(cli, "feature_matrix", no_features)
+    out = tmp_path / "x"
+    assert main(["evaluate", "--dataset", str(ds), "--repeats", "0", "--out", str(out)]) == 1
+    assert "--repeats must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_labels_without_required_columns_fail_with_their_names(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "g.csv").write_text("src,dst,amount,timestamp\na,b,1,1\n")
+    (ds / "labels.csv").write_text("id,center_address,class\ng,a,phishing\n")
+    assert main(["stats", "--dataset", str(ds)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing column(s) graph_id, label" in err
+
+
 def test_transform_names_outputs_by_dataset_id(tmp_path):
     ds = tmp_path / "ds"
     ds.mkdir()

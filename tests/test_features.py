@@ -12,7 +12,6 @@ from tsgn import (
     build_multiple_tsgn,
     concat_features,
     feature_matrix,
-    fuse_and_project,
     handcrafted_features,
 )
 from tsgn import features
@@ -305,14 +304,3 @@ def test_feature_matrix_threaded_extraction_matches_serial():
     threaded = feature_matrix(graphs, labels, threads=4)
     np.testing.assert_array_equal(serial.values, threaded.values)
 
-
-def test_fuse_and_project_defaults_to_tn_width():
-    rng = np.random.default_rng(5)
-    labels = tuple(str(i) for i in range(12))
-    tn = FeatureMatrix(rng.normal(size=(12, 10)), labels, tuple(f"tn:{n}" for n in FEATURE_NAMES))
-    mapped = FeatureMatrix(rng.normal(size=(12, 10)), labels, tuple(f"m:{n}" for n in FEATURE_NAMES))
-    fused = fuse_and_project(tn, mapped)
-    assert fused.n_columns == 10
-    assert fused.columns[0] == "pc1"
-    with pytest.raises(ValueError, match="exceeds the concatenated width"):
-        fuse_and_project(tn, mapped, target_dim=21)
