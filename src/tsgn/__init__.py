@@ -18,7 +18,6 @@ from .graphs import (
     validate,
 )
 from .ingest import (
-    ColumnSchema,
     DatasetManifest,
     DatasetStats,
     dataset_stats,
@@ -28,7 +27,6 @@ from .ingest import (
     load_dataset,
     load_edge_list,
     load_edge_list_jsonl,
-    make_manifest,
     save_dataset,
 )
 from .ml import (
@@ -51,7 +49,6 @@ from .transforms import (
 )
 
 __all__ = [
-    "ColumnSchema",
     "DatasetManifest",
     "DatasetStats",
     "EdgeRecord",
@@ -80,7 +77,6 @@ __all__ = [
     "load_dataset",
     "load_edge_list",
     "load_edge_list_jsonl",
-    "make_manifest",
     "map_weight",
     "percent_increase",
     "require_attributes",

@@ -30,27 +30,14 @@ PHISHING_LABEL = "phishing"
 BENIGN_LABEL = "benign"
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Column names for record files; timestamp may be None for atemporal data."""
-
-    src: str = "src"
-    dst: str = "dst"
-    amount: str = "amount"
-    timestamp: str | None = "timestamp"
-
-
-DEFAULT_SCHEMA = ColumnSchema()
-
-
-def _parse_record(fields: dict, schema: ColumnSchema, lineno: int, problems: list[str]):
+def _parse_record(fields: dict, lineno: int, problems: list[str]):
     """One raw row -> (src, dst, amount, timestamp) or None when malformed."""
-    src = (fields.get(schema.src) or "").strip().lower()
-    dst = (fields.get(schema.dst) or "").strip().lower()
+    src = (fields.get("src") or "").strip().lower()
+    dst = (fields.get("dst") or "").strip().lower()
     if not src or not dst:
         problems.append(f"line {lineno}: missing src or dst address")
         return None
-    raw_amount = (fields.get(schema.amount) or "").strip()
+    raw_amount = (fields.get("amount") or "").strip()
     try:
         amount = Decimal(raw_amount)
     except InvalidOperation:
@@ -60,15 +47,14 @@ def _parse_record(fields: dict, schema: ColumnSchema, lineno: int, problems: lis
         problems.append(f"line {lineno}: negative amount {raw_amount}")
         return None
     timestamp = None
-    if schema.timestamp is not None:
-        raw_ts = fields.get(schema.timestamp)
-        raw_ts = raw_ts.strip() if isinstance(raw_ts, str) else raw_ts
-        if raw_ts not in (None, ""):
-            try:
-                timestamp = int(raw_ts)
-            except (TypeError, ValueError):
-                problems.append(f"line {lineno}: unparseable timestamp {raw_ts!r}")
-                return None
+    raw_ts = fields.get("timestamp")
+    raw_ts = raw_ts.strip() if isinstance(raw_ts, str) else raw_ts
+    if raw_ts not in (None, ""):
+        try:
+            timestamp = int(raw_ts)
+        except (TypeError, ValueError):
+            problems.append(f"line {lineno}: unparseable timestamp {raw_ts!r}")
+            return None
     return src, dst, amount, timestamp
 
 
@@ -87,7 +73,7 @@ def _finish_load(path, rows, problems) -> list[EdgeRecord]:
     return records
 
 
-def load_edge_list(path, schema: ColumnSchema = DEFAULT_SCHEMA) -> list[EdgeRecord]:
+def load_edge_list(path) -> list[EdgeRecord]:
     """Parse a CSV export into edge records.
 
     Addresses are lowercased, self-loops are dropped with a logged warning,
@@ -98,20 +84,19 @@ def load_edge_list(path, schema: ColumnSchema = DEFAULT_SCHEMA) -> list[EdgeReco
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file")
-        mandatory = [schema.src, schema.dst, schema.amount]
-        missing = [c for c in mandatory if c not in reader.fieldnames]
+        missing = [c for c in ("src", "dst", "amount") if c not in reader.fieldnames]
         if missing:
             raise ValueError(f"{path}: missing mandatory column(s) {missing}")
         problems: list[str] = []
         rows = []
         for lineno, row in enumerate(reader, start=2):
-            parsed = _parse_record(row, schema, lineno, problems)
+            parsed = _parse_record(row, lineno, problems)
             if parsed is not None:
                 rows.append(parsed)
     return _finish_load(path, rows, problems)
 
 
-def load_edge_list_jsonl(path, schema: ColumnSchema = DEFAULT_SCHEMA) -> list[EdgeRecord]:
+def load_edge_list_jsonl(path) -> list[EdgeRecord]:
     """JSON-lines loader with the same field semantics as the CSV loader."""
     path = Path(path)
     problems: list[str] = []
@@ -127,7 +112,7 @@ def load_edge_list_jsonl(path, schema: ColumnSchema = DEFAULT_SCHEMA) -> list[Ed
                 problems.append(f"line {lineno}: invalid JSON")
                 continue
             fields = {k: (v if v is None else str(v)) for k, v in obj.items()}
-            parsed = _parse_record(fields, schema, lineno, problems)
+            parsed = _parse_record(fields, lineno, problems)
             if parsed is not None:
                 rows.append(parsed)
     return _finish_load(path, rows, problems)
@@ -179,8 +164,6 @@ class DatasetManifest:
     """A labeled collection of transaction graphs at one attribute tier."""
 
     graphs: tuple[TransactionGraph, ...]
-    label_set: tuple[str, ...]
-    provenance: str
     form: str
     tier: str
     # one id per graph, as in labels.csv; empty means numbered_graph_ids
@@ -196,9 +179,6 @@ class DatasetManifest:
         for g in self.graphs:
             if g.label is None:
                 raise ValueError("every graph in a manifest must be labeled")
-        used = tuple(sorted({g.label for g in self.graphs}))
-        if used != self.label_set:
-            raise ValueError(f"label_set {self.label_set} != labels used {used}")
 
     @property
     def labels(self) -> list[str]:
@@ -214,20 +194,6 @@ def numbered_graph_ids(n: int) -> tuple[str, ...]:
     graphs, zero-padded to at least four digits."""
     width = max(4, len(str(max(n - 1, 0))))
     return tuple(f"graph_{i:0{width}d}" for i in range(n))
-
-
-def make_manifest(
-    graphs, provenance: str, form: str, tier: str, graph_ids=()
-) -> DatasetManifest:
-    graphs = tuple(graphs)
-    return DatasetManifest(
-        graphs=graphs,
-        label_set=tuple(sorted({g.label for g in graphs})),
-        provenance=provenance,
-        form=form,
-        tier=tier,
-        graph_ids=tuple(graph_ids),
-    )
 
 
 @dataclass(frozen=True)
@@ -349,11 +315,7 @@ def generate_synthetic_dataset(
     for gid in range(n_per_class):
         center, rows = _benign_rows(rng, _draw_size(rng, size), f"b{gid}")
         graphs.append(_rows_to_graph(rng, rows, center, tier, BENIGN_LABEL))
-    provenance = (
-        f"synthetic profile={profile} n_per_class={n_per_class} seed={seed} "
-        f"(phishing-like=star archetype, benign-like=net archetype)"
-    )
-    return make_manifest(graphs, provenance, form="net", tier=tier)
+    return DatasetManifest(tuple(graphs), "net", tier)
 
 
 def _rows_to_graph(rng, rows, center, tier, label) -> TransactionGraph:
@@ -529,7 +491,6 @@ def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetMan
     for graph_id, center, label in entries:
         records = load_edge_list(root / f"{graph_id}.csv")
         graphs.append(extract_ego_network(records, center, form, tier).with_label(label))
-    return make_manifest(
-        graphs, provenance=str(root), form=form, tier=tier,
-        graph_ids=[graph_id for graph_id, _, _ in entries],
+    return DatasetManifest(
+        tuple(graphs), form, tier, tuple(graph_id for graph_id, _, _ in entries)
     )

@@ -2,10 +2,11 @@
 stratified-split evaluation harness.
 
 The forest is a standard bagging ensemble of CART trees: every tree trains on
-a bootstrap sample, splits minimize Gini impurity, and each node considers a
-random feature subset. Everything is seeded through numpy SeedSequence
-streams, so a fixed master seed reproduces identical reports regardless of
-how the work is scheduled.
+a bootstrap sample and grows until its leaves are pure or cannot be split,
+splits minimize Gini impurity, and each node considers a random subset of
+about sqrt(p) of the p features. Everything is seeded through numpy
+SeedSequence streams, so a fixed master seed reproduces identical reports
+regardless of how the work is scheduled.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .features import PCA, FeatureMatrix
+from .ingest import PHISHING_LABEL
 
 # share of every class that stratified_split puts in the training rows (9:1)
 TRAIN_FRACTION = 0.9
@@ -59,25 +61,19 @@ def percent_increase(f1_model: float, f1_baseline: float) -> float:
 
 @dataclass(frozen=True)
 class ForestConfig:
-    """Random-forest hyperparameters.
+    """Random-forest size and seed.
 
-    The defaults (100 trees, unlimited depth, leaf size 1, sqrt features per
-    split) are standard; everything is overridable.
+    Every tree grows until its leaves are pure or cannot be split and draws
+    ``max(1, int(sqrt(p)))`` of the ``p`` features at each node, as in
+    Breiman's forest.
     """
 
     n_trees: int = 100
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    features_per_split: str = "sqrt"
     seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if self.features_per_split not in ("sqrt", "all"):
-            raise ValueError("features_per_split must be 'sqrt' or 'all'")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -155,13 +151,7 @@ class RandomForest:
 
     def _grow(self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> _Tree:
         n_classes = len(self.classes_)
-        n_features = x.shape[1]
-        if self.config.features_per_split == "all":
-            k = n_features
-        else:
-            k = max(1, int(math.sqrt(n_features)))
-        min_leaf = self.config.min_samples_leaf
-        max_depth = self.config.max_depth
+        k = max(1, int(math.sqrt(x.shape[1])))
         columns = np.ascontiguousarray(x.T)  # one row per feature
         onehot = np.eye(n_classes)[y]
 
@@ -173,20 +163,16 @@ class RandomForest:
         # explicit depth-first stack instead of recursion: depth can approach
         # n_samples. The pop order fixes the order of the per-node feature
         # draws from rng, so it must not change.
-        work = [(np.arange(len(y)), 0, 0)]
+        work = [(np.arange(len(y)), 0)]
         while work:
-            idx, depth, node = work.pop()
+            idx, node = work.pop()
             counts = np.bincount(y[idx], minlength=n_classes)
             m = len(idx)
-            if (
-                counts.max() == m
-                or m < 2 * min_leaf
-                or (max_depth is not None and depth >= max_depth)
-            ):
+            if counts.max() == m:
                 probs[node] = counts / m
                 continue
             parent_gini = 1.0 - float(((counts / m) ** 2).sum())
-            best = self._best_split(columns, onehot, counts, idx, k, min_leaf, rng)
+            best = self._best_split(columns, onehot, counts, idx, k, rng)
             if best is None or parent_gini - best[0] <= 1e-12:
                 probs[node] = counts / m
                 continue
@@ -200,8 +186,8 @@ class RandomForest:
             threshold += [0.0, 0.0]
             left += [-1, -1]
             right += [-1, -1]
-            work.append((idx[mask], depth + 1, left[node]))
-            work.append((idx[~mask], depth + 1, right[node]))
+            work.append((idx[mask], left[node]))
+            work.append((idx[~mask], right[node]))
         leaf_probs = np.zeros((len(feature), n_classes))
         for node, p in probs.items():
             leaf_probs[node] = p
@@ -214,7 +200,7 @@ class RandomForest:
         )
 
     @staticmethod
-    def _best_split(columns, onehot, counts, idx, k, min_leaf, rng):
+    def _best_split(columns, onehot, counts, idx, k, rng):
         """Lowest weighted Gini over the drawn features, or None.
 
         Only positions where the sorted values strictly increase can split, so
@@ -230,13 +216,10 @@ class RandomForest:
         order = block.argsort(axis=1)
         rows = idx.take(order)  # sample ids in value order
         sv = np.take_along_axis(block, order, axis=1)  # block's values, sorted
-        # split after position p leaves p + 1 rows on the left; lo..hi-1 are
-        # the positions that leave at least min_leaf rows on both sides
-        lo, hi = min_leaf - 1, m - min_leaf
-        row, pos = np.nonzero(sv[:, lo + 1 : hi + 1] > sv[:, lo:hi])
+        # a split after position p leaves p + 1 rows on the left
+        row, pos = np.nonzero(sv[:, 1:] > sv[:, :-1])
         if not pos.size:
             return None
-        pos += lo
         # the float expressions below repeat the per-position formulas term
         # by term, so the scores are bit-identical to scoring every position
         left = np.cumsum(onehot.take(rows, axis=0), axis=1)[row, pos]
@@ -320,7 +303,6 @@ def evaluate(
     n_repeats: int = 300,
     *,
     pca_dim: int | None = None,
-    positive_class: str = "phishing",
     dataset_name: str = "",
     variant: str = "tn",
 ) -> EvalReport:
@@ -328,8 +310,8 @@ def evaluate(
 
     Each repeat draws its own seeded split (stream derived from the master
     seed by repeat index, so repeats are order-independent), optionally fits a
-    PCA projection on the training rows only, trains a forest, and scores F1
-    on the held-out rows. Reports the mean and the population (ddof=0)
+    PCA projection on the training rows only, trains a forest, and scores the
+    F1 of the phishing class on the held-out rows. Reports the mean and the population (ddof=0)
     standard deviation over repeats.
     """
     if n_repeats < 1:
@@ -351,7 +333,7 @@ def evaluate(
         forest = RandomForest(replace(config, seed=forest_seed))
         forest.fit(x_train, list(labels[train_idx]))
         predictions = forest.predict(x_test)
-        scores[i] = f1_score(predictions, list(labels[test_idx]), positive_class)
+        scores[i] = f1_score(predictions, list(labels[test_idx]), PHISHING_LABEL)
     return EvalReport(
         dataset=dataset_name,
         variant=variant,

@@ -251,29 +251,19 @@ class ReferenceForest(RandomForest):
 
     def _grow(self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> _Node:
         n_classes = len(self.classes_)
-        n_features = x.shape[1]
-        if self.config.features_per_split == "all":
-            k = n_features
-        else:
-            k = max(1, int(math.sqrt(n_features)))
-        min_leaf = self.config.min_samples_leaf
-        max_depth = self.config.max_depth
+        k = max(1, int(math.sqrt(x.shape[1])))
 
         root = _Node()
-        work = [(np.arange(len(y)), 0, root)]
+        work = [(np.arange(len(y)), root)]
         while work:
-            idx, depth, node = work.pop()
+            idx, node = work.pop()
             counts = np.bincount(y[idx], minlength=n_classes)
             m = len(idx)
-            if (
-                counts.max() == m
-                or m < 2 * min_leaf
-                or (max_depth is not None and depth >= max_depth)
-            ):
+            if counts.max() == m:
                 node.probs = counts / m
                 continue
             parent_gini = 1.0 - float(((counts / m) ** 2).sum())
-            best = self._best_split(x, y, idx, k, min_leaf, n_classes, rng)
+            best = self._best_split(x, y, idx, k, n_classes, rng)
             if best is None or parent_gini - best[0] <= 1e-12:
                 node.probs = counts / m
                 continue
@@ -283,11 +273,11 @@ class ReferenceForest(RandomForest):
             node.threshold = threshold
             node.left = _Node()
             node.right = _Node()
-            work.append((idx[mask], depth + 1, node.left))
-            work.append((idx[~mask], depth + 1, node.right))
+            work.append((idx[mask], node.left))
+            work.append((idx[~mask], node.right))
         return root
 
-    def _best_split(self, x, y, idx, k, min_leaf, n_classes, rng):
+    def _best_split(self, x, y, idx, k, n_classes, rng):
         features = rng.choice(x.shape[1], size=k, replace=False)
         m = len(idx)
         onehot = np.zeros((m, n_classes))
@@ -299,11 +289,7 @@ class ReferenceForest(RandomForest):
             vals = x[idx, feature]
             order = np.argsort(vals, kind="stable")
             sv = vals[order]
-            valid = (
-                (sv[1:] > sv[:-1])
-                & (sizes_left >= min_leaf)
-                & (sizes_right >= min_leaf)
-            )
+            valid = sv[1:] > sv[:-1]
             if not valid.any():
                 continue
             cum = np.cumsum(onehot[order], axis=0)

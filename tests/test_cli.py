@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from tsgn import TransactionGraph, save_dataset, make_manifest
+from tsgn import DatasetManifest, TransactionGraph, save_dataset
 from tsgn import cli
 from tsgn.cli import main
 
@@ -23,7 +23,7 @@ def _star_dataset(tmp_path) -> Path:
     other = TransactionGraph.build(
         [("x", "y", 1, 1), ("y", "z", 2, 2)], "y", temporal=True
     ).with_label("benign")
-    manifest = make_manifest([g, other], "star fixture", "net", "directed")
+    manifest = DatasetManifest((g, other), "net", "directed")
     return save_dataset(manifest, tmp_path / "stards")
 
 
@@ -162,7 +162,7 @@ def _dataset_missing_timestamps(tmp_path, untimed) -> Path:
                 records, "b", directed=True, temporal=i not in untimed
             ).with_label(label)
         )
-    manifest = make_manifest(graphs, "partly untimed", "net", "directed")
+    manifest = DatasetManifest(tuple(graphs), "net", "directed")
     return save_dataset(manifest, tmp_path / "untimed")
 
 

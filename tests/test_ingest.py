@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgn import (
-    ColumnSchema,
+    DatasetManifest,
     EdgeRecord,
     dataset_stats,
     extract_ego_network,
@@ -19,7 +19,6 @@ from tsgn import (
     load_dataset,
     load_edge_list,
     load_edge_list_jsonl,
-    make_manifest,
     save_dataset,
     TransactionGraph,
     validate,
@@ -90,10 +89,9 @@ def test_load_requires_mandatory_columns(tmp_path):
         load_edge_list(_write(tmp_path, "", name="empty.csv"))
 
 
-def test_load_with_custom_schema_and_no_timestamp(tmp_path):
-    path = _write(tmp_path, "sender,receiver,value\na,b,3\n")
-    schema = ColumnSchema(src="sender", dst="receiver", amount="value", timestamp=None)
-    records = load_edge_list(path, schema)
+def test_load_without_timestamp_column(tmp_path):
+    path = _write(tmp_path, "src,dst,amount\na,b,3\n")
+    records = load_edge_list(path)
     assert records[0].timestamp is None
     assert records[0].amount == Decimal(3)
 
@@ -193,12 +191,12 @@ def test_generator_is_deterministic():
 def test_generator_counts_and_labels():
     manifest = generate_synthetic_dataset("etherg1", n_per_class=30, seed=1)
     assert manifest.n_graphs == 60
-    assert manifest.label_set == ("benign", "phishing")
+    assert sorted(set(manifest.labels)) == ["benign", "phishing"]
     assert sum(1 for g in manifest.graphs if g.label == "phishing") == 30
 
     tiny = generate_synthetic_dataset("etherg1", n_per_class=1, seed=1)
     assert tiny.n_graphs == 2
-    assert tiny.label_set == ("benign", "phishing")
+    assert sorted(set(tiny.labels)) == ["benign", "phishing"]
 
 
 def test_generator_profile_shapes_sizes():
@@ -241,8 +239,8 @@ def test_dense_star_generator_shapes():
 def test_dataset_stats_means_and_maxima():
     g1 = extract_ego_network(TRIANGLE, "a", form="star", tier="directed")
     g2 = extract_ego_network(TRIANGLE + [EdgeRecord("a", "d", 1, 4, 3), EdgeRecord("a", "e", 1, 5, 4)], "a", form="net", tier="directed")
-    manifest = make_manifest(
-        [g1.with_label("x"), g2.with_label("y")], "test", "net", "directed"
+    manifest = DatasetManifest(
+        (g1.with_label("x"), g2.with_label("y")), "net", "directed"
     )
     stats = dataset_stats(manifest)
     assert stats.mean_nodes == Fraction(3 + 5, 2)
@@ -251,7 +249,7 @@ def test_dataset_stats_means_and_maxima():
     assert stats.n_largest_class == 1
 
     with pytest.raises(ValueError, match="empty manifest"):
-        dataset_stats(make_manifest([], "empty", "net", "directed"))
+        dataset_stats(DatasetManifest((), "net", "directed"))
 
 
 def test_stats_table_layout():
@@ -289,7 +287,7 @@ def test_saved_address_with_comma_is_quoted_and_loads_back(tmp_path):
         name="records.jsonl",
     )
     g = extract_ego_network(load_edge_list_jsonl(path), "c", tier="multiedge")
-    manifest = make_manifest([g.with_label("phishing")], "jsonl", "net", "multiedge")
+    manifest = DatasetManifest((g.with_label("phishing"),), "net", "multiedge")
     out = save_dataset(manifest, tmp_path / "ds")
     assert (out / "graph_0000.csv").read_text().splitlines()[1] == '"a,b",c,1.5,1'
     assert load_dataset(out).graphs == manifest.graphs
@@ -324,7 +322,7 @@ def _star_egonets(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_star_egonets(), min_size=1, max_size=4))
 def test_load_of_save_gives_back_the_records(graphs):
-    manifest = make_manifest(graphs, "generated", "net", "multiedge")
+    manifest = DatasetManifest(tuple(graphs), "net", "multiedge")
     with tempfile.TemporaryDirectory() as tmp:
         loaded = load_dataset(save_dataset(manifest, tmp), tier="multiedge", form="net")
     assert loaded.graphs == manifest.graphs

@@ -67,14 +67,14 @@ def _separable(n_per_class=50, seed=0):
     a = rng.normal(loc=-2.0, scale=0.3, size=(n_per_class, 1))
     b = rng.normal(loc=2.0, scale=0.3, size=(n_per_class, 1))
     x = np.vstack([a, b])
-    y = ["neg"] * n_per_class + ["pos"] * n_per_class
+    y = ["benign"] * n_per_class + ["phishing"] * n_per_class
     return x, y
 
 
 def test_forest_separates_two_clusters_on_training_data():
     x, y = _separable()
     forest = RandomForest(ForestConfig(n_trees=20, seed=1)).fit(x, y)
-    assert f1_score(forest.predict(x), y, "pos") == 1.0
+    assert f1_score(forest.predict(x), y, "phishing") == 1.0
 
 
 def test_forest_is_deterministic_for_fixed_seed():
@@ -101,10 +101,6 @@ def test_forest_config_validation():
     with pytest.raises(ValueError):
         ForestConfig(n_trees=0)
     with pytest.raises(ValueError):
-        ForestConfig(min_samples_leaf=0)
-    with pytest.raises(ValueError):
-        ForestConfig(features_per_split="half")
-    with pytest.raises(ValueError):
         ForestConfig(seed=-1)
 
 
@@ -118,16 +114,6 @@ def test_forest_invariant_under_monotone_feature_transform():
     warped[:, 1] = np.exp(warped[:, 1])  # strictly monotone on one column
     transformed = RandomForest(config).fit(warped, y).predict(warped)
     assert base == transformed
-
-
-def test_forest_respects_max_depth_and_leaf_size():
-    x, y = _separable(30, seed=2)
-    stump = RandomForest(ForestConfig(n_trees=5, max_depth=1, seed=1)).fit(x, y)
-    assert f1_score(stump.predict(x), y, "pos") == 1.0  # one split suffices here
-    chunky = RandomForest(
-        ForestConfig(n_trees=5, min_samples_leaf=10, seed=1)
-    ).fit(x, y)
-    assert len(chunky.predict(x)) == len(y)
 
 
 def _tree_shape(tree, node=0):
@@ -157,16 +143,11 @@ def _reference_shape(node):
     seed=st.integers(0, 2**32 - 1),
     n_rows=st.integers(4, 60),
     kinds=st.lists(
-        st.sampled_from(["ties", "constant", "continuous"]), min_size=1, max_size=6
+        st.sampled_from(["ties", "constant", "continuous"]), min_size=1, max_size=9
     ),
     n_classes=st.integers(2, 4),
-    min_leaf=st.integers(1, 5),
-    max_depth=st.sampled_from([None, 1, 3]),
-    per_split=st.sampled_from(["sqrt", "all"]),
 )
-def test_forest_matches_reference_forest(
-    seed, n_rows, kinds, n_classes, min_leaf, max_depth, per_split
-):
+def test_forest_matches_reference_forest(seed, n_rows, kinds, n_classes):
     rng = np.random.default_rng(seed)
     columns = []
     for kind in kinds:
@@ -179,13 +160,7 @@ def test_forest_matches_reference_forest(
     x = np.column_stack(columns)
     y = [f"c{v}" for v in rng.integers(0, n_classes, size=n_rows)]
     y[:2] = ["c0", "c1"]
-    config = ForestConfig(
-        n_trees=4,
-        max_depth=max_depth,
-        min_samples_leaf=min_leaf,
-        features_per_split=per_split,
-        seed=seed % 1000,
-    )
+    config = ForestConfig(n_trees=4, seed=seed % 1000)
     forest = RandomForest(config).fit(x, y)
     reference = ReferenceForest(config).fit(x, y)
     assert [_tree_shape(t) for t in forest._trees] == [
@@ -243,7 +218,6 @@ def test_evaluate_single_repeat_on_separable_data():
         _matrix(x, y),
         ForestConfig(n_trees=15, seed=9),
         n_repeats=1,
-        positive_class="pos",
     )
     assert report.mean_f1 == 1.0
     assert report.std_f1 == 0.0
@@ -251,7 +225,7 @@ def test_evaluate_single_repeat_on_separable_data():
 
 def test_evaluate_is_reproducible():
     x, y = _separable(25, seed=5)
-    kwargs = dict(n_repeats=8, positive_class="pos", dataset_name="d", variant="tn")
+    kwargs = dict(n_repeats=8, dataset_name="d", variant="tn")
     r1 = evaluate(_matrix(x, y), ForestConfig(n_trees=10, seed=2), **kwargs)
     r2 = evaluate(_matrix(x, y), ForestConfig(n_trees=10, seed=2), **kwargs)
     assert r1 == r2
@@ -260,12 +234,11 @@ def test_evaluate_is_reproducible():
 def test_evaluate_noise_scores_at_chance_level():
     rng = np.random.default_rng(6)
     x = rng.uniform(size=(120, 10))
-    y = ["pos"] * 60 + ["neg"] * 60
+    y = ["phishing"] * 60 + ["benign"] * 60
     report = evaluate(
         _matrix(x, y),
         ForestConfig(n_trees=30, seed=8),
         n_repeats=10,
-        positive_class="pos",
     )
     assert 0.35 <= report.mean_f1 <= 0.65
 
@@ -278,7 +251,6 @@ def test_evaluate_with_pca_runs_leakage_free():
         ForestConfig(n_trees=10, seed=4),
         n_repeats=5,
         pca_dim=2,
-        positive_class="pos",
     )
     assert report.mean_f1 == 1.0
 
