@@ -17,6 +17,7 @@ from .features import FEATURE_NAMES, PCA, concat_features, feature_matrix, order
 from .graphs import TIERS
 from .ingest import (
     FORMS,
+    PHISHING_LABEL,
     SIZE_PROFILES,
     DatasetManifest,
     dataset_stats,
@@ -110,6 +111,11 @@ def cmd_evaluate(args) -> int:
     name = Path(args.dataset).name
     _require_variants(manifest, variants)
     labels = manifest.labels
+    if PHISHING_LABEL not in labels:
+        raise ValueError(
+            f"evaluate scores the F1 of the {PHISHING_LABEL!r} label, which no graph "
+            f"has (labels: {', '.join(sorted(set(labels)))})"
+        )
     # every split must keep each class on both sides (train_rows raises
     # otherwise), and each fusion is projected back to the tn width by a PCA
     # fitted on the training rows of every split; check both before any work

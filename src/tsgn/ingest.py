@@ -3,8 +3,8 @@ dataset generation, and dataset statistics.
 
 On-disk dataset layout: one directory per dataset holding one edge-list CSV
 per graph plus a ``labels.csv`` (graph_id, center_address, label). Record
-files carry src, dst, amount (decimal string), timestamp (integer seconds,
-may be empty).
+files carry the columns src, dst, amount (decimal string) and timestamp
+(integer seconds; the field may be empty and the column absent).
 """
 
 from __future__ import annotations
@@ -466,7 +466,12 @@ def save_dataset(manifest: DatasetManifest, out_dir) -> Path:
 
 
 def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetManifest:
-    """Load a dataset directory at the requested attribute tier and form."""
+    """Load a dataset directory at the requested attribute tier and form.
+
+    A graph whose record file is missing or malformed, or whose center is in
+    none of its records, does not stop the load: one ValueError then names
+    every such graph with its reason.
+    """
     root = Path(path)
     labels_path = root / "labels.csv"
     if not labels_path.is_file():
@@ -488,9 +493,17 @@ def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetMan
             f"{root}: labels.csv graph ids must be unique file names: {', '.join(bad)}"
         )
     graphs = []
+    failures = []
     for graph_id, center, label in entries:
-        records = load_edge_list(root / f"{graph_id}.csv")
-        graphs.append(extract_ego_network(records, center, form, tier).with_label(label))
+        try:
+            records = load_edge_list(root / f"{graph_id}.csv")
+            graphs.append(extract_ego_network(records, center, form, tier).with_label(label))
+        except (ValueError, OSError) as exc:
+            failures.append(f"{graph_id}: {exc}")
+    if failures:
+        raise ValueError(
+            f"{root}: {len(failures)} graph(s) failed to load: " + "; ".join(failures)
+        )
     return DatasetManifest(
         tuple(graphs), form, tier, tuple(graph_id for graph_id, _, _ in entries)
     )

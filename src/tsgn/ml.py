@@ -251,10 +251,16 @@ class EvalReport:
     pct_increase: float | None = None
 
     def with_baseline(self, baseline: "EvalReport") -> "EvalReport":
+        """Tag with the baseline and the percent increase over it; that is
+        None when the baseline's mean F1 is 0, where no ratio exists."""
         return replace(
             self,
             baseline_variant=baseline.variant,
-            pct_increase=percent_increase(self.mean_f1, baseline.mean_f1),
+            pct_increase=(
+                percent_increase(self.mean_f1, baseline.mean_f1)
+                if baseline.mean_f1 > 0
+                else None
+            ),
         )
 
 

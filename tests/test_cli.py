@@ -263,3 +263,64 @@ def test_transform_names_outputs_by_dataset_id(tmp_path):
     assert sorted(p.name for p in (out / "tsgn").iterdir()) == [
         "acct_a.csv", "acct_z.csv", "summary.csv",
     ]
+
+
+@pytest.mark.parametrize("variants", [[], ["--variant", "ttsgn"]])
+def test_evaluate_rejects_dataset_without_phishing_label_before_any_output(
+    tmp_path, capsys, monkeypatch, variants
+):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--per-class", "10", "--seed", "3", "--out", str(ds)]) == 0
+    labels = ds / "labels.csv"
+    labels.write_text(labels.read_text().replace(",phishing\n", ",scam\n"))
+
+    def no_features(*args, **kwargs):
+        raise AssertionError("features computed for a dataset evaluate must reject")
+
+    monkeypatch.setattr(cli, "feature_matrix", no_features)
+    out = tmp_path / "x"
+    code = main(["evaluate", "--dataset", str(ds), *variants, "--repeats", "2",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'phishing' label, which no graph has (labels: benign, scam)" in err
+    assert not out.exists()
+
+
+def test_evaluate_with_zero_baseline_f1_reports_no_percent_increase(tmp_path):
+    # identical stars leave the forest nothing to split on, so it predicts the
+    # majority class, benign, and the phishing F1 is 0 for tn and the fusion
+    records = [("v1", "c", 1, 1), ("v2", "c", 2, 2), ("v3", "c", 1, 3), ("c", "w", 3, 4)]
+    graphs = tuple(
+        TransactionGraph.build(records, "c", temporal=True).with_label(label)
+        for label in ["phishing"] * 5 + ["benign"] * 20
+    )
+    ds = save_dataset(DatasetManifest(graphs, "net", "directed"), tmp_path / "ds")
+    out = tmp_path / "out"
+    assert main(["evaluate", "--dataset", str(ds), "--variant", "ttsgn",
+                 "--repeats", "3", "--trees", "5", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()]
+    assert [(r[1], r[2], r[5]) for r in rows[1:]] == [
+        ("tn", "0.000000", ""), ("tn+ttsgn", "0.000000", ""),
+    ]
+    fused_line = (out / "report.txt").read_text().splitlines()[2].split()
+    assert fused_line[1] == "tn+ttsgn" and fused_line[5] == "-"
+
+
+def test_load_failures_name_every_bad_graph(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "good.csv").write_text("src,dst,amount,timestamp\na,b,1,1\n")
+    (ds / "malformed.csv").write_text("src,dst,amount,timestamp\na,b,lots,1\n")
+    (ds / "nocenter.csv").write_text("src,dst,amount,timestamp\na,b,1,1\n")
+    (ds / "labels.csv").write_text(
+        "graph_id,center_address,label\n"
+        "good,a,phishing\nmissing,a,benign\nmalformed,a,benign\nnocenter,nobody,benign\n"
+    )
+    assert main(["stats", "--dataset", str(ds)]) == 1
+    err = capsys.readouterr().err
+    assert "3 graph(s) failed to load" in err
+    assert "missing: " in err
+    assert "malformed: " in err and "unparseable amount 'lots'" in err
+    assert "nocenter: target 'nobody' does not appear in any record" in err
+    assert "good:" not in err

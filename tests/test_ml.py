@@ -267,3 +267,11 @@ def test_report_baseline_comparison():
     tagged = fused.with_baseline(base)
     assert tagged.baseline_variant == "tn"
     assert tagged.pct_increase == pytest.approx(12.5)
+
+
+def test_report_baseline_of_zero_f1_has_no_percent_increase():
+    base = EvalReport("d", "tn", 0.0, 0.0, 10, 0)
+    fused = EvalReport("d", "tn+ttsgn", 0.5, 0.1, 10, 0)
+    tagged = fused.with_baseline(base)
+    assert tagged.baseline_variant == "tn"
+    assert tagged.pct_increase is None
