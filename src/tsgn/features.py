@@ -218,7 +218,7 @@ def closeness_centrality(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Per-graph feature rows plus aligned labels and column provenance."""
+    """Per-graph feature rows plus aligned labels and column names."""
 
     values: np.ndarray
     labels: tuple[str, ...]
@@ -251,7 +251,7 @@ class FeatureMatrix:
         return self.values.shape[1]
 
     def to_csv(self, path) -> None:
-        """Write header = column provenance, one row per graph, label last."""
+        """Write header = column names, one row per graph, label last."""
         rows = (
             [*(format(v, VALUE_FORMAT) for v in row), label]
             for row, label in zip(self.values, self.labels)
