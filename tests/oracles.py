@@ -233,7 +233,30 @@ class _Node:
 class ReferenceForest(RandomForest):
     """The per-feature CART search: every drawn feature is stable-sorted and
     scored at every position, and trees are linked ``_Node`` objects walked
-    one row at a time. Same bootstrap draws and RNG order as RandomForest."""
+    one row at a time. Same bootstrap draws and RNG order as RandomForest,
+    with one tree grown after another."""
+
+    def fit(self, x: np.ndarray, labels) -> "ReferenceForest":
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[0] != len(labels):
+            raise ValueError("x must be (n_samples, n_features) aligned with labels")
+        if x.size and not np.isfinite(x).all():
+            raise ValueError("training features contain non-finite values")
+        classes = tuple(sorted(set(labels)))
+        if len(classes) < 2:
+            raise ValueError("training data contains a single class")
+        self.classes_ = classes
+        code = {c: i for i, c in enumerate(classes)}
+        y = np.array([code[v] for v in labels], dtype=np.int64)
+        n = len(y)
+        self._trees = []
+        for t in range(self.config.n_trees):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=self.config.seed, spawn_key=(t,))
+            )
+            boot = rng.integers(0, n, size=n)
+            self._trees.append(self._grow(x[boot], y[boot], rng))
+        return self
 
     def predict(self, x: np.ndarray) -> list:
         if self.classes_ is None:

@@ -13,6 +13,7 @@ from tsgn import (
     percent_increase,
     stratified_split,
 )
+from tsgn import ml
 from tsgn.ml import _Tree, train_rows
 
 from oracles import ReferenceForest
@@ -168,6 +169,42 @@ def test_forest_matches_reference_forest(seed, n_rows, kinds, n_classes):
     ]
     probe = np.vstack([x, np.round(rng.normal(scale=2.0, size=(20, x.shape[1])))])
     assert forest.predict(probe) == reference.predict(probe)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(4, 100),
+    n_features=st.integers(1, 9),
+    n_classes=st.integers(2, 10),
+    decimals=st.integers(0, 3),
+)
+@pytest.mark.parametrize("n_trees", [1, 7])
+def test_forest_grown_in_blocks_matches_reference_forest(
+    seed, n_rows, n_features, n_classes, decimals, n_trees
+):
+    # blocks of 3: seven trees span three blocks, the last one short. From 8
+    # classes numpy sums the Gini terms pairwise instead of in order.
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(scale=2.0, size=(n_rows, n_features)), decimals)
+    y = [f"c{v}" for v in rng.integers(0, n_classes, size=n_rows)]
+    y[:2] = ["c0", "c1"]
+    config = ForestConfig(n_trees=n_trees, seed=seed % 1000)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ml, "TREE_BLOCK", 3)
+        forest = RandomForest(config).fit(x, y)
+    reference = ReferenceForest(config).fit(x, y)
+    assert [_tree_shape(t) for t in forest._trees] == [
+        _reference_shape(root) for root in reference._trees
+    ]
+
+
+@pytest.mark.parametrize("n_classes", range(2, 13))
+def test_class_sums_add_like_row_sums(n_classes):
+    # the per-node search sums the Gini terms of an (n, classes) array by row
+    terms = np.random.default_rng(n_classes).random((n_classes, 500))
+    expected = np.ascontiguousarray(terms.T).sum(axis=1)
+    assert ml._sum_classes(terms).tobytes() == expected.tobytes()
 
 
 def test_forest_vote_tie_goes_to_smallest_class_label():
