@@ -307,8 +307,8 @@ class PCA:
     """Principal-component projection: fit on one matrix, apply to others.
 
     Mean-centers with the fitted mean and projects onto the top k right
-    singular vectors. Component signs are fixed (largest-magnitude entry
-    positive) so repeated fits are bit-identical.
+    singular vectors of the centered matrix. Component signs are fixed
+    (largest-magnitude entry positive) so repeated fits are bit-identical.
     """
 
     def __init__(self, n_components: int):
@@ -326,8 +326,13 @@ class PCA:
             )
         self.require_rows(x.shape[0])
         self.mean_ = x.mean(axis=0)
-        _, _, vt = np.linalg.svd(x - self.mean_, full_matrices=False)
-        comps = vt[: self.n_components]
+        centered = x - self.mean_
+        # The right singular vectors are the eigenvectors of the p x p Gram
+        # matrix, largest eigenvalue first. eigh on it runs on one thread,
+        # where an SVD of the rows wakes the BLAS thread pool, whose workers
+        # then spin on idle cores after every call.
+        _, vectors = np.linalg.eigh(centered.T @ centered)
+        comps = vectors[:, ::-1][:, : self.n_components].T
         flip = np.sign(comps[np.arange(len(comps)), np.argmax(np.abs(comps), axis=1)])
         flip[flip == 0] = 1.0
         self.components_ = comps * flip[:, None]

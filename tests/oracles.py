@@ -217,6 +217,16 @@ def feature_oracle(graph):
     )
 
 
+def svd_pca_components(x: np.ndarray, n_components: int) -> np.ndarray:
+    """PCA components from an SVD of the centered rows, with PCA's sign rule
+    (largest-magnitude entry positive)."""
+    _, _, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    comps = vt[:n_components]
+    flip = np.sign(comps[np.arange(len(comps)), np.argmax(np.abs(comps), axis=1)])
+    flip[flip == 0] = 1.0
+    return comps * flip[:, None]
+
+
 # ------------------------------------------------------------------ forest
 
 class _Node:

@@ -31,6 +31,7 @@ from oracles import (
     oracle_adjacency,
     random_multigraph,
     random_undirected_graph,
+    svd_pca_components,
 )
 
 
@@ -206,6 +207,16 @@ def test_pca_full_rank_preserves_gram_matrix():
     np.testing.assert_allclose(
         projected @ projected.T, centered @ centered.T, atol=1e-8
     )
+
+
+@pytest.mark.parametrize("shape", [(630, 20), (40, 10), (12, 20), (25, 3)])
+def test_pca_components_match_svd_of_centered_rows(shape):
+    rng = np.random.default_rng(shape[0])
+    # distinct column scales keep the singular values apart
+    x = rng.normal(size=shape) * np.geomspace(1.0, 20.0, shape[1])
+    n_components = min(10, shape[1])
+    expected = svd_pca_components(x, n_components)
+    np.testing.assert_allclose(PCA(n_components).fit(x).components_, expected, rtol=0, atol=1e-9)
 
 
 def test_pca_duplicated_block_reconstructs_exactly():
