@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .features import FEATURE_NAMES, PCA, concat_features, feature_matrix, ordered_map
-from .graphs import TIERS
+from .graphs import TIERS, at_tier
 from .ingest import (
     FORMS,
     PHISHING_LABEL,
@@ -61,9 +61,13 @@ def cmd_synth(args) -> int:
 
 def cmd_stats(args) -> int:
     name = Path(args.dataset).name
+    # parse every record file once, at the tier that keeps every record, and
+    # derive the other tiers from it as load_dataset would
+    loaded = load_dataset(args.dataset, tier="multiedge", form=args.form)
     per_tier = {}
     for tier in TIERS:
-        manifest = load_dataset(args.dataset, tier=tier, form=args.form)
+        graphs = tuple(at_tier(g, tier) for g in loaded.graphs)
+        manifest = DatasetManifest(graphs, loaded.form, tier, loaded.graph_ids)
         per_tier[tier] = dataset_stats(manifest)
     print(stats_table(name, args.form, per_tier))
     return 0

@@ -3,7 +3,9 @@ from pathlib import Path
 import pytest
 
 from tsgn import DatasetManifest, TransactionGraph, save_dataset
-from tsgn import cli
+from tsgn import cli, ingest
+from tsgn.graphs import TIERS
+from tsgn.ingest import dataset_stats, load_dataset, stats_table
 from tsgn.cli import main
 
 from oracles import star_with_neighbor_trades
@@ -49,6 +51,29 @@ def test_synth_is_byte_identical_on_rerun(tmp_path):
     for out in (a, b):
         assert main(["synth", "--per-class", "6", "--seed", "5", "--out", str(out)]) == 0
     assert _dir_bytes(a) == _dir_bytes(b)
+
+
+@pytest.mark.parametrize("form", ["net", "star"])
+def test_stats_parses_each_record_file_once(tmp_path, capsys, monkeypatch, form):
+    out = tmp_path / "ds"
+    assert main(["synth", "--per-class", "6", "--seed", "13", "--out", str(out)]) == 0
+    expected = stats_table(
+        "ds",
+        form,
+        {t: dataset_stats(load_dataset(out, tier=t, form=form)) for t in TIERS},
+    )
+    capsys.readouterr()
+    parsed = []
+    real = ingest.load_edge_list
+
+    def counting(path, *args, **kwargs):
+        parsed.append(Path(path).name)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(ingest, "load_edge_list", counting)
+    assert main(["stats", "--dataset", str(out), "--form", form]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+    assert sorted(parsed) == sorted(f.name for f in out.glob("graph_*.csv"))
 
 
 def test_stats_on_missing_dataset_fails(tmp_path, capsys):
