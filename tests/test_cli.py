@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -349,3 +352,23 @@ def test_load_failures_name_every_bad_graph(tmp_path, capsys):
     assert "malformed: " in err and "unparseable amount 'lots'" in err
     assert "nocenter: target 'nobody' does not appear in any record" in err
     assert "good:" not in err
+
+
+def test_cli_imports_only_numpy_and_the_standard_library():
+    # run in a fresh interpreter: the test session has imported far more
+    probe = (
+        "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import tsgn.cli\n"
+        "print('\\n'.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    added = result.stdout.split()
+    assert "tsgn" in added
+    assert [m for m in added if m != "tsgn" and m not in sys.stdlib_module_names] == []
