@@ -175,7 +175,7 @@ class _RankedRows:
             distinct, self.ranks[f] = np.unique(column, return_inverse=True)
             values.append(distinct)
         # feature f's distinct values, ascending, from value_start[f] on
-        self.values = np.concatenate(values) if values else np.zeros(0)
+        self.values = np.concatenate(values)
         self.value_start = np.cumsum([0] + [len(v) for v in values[:-1]], dtype=np.int64)
         self.count_bits = n.bit_length()  # a bootstrap count is at most n
         self.class_bits = max(1, (n_classes - 1).bit_length())
