@@ -248,15 +248,8 @@ class ReferenceForest(RandomForest):
 
     def fit(self, x: np.ndarray, labels) -> "ReferenceForest":
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[0] != len(labels):
-            raise ValueError("x must be (n_samples, n_features) aligned with labels")
-        if x.size and not np.isfinite(x).all():
-            raise ValueError("training features contain non-finite values")
-        classes = tuple(sorted(set(labels)))
-        if len(classes) < 2:
-            raise ValueError("training data contains a single class")
-        self.classes_ = classes
-        code = {c: i for i, c in enumerate(classes)}
+        self.classes_ = tuple(sorted(set(labels)))
+        code = {c: i for i, c in enumerate(self.classes_)}
         y = np.array([code[v] for v in labels], dtype=np.int64)
         n = len(y)
         self._trees = []
