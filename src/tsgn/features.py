@@ -62,12 +62,12 @@ def simple_adjacency(graph: TransactionGraph | TsgnGraph) -> np.ndarray:
     """
     if isinstance(graph, TransactionGraph):
         index = {addr: i for i, addr in enumerate(graph.nodes)}
-        pairs = [(index[r.src], index[r.dst]) for r in graph.edges]
+        pairs = np.array([(index[r.src], index[r.dst]) for r in graph.edges], dtype=np.intp)
     else:
-        index = {r.edge_id: i for i, r in enumerate(graph.nodes)}
-        pairs = [(index[a], index[b]) for a, b, _ in graph.edges]
-    a = np.zeros((len(index), len(index)))
-    u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        pairs = graph.edges
+    n = len(graph.nodes)
+    a = np.zeros((n, n))
+    u, v = pairs.reshape(-1, 2).T
     a[u, v] = a[v, u] = 1.0
     np.fill_diagonal(a, 0.0)
     return a
@@ -85,7 +85,8 @@ def handcrafted_features(graph: TransactionGraph | TsgnGraph) -> np.ndarray:
     deg = a.sum(axis=1)
     m = float(deg.sum()) / 2.0
     density = 0.0 if n <= 1 else 2.0 * m / (n * (n - 1))
-    values = np.array(
+    betweenness, closeness = _path_centralities(a)
+    return np.array(
         [
             float(n),
             m,
@@ -95,11 +96,10 @@ def handcrafted_features(graph: TransactionGraph | TsgnGraph) -> np.ndarray:
             average_neighbor_degree(a),
             average_clustering(a),
             largest_eigenvalue(a),
-            float(betweenness_centrality(a).mean()),
-            float(closeness_centrality(a).mean()),
+            float(betweenness.mean()),
+            float(closeness.mean()),
         ]
     )
-    return values
 
 
 def average_neighbor_degree(a: np.ndarray) -> float:
@@ -181,21 +181,7 @@ def betweenness_centrality(a: np.ndarray) -> np.ndarray:
 
     Only connected pairs contribute; with fewer than 3 nodes everything is 0.
     """
-    n = len(a)
-    bc = np.zeros(n)
-    if n <= 2:
-        return bc
-    for sources in _source_blocks(n):
-        dist, sigma = _shortest_paths(a, sources)
-        # dependencies flow back one level at a time, deepest first; a
-        # source's own dependency (level 0) is never counted
-        delta = np.zeros_like(sigma)
-        for level in range(dist.max(), 1, -1):
-            coeff = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist == level)
-            delta += (coeff @ a) * np.where(dist == level - 1, sigma, 0.0)
-        bc += delta.sum(axis=0)
-    # accumulation counts each unordered pair twice; fold that into the scale
-    return bc / ((n - 1) * (n - 2))
+    return _path_centralities(a)[0]
 
 
 def closeness_centrality(a: np.ndarray) -> np.ndarray:
@@ -203,17 +189,33 @@ def closeness_centrality(a: np.ndarray) -> np.ndarray:
 
     r counts the node itself plus everything it reaches; isolated nodes get 0.
     """
+    return _path_centralities(a)[1]
+
+
+def _path_centralities(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Betweenness and closeness from one BFS per block of sources."""
     n = len(a)
-    out = np.zeros(n)
+    bc = np.zeros(n)
+    closeness = np.zeros(n)
     if n <= 1:
-        return out
+        return bc, closeness
     for sources in _source_blocks(n):
-        dist, _ = _shortest_paths(a, sources)
+        dist, sigma = _shortest_paths(a, sources)
         reached = (dist > 0).sum(axis=1)  # r - 1
         total = dist.clip(min=0).sum(axis=1)
         scale = np.divide(reached, total, out=np.zeros(len(sources)), where=total > 0)
-        out[sources] = scale * (reached / (n - 1))
-    return out
+        closeness[sources] = scale * (reached / (n - 1))
+        # dependencies flow back one level at a time, deepest first; a
+        # source's own dependency (level 0) is never counted
+        delta = np.zeros_like(sigma)
+        for level in range(dist.max(), 1, -1):
+            coeff = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist == level)
+            delta += (coeff @ a) * np.where(dist == level - 1, sigma, 0.0)
+        bc += delta.sum(axis=0)
+    if n > 2:
+        # accumulation counts each unordered pair twice; fold that into the scale
+        bc /= (n - 1) * (n - 2)
+    return bc, closeness
 
 
 @dataclass(frozen=True)

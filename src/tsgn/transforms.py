@@ -14,14 +14,18 @@ the variant:
          transactions each get their own node
 
 Every builder is a pure function of an immutable input graph, safe to run
-concurrently across graphs.
+concurrently across graphs. A mapped graph keeps its edges as numpy arrays of
+positions into its node tuple, built by a few vectorized passes per graph;
+only the log of each mapped weight runs per value, through math.log, so every
+weight equals map_weight of its pair bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graphs import EdgeRecord, TransactionGraph, undirected_projection
 
@@ -37,21 +41,33 @@ VARIANT_REQUIREMENTS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TsgnGraph:
     """A mapped subgraph network.
 
     ``variant`` is the VARIANTS key of the mapping that built it. ``nodes``
-    are the source graph's transactions ordered by edge_id; each edge is
-    ``(from_edge_id, to_edge_id, mapped_weight)``. For ``tsgn`` edges are
-    undirected and stored with from < to; the other variants are directed.
-    Edges are sorted lexicographically so repeated builds emit identical
-    structures.
+    are the source graph's transactions ordered by edge_id. ``edges`` is an
+    ``(m, 2)`` int32 array of (from, to) positions into ``nodes`` and
+    ``weights`` the ``m`` float64 mapped weights, both read-only. For ``tsgn``
+    edges are undirected and stored with from < to; the other variants are
+    directed. Edges are sorted by (from, to) so repeated builds emit identical
+    arrays.
     """
 
     variant: str
     nodes: tuple[EdgeRecord, ...]
-    edges: tuple[tuple[int, int, float], ...]
+    edges: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        edges = np.asarray(self.edges, dtype=np.int32).reshape(-1, 2)
+        weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
+        if len(edges) != len(weights):
+            raise ValueError(f"{len(edges)} edges but {len(weights)} weights")
+        edges.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def directed(self) -> bool:
@@ -66,8 +82,10 @@ class TsgnGraph:
         return len(self.edges)
 
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
-        """Edge set with weights projected away, for set-level comparisons."""
-        return frozenset((a, b) for a, b, _ in self.edges)
+        """(from_edge_id, to_edge_id) set with weights projected away, for
+        set-level comparisons."""
+        ids = [r.edge_id for r in self.nodes]
+        return frozenset((ids[a], ids[b]) for a, b in self.edges.tolist())
 
 
 def map_weight(w_a: float, w_b: float) -> float:
@@ -105,6 +123,40 @@ def _sorted_nodes(g: TransactionGraph) -> tuple[EdgeRecord, ...]:
     return tuple(sorted(g.edges, key=lambda r: r.edge_id))
 
 
+def _address_codes(recs: tuple[EdgeRecord, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Source and destination addresses of ``recs`` as small integer codes."""
+    index: dict[str, int] = {}
+    src = [index.setdefault(r.src, len(index)) for r in recs]
+    dst = [index.setdefault(r.dst, len(index)) for r in recs]
+    return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of the given lengths, each slot's run index and its offset
+    within the run: counts [2, 0, 3] give runs [0, 0, 2, 2, 2] and offsets
+    [0, 1, 0, 1, 2]."""
+    runs = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return runs, np.arange(len(runs)) - starts[runs]
+
+
+def _mapped(
+    variant: str, recs: tuple[EdgeRecord, ...], heads: np.ndarray, tails: np.ndarray
+) -> TsgnGraph:
+    """The TsgnGraph over ``recs`` with edges heads -> tails, sorted by
+    (head, tail) and weighted by map_weight of the two amounts."""
+    order = np.argsort(heads.astype(np.int64) * len(recs) + tails, kind="stable")
+    heads, tails = heads[order], tails[order]
+    amounts = np.array([float(r.amount) for r in recs])
+    w_heads, w_tails = amounts[heads], amounts[tails]
+    means = (w_heads + w_tails) / 2.0
+    # math.log(1.0) is exactly 0.0, map_weight's value for two zero amounts;
+    # np.log is not bit-equal to math.log, so the log runs per value
+    means[(w_heads == 0) & (w_tails == 0)] = 1.0
+    weights = np.fromiter(map(math.log, means.tolist()), dtype=np.float64, count=len(means))
+    return TsgnGraph(variant, recs, np.stack([heads, tails], axis=1), weights)
+
+
 def build_tsgn(g: TransactionGraph) -> TsgnGraph:
     """Map a transaction graph to its plain subgraph network.
 
@@ -114,28 +166,20 @@ def build_tsgn(g: TransactionGraph) -> TsgnGraph:
     weight is map_weight of the two amounts. An edgeless input yields an
     empty TsgnGraph.
     """
-    plain = undirected_projection(g)
-    recs = _sorted_nodes(plain)
-    amounts = {r.edge_id: float(r.amount) for r in recs}
-    incident: dict[str, list[EdgeRecord]] = defaultdict(list)
-    for r in recs:
-        incident[r.src].append(r)
-        incident[r.dst].append(r)
-    edges = []
-    # Two distinct simple edges share at most one address, so emitting the
-    # pairs per address never produces duplicates.
-    for addr in plain.nodes:
-        bucket = incident.get(addr)
-        if not bucket or len(bucket) < 2:
-            continue
-        for i in range(len(bucket)):
-            a = bucket[i]
-            w_a = amounts[a.edge_id]
-            for j in range(i + 1, len(bucket)):
-                b = bucket[j]
-                edges.append((a.edge_id, b.edge_id, map_weight(w_a, amounts[b.edge_id])))
-    edges.sort()
-    return TsgnGraph("tsgn", recs, tuple(edges))
+    recs = _sorted_nodes(undirected_projection(g))
+    src, dst = _address_codes(recs)
+    # every (address, record) incidence, grouped by address and then by
+    # record; each incidence pairs with the ones after it in its group. Two
+    # distinct simple edges share at most one address, so no pair repeats.
+    addresses = np.concatenate([src, dst])
+    positions = np.tile(np.arange(len(recs)), 2)
+    order = np.lexsort((positions, addresses))
+    addresses, positions = addresses[order], positions[order]
+    group_end = np.searchsorted(addresses, addresses, side="right")
+    firsts, offsets = _expand(group_end - np.arange(len(addresses)) - 1)
+    heads = positions[firsts]
+    tails = positions[firsts + 1 + offsets]
+    return _mapped("tsgn", recs, heads, tails)
 
 
 def build_directed_tsgn(g: TransactionGraph) -> TsgnGraph:
@@ -180,27 +224,18 @@ def _build_flow(g: TransactionGraph, variant: str) -> TsgnGraph:
             if r.timestamp is None:
                 raise ValueError(f"edge {r.edge_id} ({r.src}->{r.dst}) has no timestamp")
     recs = _sorted_nodes(g)
-    return TsgnGraph(variant, recs, _flow_edges(recs, time_ordered=time_ordered))
-
-
-def _flow_edges(
-    records: tuple[EdgeRecord, ...], *, time_ordered: bool
-) -> tuple[tuple[int, int, float], ...]:
-    """Head-to-tail pairs over ``records``, optionally timestamp-filtered."""
-    by_src: dict[str, list[EdgeRecord]] = defaultdict(list)
-    for r in records:
-        by_src[r.src].append(r)
-    amounts = {r.edge_id: float(r.amount) for r in records}
-    edges = []
-    for a in records:
-        t_a = a.timestamp
-        w_a = amounts[a.edge_id]
-        for b in by_src.get(a.dst, ()):
-            if b is a or (time_ordered and b.timestamp <= t_a):
-                continue
-            edges.append((a.edge_id, b.edge_id, map_weight(w_a, amounts[b.edge_id])))
-    edges.sort()
-    return tuple(edges)
+    src, dst = _address_codes(recs)
+    # join each record's destination to the records grouped by source
+    by_src = np.argsort(src, kind="stable")
+    counts = np.bincount(src, minlength=2 * len(recs))  # codes < 2 * len(recs)
+    starts = np.cumsum(counts) - counts
+    heads, offsets = _expand(counts[dst])
+    tails = by_src[starts[dst[heads]] + offsets]
+    keep = tails != heads
+    if time_ordered:
+        stamps = np.array([r.timestamp for r in recs], dtype=np.int64)
+        keep &= stamps[tails] > stamps[heads]
+    return _mapped(variant, recs, heads[keep], tails[keep])
 
 
 BUILDERS = {

@@ -53,6 +53,27 @@ def time_ordered_pairs(records):
     return pairs
 
 
+def edge_tuples(t: TsgnGraph) -> tuple[tuple[int, int, float], ...]:
+    """A mapped graph's edges as (from_edge_id, to_edge_id, weight), in stored order."""
+    ids = [r.edge_id for r in t.nodes]
+    return tuple(
+        (ids[a], ids[b], w) for (a, b), w in zip(t.edges.tolist(), t.weights.tolist())
+    )
+
+
+def same_mapping(t1: TsgnGraph, t2: TsgnGraph) -> bool:
+    """Whether two mapped graphs hold the same variant, nodes and weighted edges."""
+    return (t1.variant, t1.nodes, edge_tuples(t1)) == (t2.variant, t2.nodes, edge_tuples(t2))
+
+
+def tsgn_graph(variant, nodes, edges) -> TsgnGraph:
+    """A TsgnGraph from records and (from_edge_id, to_edge_id, weight) tuples."""
+    pos = {r.edge_id: i for i, r in enumerate(nodes)}
+    return TsgnGraph(
+        variant, tuple(nodes), [(pos[a], pos[b]) for a, b, _ in edges], [w for _, _, w in edges]
+    )
+
+
 def is_dag(node_ids, pairs):
     """Kahn's algorithm over explicit node ids and (from, to) pairs."""
     node_ids = list(node_ids)
@@ -79,7 +100,7 @@ def oracle_adjacency(graph):
     """Simple undirected adjacency, built independently of tsgn.features."""
     if isinstance(graph, TsgnGraph):
         names = [r.edge_id for r in graph.nodes]
-        raw = [(a, b) for a, b, _ in graph.edges]
+        raw = [(a, b) for a, b, _ in edge_tuples(graph)]
     else:
         names = list(graph.nodes)
         raw = [(r.src, r.dst) for r in graph.edges]

@@ -1,12 +1,15 @@
+import hashlib
 import os
+import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from tsgn import DatasetManifest, TransactionGraph, save_dataset
-from tsgn import cli, ingest
+from tsgn import cli, ingest, transforms
 from tsgn.graphs import TIERS
 from tsgn.ingest import dataset_stats, load_dataset, stats_table
 from tsgn.cli import main
@@ -122,6 +125,64 @@ def test_transform_outputs_are_deterministic_across_threads(tmp_path):
                      "--threads", threads, "--out", str(out)]) == 0
         runs.append(_dir_bytes(out))
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_transform_streams_one_mapped_graph_at_a_time(tmp_path, capsys, monkeypatch):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--per-class", "6", "--seed", "7", "--out", str(ds)]) == 0
+    mapped = []  # a weak reference to every graph mapped so far
+    alive_at_call = []
+
+    def tracked(builder):
+        def build(g):
+            alive_at_call.append(sum(ref() is not None for ref in mapped))
+            t = builder(g)
+            mapped.append(weakref.ref(t))
+            return t
+        return build
+
+    for variant, builder in transforms.BUILDERS.items():
+        monkeypatch.setitem(transforms.BUILDERS, variant, tracked(builder))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["transform", "--dataset", str(ds), "--variant", "tsgn",
+                 "--variant", "ttsgn", "--threads", "1", "--out", str(out)]) == 0
+    assert len(alive_at_call) == 24
+    assert max(alive_at_call) <= 1
+    printed = re.findall(r"^(\w+): graphs=(\d+) nodes=(\d+) edges=(\d+) seconds=",
+                         capsys.readouterr().out, re.MULTILINE)
+    assert [p[0] for p in printed] == ["tsgn", "ttsgn"]
+    for variant, graphs, nodes, edges in printed:
+        rows = [r.split(",") for r in (out / variant / "summary.csv").read_text().splitlines()[1:]]
+        assert (int(graphs), int(nodes), int(edges)) == (
+            len(rows), sum(int(r[1]) for r in rows), sum(int(r[2]) for r in rows)
+        )
+
+
+# SHA-256 of every file transform writes for the synth fixture below, taken
+# with the tuple-based mappings and per-line writer that preceded the
+# array-backed, streamed ones, before any source change to them. A change to
+# the synth generator changes it too; a change to the mappings or the writer
+# must not.
+TRANSFORM_DIGEST = "1fe27d9798496d1fd93480a7c26d5a362d5aa7a8ea6c4437d57cf8b9ebab84a4"
+
+
+def test_transform_output_matches_golden_digest(tmp_path):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--profile", "etherg3", "--per-class", "2", "--seed", "19",
+                 "--out", str(ds)]) == 0
+    digest = hashlib.sha256()
+    for tier, variants in (("directed", ("tsgn", "dtsgn", "ttsgn", "mtsgn")),
+                           ("multiedge", ("tsgn", "mtsgn"))):
+        out = tmp_path / tier
+        args = ["transform", "--dataset", str(ds), "--tier", tier, "--out", str(out)]
+        for variant in variants:
+            args += ["--variant", variant]
+        assert main(args) == 0
+        for f in sorted(out.rglob("*.csv")):
+            digest.update(f"{tier}/{f.relative_to(out).as_posix()}\n".encode())
+            digest.update(f.read_bytes())
+    assert digest.hexdigest() == TRANSFORM_DIGEST
 
 
 def test_evaluate_writes_reports_and_is_deterministic(tmp_path, capsys):

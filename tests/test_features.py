@@ -32,6 +32,7 @@ from oracles import (
     random_multigraph,
     random_undirected_graph,
     svd_pca_components,
+    tsgn_graph,
 )
 
 
@@ -179,10 +180,8 @@ def test_multiedge_input_is_collapsed_for_features():
 
 
 def test_empty_graph_raises():
-    from tsgn import TsgnGraph
-
     with pytest.raises(ValueError, match="empty"):
-        handcrafted_features(TsgnGraph("tsgn", (), ()))
+        handcrafted_features(tsgn_graph("tsgn", (), ()))
 
 
 def test_oracle_adjacency_agrees_with_simple_adjacency():

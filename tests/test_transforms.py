@@ -1,10 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsgn import (
     TransactionGraph,
+    at_tier,
     build_directed_tsgn,
     build_multiple_tsgn,
     build_temporal_tsgn,
@@ -15,6 +19,8 @@ from tsgn import (
 
 from oracles import (
     TIME_VIOLATING_PAIRS,
+    edge_tuples,
+    same_mapping,
     star_with_neighbor_trades_pairs,
     star_with_neighbor_trades,
     time_filtered_flow_graph,
@@ -115,7 +121,29 @@ def test_plain_edge_weights_use_map_weight():
     )
     t = build_tsgn(g)
     assert t.edge_count == 1
-    assert t.edges[0][2] == pytest.approx(math.log(4.0))
+    assert edge_tuples(t)[0][2] == pytest.approx(math.log(4.0))
+
+
+def _check_weights(t):
+    """Every mapped weight equals map_weight of its pair's amounts, bit for bit."""
+    edges = edge_tuples(t)
+    amounts = {r.edge_id: float(r.amount) for r in t.nodes}
+    assert [w for _, _, w in edges] == [map_weight(amounts[a], amounts[b]) for a, b, _ in edges]
+
+
+def test_weights_are_bit_equal_to_map_weight_where_np_log_is_not():
+    # numpy's vectorized log can differ from math.log in the last bit; chain
+    # records so that each mapped edge's mean amount is such an input here
+    # (there are none where numpy falls back to the C library's log)
+    means = np.random.default_rng(5).uniform(0.5, 10.0, 20000)
+    differ = means[np.log(means) != np.array([math.log(x) for x in means])][:20]
+    records = []
+    for i, x in enumerate(differ.tolist()):
+        records += [(f"u{i}", f"w{i}", x), (f"w{i}", f"z{i}", x)]
+    g = TransactionGraph.build(records, "u0")
+    for t in (build_tsgn(g), build_directed_tsgn(g)):
+        assert sorted(t.weights.tolist()) == sorted(math.log(x) for x in differ.tolist())
+        _check_weights(t)
 
 
 # --------------------------------------------------------------- directed map
@@ -251,7 +279,7 @@ def test_multiple_reduces_to_temporal_on_simple_graphs():
     rnd = random.Random(17)
     for _ in range(100):
         g = random_digraph(rnd, temporal=True)
-        assert build_multiple_tsgn(g).edges == build_temporal_tsgn(g).edges
+        assert edge_tuples(build_multiple_tsgn(g)) == edge_tuples(build_temporal_tsgn(g))
 
 
 def test_multiple_mapping_matches_brute_force_and_is_acyclic():
@@ -270,7 +298,82 @@ def test_mapped_outputs_are_deterministically_ordered():
         g = random_multigraph(rnd)
         t1 = build_multiple_tsgn(g)
         t2 = build_multiple_tsgn(g)
-        assert t1 == t2
-        assert list(t1.edges) == sorted(t1.edges)
+        assert same_mapping(t1, t2)
+        assert list(edge_tuples(t1)) == sorted(edge_tuples(t1))
         ids = [r.edge_id for r in t1.nodes]
         assert ids == sorted(ids)
+
+
+# ------------------------------------------------------------------ data model
+
+def test_mapped_edges_are_read_only_position_arrays():
+    g = TransactionGraph.build(
+        [("a", "b", 2, 1), ("b", "c", 6, 2), ("c", "a", 0, 3)], "a", temporal=True
+    )
+    for build in (build_tsgn, build_directed_tsgn, build_temporal_tsgn, build_multiple_tsgn):
+        t = build(g)
+        assert t.edges.dtype == np.int32 and t.edges.shape == (t.edge_count, 2)
+        assert t.weights.dtype == np.float64 and t.weights.shape == (t.edge_count,)
+        with pytest.raises(ValueError, match="read-only"):
+            t.edges[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            t.weights[0] = 1.0
+
+
+# ------------------------------------------------------------------ properties
+
+AMOUNTS = st.one_of(
+    st.just(0),
+    st.integers(0, 6),
+    st.floats(0, 1e9, allow_nan=False, allow_infinity=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def temporal_multigraphs(draw):
+    """Directed temporal multigraphs over at most six addresses: parallel and
+    anti-parallel records, zero amounts, equal timestamps, records that touch
+    no other record, and graphs with no records at all."""
+    k = draw(st.integers(2, 6))
+    records = []
+    for _ in range(draw(st.integers(0, 14))):
+        src = draw(st.integers(0, k - 1))
+        dst = (src + draw(st.integers(1, k - 1))) % k
+        records.append((f"v{src}", f"v{dst}", draw(AMOUNTS), draw(st.integers(0, 5))))
+    return TransactionGraph.build(records, "v0", temporal=True, multiedge=True)
+
+
+def _check_edges(t, expected_pairs):
+    """The mapped edges are exactly ``expected_pairs``, sorted, each once, and
+    every weight equals map_weight of its pair bit for bit."""
+    edges = edge_tuples(t)
+    assert t.edge_pairs() == frozenset(expected_pairs)
+    assert t.edge_count == len(expected_pairs)
+    assert list(edges) == sorted(edges)
+    _check_weights(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=temporal_multigraphs())
+def test_multigraph_mappings_match_brute_force(g):
+    plain = undirected_projection(g)
+    t = build_tsgn(g)
+    assert t.node_count == plain.edge_count
+    _check_edges(t, shared_endpoint_pairs(plain.edges))
+    multi = build_multiple_tsgn(g)
+    assert multi.node_count == g.edge_count
+    _check_edges(multi, time_ordered_pairs(g.edges))
+    assert is_dag([r.edge_id for r in multi.nodes], multi.edge_pairs())
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=temporal_multigraphs())
+def test_simple_graph_mappings_match_brute_force(g):
+    simple = at_tier(g, "directed")
+    directed = build_directed_tsgn(simple)
+    temporal = build_temporal_tsgn(simple)
+    _check_edges(directed, head_to_tail_pairs(simple.edges))
+    _check_edges(temporal, time_ordered_pairs(simple.edges))
+    assert temporal.edge_pairs() <= directed.edge_pairs()
+    assert is_dag([r.edge_id for r in temporal.nodes], temporal.edge_pairs())
+    assert edge_tuples(build_multiple_tsgn(simple)) == edge_tuples(temporal)
