@@ -25,10 +25,11 @@ from .ingest import PHISHING_LABEL
 # share of every class that stratified_split puts in the training rows (9:1)
 TRAIN_FRACTION = 0.9
 
-# Trees that RandomForest.fit grows in lockstep. A step of a block sorts one
-# key per (node, drawn feature, distinct bootstrap row) for up to TREE_BLOCK
-# nodes, so the block bounds the working memory of a fit.
-TREE_BLOCK = 25
+# Most keys one split search sorts and scores. A lockstep step sorts one key
+# per (node, drawn feature, distinct bootstrap row); a step with more is
+# scored in runs of whole nodes, so the cap, not the number of trees, bounds
+# the working memory of a fit.
+KEY_CAP = 1 << 14
 
 
 def f1_score(predictions: Sequence, truth: Sequence, positive_class) -> float:
@@ -120,10 +121,7 @@ class RandomForest:
         code = {c: i for i, c in enumerate(classes)}
         y = np.fromiter((code[v] for v in labels), dtype=np.int64, count=len(labels))
         data = _RankedRows(x, y, len(classes))
-        self._trees = []
-        for start in range(0, self.config.n_trees, TREE_BLOCK):
-            block = range(start, min(start + TREE_BLOCK, self.config.n_trees))
-            self._trees += _grow_block(block, self.config.seed, data)
+        self._trees = _grow_forest(self.config.n_trees, self.config.seed, data)
         return self
 
     def predict(self, x: np.ndarray) -> list:
@@ -131,26 +129,34 @@ class RandomForest:
         if self.classes_ is None:
             raise ValueError("predict called before fit")
         x = np.asarray(x, dtype=float)
+        # every tree's tables stacked into one, with the children of tree t
+        # moved by its offset; a leaf's children are never followed
+        sizes = [len(tree.feature) for tree in self._trees]
+        offset = np.cumsum([0] + sizes[:-1])
+        forest = _Tree(*(np.concatenate(column) for column in zip(*self._trees)))
+        moved = np.repeat(offset, sizes)
+        forest = forest._replace(left=forest.left + moved, right=forest.right + moved)
         votes = np.zeros((x.shape[0], len(self.classes_)))
         # trees vote one after another, in fit order, so the float sums (and
         # hence argmax ties) do not depend on how the rows are routed
-        for tree in self._trees:
-            votes += tree.probs[self._route(tree, x)]
+        for leaf in self._route(forest, offset, x):
+            votes += forest.probs[leaf]
         return [self.classes_[i] for i in votes.argmax(axis=1)]
 
     @staticmethod
-    def _route(tree: _Tree, x: np.ndarray) -> np.ndarray:
-        """Leaf index of every row of ``x``, all rows moving down together."""
-        leaf = np.zeros(x.shape[0], dtype=np.intp)
-        rows = np.arange(x.shape[0])
-        while rows.size:
-            node = leaf[rows]
+    def _route(tree: _Tree, roots: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Leaf index of every (root, row of ``x``), all moving down together."""
+        n_rows = x.shape[0]
+        leaf = np.repeat(roots, n_rows)
+        cells = np.arange(len(leaf))
+        while cells.size:
+            node = leaf[cells]
             feature = tree.feature[node]
             inner = feature >= 0
-            rows, node, feature = rows[inner], node[inner], feature[inner]
-            go_left = x[rows, feature] <= tree.threshold[node]
-            leaf[rows] = np.where(go_left, tree.left[node], tree.right[node])
-        return leaf
+            cells, node, feature = cells[inner], node[inner], feature[inner]
+            go_left = x[cells % n_rows, feature] <= tree.threshold[node]
+            leaf[cells] = np.where(go_left, tree.left[node], tree.right[node])
+        return leaf.reshape(len(roots), n_rows)
 
 
 class _RankedRows:
@@ -198,7 +204,7 @@ class _RankedRows:
         ``weight`` times each, has class counts ``counts[i]`` and has drawn
         ``features[i]``. Only rank breaks inside a segment can split, so only
         those are scored. The class counts left of a break come from one
-        cumulative sum; they are whole numbers, and the Gini expressions
+        integer running sum; they are whole numbers, and the Gini expressions
         repeat the per-position formulas term by term, so the scores are
         bit-identical to scoring every sorted position. Ties between scores
         go to the earliest drawn feature, then to the lowest value: the order
@@ -206,49 +212,71 @@ class _RankedRows:
         feature, its rank (rows ranked at most this go left) and threshold.
         """
         n_nodes, k = features.shape
-        if (n_nodes * k - 1).bit_length() + self.segment_shift > 63:
+        shift = self.segment_shift
+        if (n_nodes * k - 1).bit_length() + shift > 63:
             raise OverflowError("split search keys do not fit in 63 bits")
         # packed in place, with each temporary dropped as soon as it is used:
-        # a step's working arrays are the peak memory of a fit
+        # a search's working arrays are the peak memory of a fit
         key = features.T.take(node_of, axis=1)
         key *= self.ranks.shape[1]
         key += rows
         key = self.cell_keys.take(key)
-        segment = np.arange(k)[:, None] + node_of * k
-        segment <<= self.segment_shift
-        key |= segment
-        key |= weight
+        key += np.add.outer(np.arange(k) << shift, ((node_of * k) << shift) | weight)
         key = key.ravel()
         key.sort()
 
-        segment = key >> self.segment_shift
         value = key >> (self.class_bits + self.count_bits)  # segment and rank
-        # a split after key q leaves the keys start .. q of q's segment on the left
-        q = np.flatnonzero((segment[1:] == segment[:-1]) & (value[1:] != value[:-1]))
+        change = value[1:] ^ value[:-1]
+        # a split after key q leaves the keys start .. q of q's segment on the
+        # left: the next key has another rank in the same segment
+        q = np.flatnonzero((change != 0) & (change < (1 << self.rank_bits)))
         if not q.size:
             nothing = np.zeros(0, dtype=np.int64)
             return nothing, nothing, nothing, np.zeros(0)
-        seg = segment[q]
-        start = _run_starts(segment)[seg]
-        del segment
-        # running class counts (one row per class) after each key, from 0
-        running = np.zeros((self.n_classes, len(key) + 1))
-        cls = (key >> self.count_bits) & ((1 << self.class_bits) - 1)
-        running[cls, np.arange(1, len(key) + 1)] = key & ((1 << self.count_bits) - 1)
-        del key, cls
-        np.cumsum(running, axis=1, out=running)
-        left = running.take(q + 1, axis=1)
-        left -= running.take(start, axis=1)
-        del running, start
+        seg = value.take(q) >> self.rank_bits
+        # every segment holds keys, so segment s is the s-th run
+        start = np.flatnonzero(change >= (1 << self.rank_bits))
+        start += 1
+        start = np.concatenate(([0], start)).take(seg)
+        del change
+
+        # the class counts left of every break, from one running sum of the
+        # bootstrap counts packed into bit fields of count_bits, per_word
+        # classes to an int64. A segment's count of a class is at most n, so
+        # no field carries into the next, and the difference of two running
+        # sums is exact even where a sum wraps around.
+        width = self.count_bits
+        per_word = 63 // width
+        packed = key & ((1 << width) - 1)
+        field = key >> width
+        del key
+        field &= (1 << self.class_bits) - 1
+        if per_word < self.n_classes:
+            word = field // per_word
+            field -= word * per_word
+        field *= width
+        packed <<= field
+        del field
+        left = np.empty((self.n_classes, len(q)))
+        running = np.zeros(len(packed) + 1, dtype=np.int64)
+        for first in range(0, self.n_classes, per_word):
+            if per_word < self.n_classes:
+                np.cumsum(np.where(word == first // per_word, packed, 0), out=running[1:])
+            else:
+                np.cumsum(packed, out=running[1:])
+            sums = running.take(q + 1)
+            sums -= running.take(start)
+            for c in range(first, min(first + per_word, self.n_classes)):
+                left[c] = (sums >> ((c - first) * width)) & ((1 << width) - 1)
+        del packed, running, start
 
         node = seg // k
-        right = counts.T.take(node, axis=1)
-        right -= left
+        right = counts.T.take(node, axis=1) - left
         total = counts.sum(axis=1)
         m = total.take(node)
         sizes_left = left.sum(axis=0)
         sizes_right = m - sizes_left
-        # the terms of the Gini sums, one array reused for both sides
+        # the terms of the Gini sums, in the arrays of the counts
         terms = np.divide(left, sizes_left, out=left)
         gini_left = 1.0 - _sum_classes(np.square(terms, out=terms))
         terms = np.divide(right, sizes_right, out=right)
@@ -266,10 +294,11 @@ class _RankedRows:
         best = best[parent_gini - score[best] > 1e-12]
         nodes = node[best]
         split_feature = features[nodes, seg[best] % k]
-        rank = value & ((1 << self.rank_bits) - 1)
-        low_rank = rank[q[best]]
-        low = self.values[self.value_start[split_feature] + low_rank]
-        high = self.values[self.value_start[split_feature] + rank[q[best] + 1]]
+        rank_mask = (1 << self.rank_bits) - 1
+        low_rank = value[q[best]] & rank_mask
+        offset = self.value_start[split_feature]
+        low = self.values[offset + low_rank]
+        high = self.values[offset + (value[q[best] + 1] & rank_mask)]
         threshold = (low + high) / 2.0
         collapsed = threshold >= high  # fp rounding collapsed the midpoint
         threshold[collapsed] = low[collapsed]
@@ -292,97 +321,137 @@ def _sum_classes(terms: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(terms.T).sum(axis=1)
 
 
-def _grow_block(block: range, seed: int, data: _RankedRows) -> list[_Tree]:
-    """Grow the trees numbered ``block`` in lockstep.
+def _grow_forest(n_trees: int, seed: int, data: _RankedRows) -> list[_Tree]:
+    """Grow the ``n_trees`` trees of a fit in lockstep.
 
     Each tree keeps its own generator, bootstrap draw and depth-first stack,
     so its draws come in the same order as when it grows alone: at every step
     each unfinished tree pops its next node, and the impure nodes among them
-    draw their features and are scored together. A node is its distinct
-    bootstrap rows plus how often each was drawn.
+    draw their features and are scored together. The trees' state is held in
+    arrays: ``member[t, r]`` is the node of tree ``t`` that row ``r`` is in
+    (-1 when the bootstrap did not draw it), ``drawn[t, r]`` how often it was
+    drawn, and ``stack[t, :top[t]]`` the nodes tree ``t`` has yet to grow. A
+    step's per-node arrays are indexed by tree.
     """
     n_classes = data.n_classes
     n = data.ranks.shape[1]
-    rngs, stacks, shapes = [], [], []
-    for t in block:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
-        drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        rows = np.flatnonzero(drawn)
-        rngs.append(rng)
-        # the pop order fixes the order of each tree's feature draws, so it
-        # must not change: depth first, right child first
-        stacks.append([(rows, drawn[rows], 0)])
-        # feature, threshold, left, right and leaf class shares of each node
-        shapes.append(([-1], [0.0], [-1], [-1], {}))
-    growing = list(range(len(rngs)))
-    while growing:
-        nodes = [stacks[t].pop() for t in growing]
-        rows = np.concatenate([r for r, _, _ in nodes])
-        weight = np.concatenate([w for _, w, _ in nodes])
-        owner = np.repeat(np.arange(len(nodes)), [len(r) for r, _, _ in nodes])
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+        for t in range(n_trees)
+    ]
+    drawn = np.array(
+        [np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs], dtype=np.int32
+    )
+    member = np.where(drawn > 0, 0, -1).astype(np.int32)
+    # the pop order fixes the order of each tree's feature draws, so it must
+    # not change: depth first, right child first
+    stack = np.zeros((n_trees, 16), dtype=np.int32)
+    top = np.ones(n_trees, dtype=np.intp)
+    size = np.ones(n_trees, dtype=np.int32)  # nodes numbered so far, per tree
+    steps = []  # per step: tree, node, feature, threshold, left child, class shares
+    growing = np.arange(n_trees)
+    while growing.size:
+        top[growing] -= 1
+        node = np.full(n_trees, -2, dtype=np.int32)  # -2: no node, matches no row
+        node[growing] = stack[growing, top[growing]]
+        # the step's (tree, row) cells: trees in growing order, then rows
+        # ascending
+        cell = np.flatnonzero(member == node[:, None])
+        owner = cell // n
+        rows = cell - owner * n
+        weight = drawn.take(cell)
+        del cell
         counts = np.bincount(
-            owner * n_classes + data.y[rows], weights=weight, minlength=len(nodes) * n_classes
-        ).reshape(len(nodes), n_classes)
+            owner * n_classes + data.y[rows], weights=weight, minlength=n_trees * n_classes
+        ).astype(np.int64).reshape(n_trees, n_classes)
         m = counts.sum(axis=1)
         impure = np.flatnonzero(counts.max(axis=1) < m)
         features = np.array(
-            [rngs[growing[i]].choice(data.n_features, size=data.k, replace=False) for i in impure],
+            [rngs[t].choice(data.n_features, size=data.k, replace=False) for t in impure],
             dtype=np.int64,
         ).reshape(len(impure), data.k)
-        slot = np.full(len(nodes), -1)
-        slot[impure] = np.arange(len(impure))
-        keep = slot[owner] >= 0
-        at, split_feature, split_rank, split_threshold = data.best_splits(
-            features, rows[keep], weight[keep], slot[owner[keep]], counts[impure]
+        at, split_feature, split_rank, split_threshold = _search_in_chunks(
+            data, impure, features, owner, rows, weight, counts
         )
-        at = impure[at]
-        # send every row of a split node to its side; rows of other nodes
-        # have cut -1 and go to neither
-        cut = np.full(len(nodes), -1)
+        feature = np.full(n_trees, -1, dtype=np.intp)
+        feature[at] = split_feature
+        threshold = np.zeros(n_trees)
+        threshold[at] = split_threshold
+        left = np.full(n_trees, -1, dtype=np.intp)
+        left[at] = size[at]
+        shares = counts[growing] / m[growing, None]
+        shares[feature[growing] >= 0] = 0.0
+        steps.append(
+            (growing, node[growing], feature[growing], threshold[growing], left[growing], shares)
+        )
+        # send every row of a split node to its left or right child; rows of
+        # other nodes have cut -1 and stay where they are
+        cut = np.full(n_trees, -1)
         cut[at] = split_rank
-        on_feature = np.zeros(len(nodes), dtype=np.int64)
-        on_feature[at] = split_feature
-        rank = data.ranks[on_feature[owner], rows]
-        cut = cut[owner]
-        sides = []
-        for side in (rank <= cut, (rank > cut) & (cut >= 0)):
-            ends = np.cumsum(np.bincount(owner[side], minlength=len(nodes))).tolist()
-            sides.append((rows[side], weight[side], [0] + ends))
-        (left_rows, left_weight, left_ends), (right_rows, right_weight, right_ends) = sides
-        split_of = dict(zip(at.tolist(), zip(split_feature.tolist(), split_threshold.tolist())))
-        shares = counts / m[:, None]
-        for i, (t, (_, _, node)) in enumerate(zip(growing, nodes)):
-            feature, threshold, left, right, probs = shapes[t]
-            if i not in split_of:
-                probs[node] = shares[i]
-                continue
-            feature[node], threshold[node] = split_of[i]
-            left[node] = len(feature)
-            right[node] = len(feature) + 1
-            feature += [-1, -1]
-            threshold += [0.0, 0.0]
-            left += [-1, -1]
-            right += [-1, -1]
-            a, b = left_ends[i], left_ends[i + 1]
-            stacks[t].append((left_rows[a:b], left_weight[a:b], left[node]))
-            a, b = right_ends[i], right_ends[i + 1]
-            stacks[t].append((right_rows[a:b], right_weight[a:b], right[node]))
-        growing = [t for t in growing if stacks[t]]
-    trees = []
-    for feature, threshold, left, right, probs in shapes:
-        table = np.zeros((len(feature), n_classes))
-        for node, p in probs.items():
-            table[node] = p
-        trees.append(
-            _Tree(
-                np.array(feature, dtype=np.intp),
-                np.array(threshold),
-                np.array(left, dtype=np.intp),
-                np.array(right, dtype=np.intp),
-                table,
-            )
+        moving = cut[owner] >= 0
+        owner, rows = owner[moving], rows[moving]
+        goes_right = data.ranks.take(feature[owner] * n + rows) > cut[owner]
+        member.put(owner * n + rows, left[owner] + goes_right)
+        del owner, rows, goes_right
+        size[at] += 2
+        if top.max() + 2 > stack.shape[1]:
+            stack = np.hstack([stack, np.zeros_like(stack)])
+        stack[at, top[at]] = left[at]
+        stack[at, top[at] + 1] = left[at] + 1
+        top[at] += 2
+        growing = np.flatnonzero(top)
+    del drawn, member
+    tree, node, *tables = map(np.concatenate, zip(*steps))
+    del steps
+    # each node was popped once; order them by tree, then by number
+    order = np.lexsort((node, tree))
+    feature, threshold, left, probs = (a[order] for a in tables)
+    del tables
+    right = np.where(left >= 0, left + 1, -1)
+    ends = np.cumsum(size)[:-1]
+    columns = (np.split(a, ends) for a in (feature, threshold, left, right, probs))
+    return [_Tree(*t) for t in zip(*columns)]
+
+
+def _search_in_chunks(
+    data: _RankedRows,
+    impure: np.ndarray,
+    features: np.ndarray,
+    owner: np.ndarray,
+    rows: np.ndarray,
+    weight: np.ndarray,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``data.best_splits`` of the impure nodes of a step, called on runs of
+    whole nodes of at most KEY_CAP keys each; a node with more goes alone.
+
+    ``owner`` is the node of every row, ascending, and ``impure`` the nodes
+    to search, in the order of ``features``. Returns the split nodes and,
+    for each, its feature, rank and threshold.
+    """
+    row_start = np.searchsorted(owner, impure)
+    row_end = np.searchsorted(owner, impure, "right")
+    key_end = np.cumsum(row_end - row_start) * data.k
+    parts = []
+    first = 0
+    while first < len(impure):
+        limit = (key_end[first - 1] if first else 0) + KEY_CAP
+        stop = max(first + 1, int(np.searchsorted(key_end, limit, "right")))
+        a, b = row_start[first], row_end[stop - 1]
+        slot = np.full(len(counts), -1)
+        slot[impure[first:stop]] = np.arange(stop - first)
+        node_of = slot[owner[a:b]]
+        keep = node_of >= 0
+        at, *split = data.best_splits(
+            features[first:stop], rows[a:b][keep], weight[a:b][keep], node_of[keep],
+            counts[impure[first:stop]],
         )
-    return trees
+        parts.append((impure[first:stop][at], *split))
+        first = stop
+    if not parts:
+        nothing = np.zeros(0, dtype=np.intp)
+        return nothing, nothing, nothing, np.zeros(0)
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 @dataclass(frozen=True)

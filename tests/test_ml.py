@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,20 +185,59 @@ def test_forest_matches_reference_forest(seed, n_rows, kinds, n_classes):
 def test_forest_grown_in_blocks_matches_reference_forest(
     seed, n_rows, n_features, n_classes, decimals, n_trees
 ):
-    # blocks of 3: seven trees span three blocks, the last one short. From 8
-    # classes numpy sums the Gini terms pairwise instead of in order.
+    # a key cap of 1 scores every node of every step in a search of its own.
+    # From 8 classes numpy sums the Gini terms pairwise instead of in order.
     rng = np.random.default_rng(seed)
     x = np.round(rng.normal(scale=2.0, size=(n_rows, n_features)), decimals)
     y = [f"c{v}" for v in rng.integers(0, n_classes, size=n_rows)]
     y[:2] = ["c0", "c1"]
     config = ForestConfig(n_trees=n_trees, seed=seed % 1000)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ml, "TREE_BLOCK", 3)
+        patch.setattr(ml, "KEY_CAP", 1)
         forest = RandomForest(config).fit(x, y)
     reference = ReferenceForest(config).fit(x, y)
     assert [_tree_shape(t) for t in forest._trees] == [
         _reference_shape(root) for root in reference._trees
     ]
+
+
+@pytest.mark.parametrize("n_classes", [2, 12])
+def test_thirty_trees_grown_in_one_pass_match_reference_forest(n_classes):
+    # more trees than the 25 a lockstep pass once held, on a few hundred rows
+    # with the default key cap, so the first steps are searched in chunks;
+    # 12 classes of 300 rows take two int64 words of class-count fields
+    rng = np.random.default_rng(23)
+    x = np.round(rng.normal(scale=2.0, size=(300, 6)), 2)
+    noisy = x[:, 0] + x[:, 1] + rng.normal(size=300)
+    y = [f"c{v}" for v in np.digitize(noisy, np.linspace(-4, 4, n_classes - 1))]
+    config = ForestConfig(n_trees=30, seed=4)
+    forest = RandomForest(config).fit(x, y)
+    reference = ReferenceForest(config).fit(x, y)
+    assert len(forest.classes_) == n_classes
+    assert [_tree_shape(t) for t in forest._trees] == [
+        _reference_shape(root) for root in reference._trees
+    ]
+    probe = np.round(rng.normal(scale=2.0, size=(50, 6)), 2)
+    assert forest.predict(probe) == reference.predict(probe)
+
+
+def test_forest_fit_memory_is_bounded_by_the_key_cap():
+    # 630 rows of about 315 distinct ones, like the fused etherg1 training
+    # rows. A fit holds every tree's rows at once, but each split search
+    # sorts at most KEY_CAP keys: here the fit peaks near 2.9 MB, and one
+    # search over all 100 roots at once would peak near 11 MB.
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(315, 10))[rng.integers(0, 315, size=630)]
+    y = ["phishing" if v else "benign" for v in (x[:, 0] > 0) ^ (rng.random(630) < 0.02)]
+    forest = RandomForest(ForestConfig(n_trees=100, seed=5))
+    forest.fit(x, y)  # leave numpy's one-time allocations out of the count
+    tracemalloc.start()
+    try:
+        forest.fit(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
 
 
 @pytest.mark.parametrize("n_classes", range(2, 13))
