@@ -3,8 +3,9 @@ dataset generation, and dataset statistics.
 
 On-disk dataset layout: one directory per dataset holding one edge-list CSV
 per graph plus a ``labels.csv`` (graph_id, center_address, label). Record
-files carry the columns src, dst, amount (decimal string) and timestamp
-(integer seconds; the field may be empty and the column absent).
+files carry the columns src, dst, amount (decimal string: 0, or from
+MIN_AMOUNT to MAX_AMOUNT) and timestamp (integer seconds; the field may be
+empty and the column absent).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -29,6 +31,12 @@ FORMS = ("star", "net")
 PHISHING_LABEL = "phishing"
 BENIGN_LABEL = "benign"
 
+# Amounts are mapped as floats. An amount must be 0 or lie between these
+# bounds, so the mean of any two is a finite float, positive unless both are
+# 0, and its log exists.
+MIN_AMOUNT = sys.float_info.min  # the least normal float
+MAX_AMOUNT = sys.float_info.max / 2
+
 
 def _parse_record(fields: dict, lineno: int, problems: list[str]):
     """One raw row -> (src, dst, amount, timestamp) or None when malformed."""
@@ -43,8 +51,17 @@ def _parse_record(fields: dict, lineno: int, problems: list[str]):
     except InvalidOperation:
         problems.append(f"line {lineno}: unparseable amount {raw_amount!r}")
         return None
+    if not amount.is_finite():
+        problems.append(f"line {lineno}: non-finite amount {raw_amount!r}")
+        return None
     if amount < 0:
         problems.append(f"line {lineno}: negative amount {raw_amount}")
+        return None
+    if float(amount) > MAX_AMOUNT:
+        problems.append(f"line {lineno}: amount {raw_amount} above {MAX_AMOUNT!r}")
+        return None
+    if amount and float(amount) < MIN_AMOUNT:
+        problems.append(f"line {lineno}: nonzero amount {raw_amount} below {MIN_AMOUNT!r}")
         return None
     timestamp = None
     raw_ts = fields.get("timestamp")

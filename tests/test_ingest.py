@@ -59,6 +59,33 @@ def test_load_rejects_negative_amount_with_line_number(tmp_path):
         load_edge_list(path)
 
 
+@pytest.mark.parametrize(
+    "amount, reason",
+    [
+        ("NaN", "non-finite amount 'NaN'"),
+        ("sNaN", "non-finite amount 'sNaN'"),
+        ("Infinity", "non-finite amount 'Infinity'"),
+        ("-Infinity", "non-finite amount '-Infinity'"),
+        ("1e400", "amount 1e400 above"),
+        ("1.7976931348623157e308", "amount 1.7976931348623157e308 above"),
+        ("5e-324", "nonzero amount 5e-324 below"),
+        ("1e-400", "nonzero amount 1e-400 below"),
+    ],
+)
+def test_load_rejects_amounts_whose_mean_has_no_log(tmp_path, amount, reason):
+    path = _write(tmp_path, f"src,dst,amount,timestamp\na,b,1,1\nb,c,{amount},2\n")
+    with pytest.raises(ValueError, match=f"line 3: {reason}"):
+        load_edge_list(path)
+
+
+@pytest.mark.parametrize(
+    "amount", ["0", "-0", "2.2250738585072014e-308", "8.988465674311579e307", "1e-300"]
+)
+def test_load_accepts_amounts_at_the_bounds(tmp_path, amount):
+    path = _write(tmp_path, f"src,dst,amount,timestamp\na,b,{amount},1\n")
+    assert load_edge_list(path)[0].amount == Decimal(amount)
+
+
 def test_load_drops_self_loops_with_warning(tmp_path, caplog):
     path = _write(
         tmp_path,
