@@ -3,14 +3,18 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import weakref
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsgn import DatasetManifest, TransactionGraph, save_dataset
 from tsgn import cli, ingest, transforms
-from tsgn.graphs import TIERS
+from tsgn.graphs import TIERS, EdgeRecord
 from tsgn.ingest import dataset_stats, load_dataset, stats_table
 from tsgn.cli import main
 
@@ -183,6 +187,34 @@ def test_transform_output_matches_golden_digest(tmp_path):
             digest.update(f"{tier}/{f.relative_to(out).as_posix()}\n".encode())
             digest.update(f.read_bytes())
     assert digest.hexdigest() == TRANSFORM_DIGEST
+
+
+_WEIGHTS = st.one_of(
+    st.floats(),
+    st.integers(-(10**6), 10**6).map(float),  # integral
+    st.sampled_from([5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1e300, 0.0, -0.0, 1e16, 123456789012.5]),  # subnormal and huge
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(st.integers(0, 10**9), min_size=1, max_size=12, unique=True),
+    edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), _WEIGHTS), max_size=40),
+)
+def test_edge_writer_text_equals_per_row_format(ids, edges):
+    nodes = tuple(EdgeRecord("a", "b", Decimal(1), None, i) for i in sorted(ids))
+    edges = [(a % len(nodes), b % len(nodes), w) for a, b, w in edges]
+    t = transforms.TsgnGraph(
+        "dtsgn", nodes, [(a, b) for a, b, _ in edges], [w for _, _, w in edges]
+    )
+    expected = "from_tx,to_tx,weight\n" + "".join(
+        f"{nodes[a].edge_id},{nodes[b].edge_id},{w:.12g}\n" for a, b, w in edges
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.csv"
+        cli._write_mapped(path, t)
+        assert path.read_text(encoding="utf-8") == expected
 
 
 def test_evaluate_writes_reports_and_is_deterministic(tmp_path, capsys):
@@ -413,6 +445,29 @@ def test_load_failures_name_every_bad_graph(tmp_path, capsys):
     assert "malformed: " in err and "unparseable amount 'lots'" in err
     assert "nocenter: target 'nobody' does not appear in any record" in err
     assert "good:" not in err
+
+
+@pytest.mark.parametrize("amount", ["NaN", "sNaN", "Infinity", "1e400", "5e-324"])
+@pytest.mark.parametrize("command", ["transform", "evaluate"])
+def test_amounts_without_a_mapped_weight_fail_before_any_output(
+    tmp_path, capsys, amount, command
+):
+    # 5e-324 flowing into an amount of 0 has a mean that underflows to 0
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    rows = "src,dst,amount,timestamp\na,b,{},1\nb,c,0,2\n"
+    (ds / "good.csv").write_text(rows.format(1))
+    (ds / "bad1.csv").write_text(rows.format(amount))
+    (ds / "bad2.csv").write_text(rows.format(amount))
+    (ds / "labels.csv").write_text(
+        "graph_id,center_address,label\ngood,b,phishing\nbad1,b,benign\nbad2,b,benign\n"
+    )
+    out = tmp_path / "out"
+    assert main([command, "--dataset", str(ds), "--variant", "dtsgn", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "2 graph(s) failed to load" in err
+    assert "bad1: " in err and "bad2: " in err and "good:" not in err
+    assert not out.exists()
 
 
 def test_cli_imports_only_numpy_and_the_standard_library():
