@@ -57,10 +57,11 @@ def _parse_record(fields: dict, lineno: int, problems: list[str]):
     if amount < 0:
         problems.append(f"line {lineno}: negative amount {raw_amount}")
         return None
-    if float(amount) > MAX_AMOUNT:
+    value = float(amount)
+    if value > MAX_AMOUNT:
         problems.append(f"line {lineno}: amount {raw_amount} above {MAX_AMOUNT!r}")
         return None
-    if amount and float(amount) < MIN_AMOUNT:
+    if value < MIN_AMOUNT and amount:
         problems.append(f"line {lineno}: nonzero amount {raw_amount} below {MIN_AMOUNT!r}")
         return None
     timestamp = None

@@ -4,9 +4,10 @@ stratified-split evaluation harness.
 The forest is a standard bagging ensemble of CART trees: every tree trains on
 a bootstrap sample and grows until its leaves are pure or cannot be split,
 splits minimize Gini impurity, and each node considers a random subset of
-about sqrt(p) of the p features. The trees of a fit grow in lockstep, in
-blocks of TREE_BLOCK, with the nodes of each step scored together. Everything
-is seeded through numpy SeedSequence streams, one per tree, so a fixed master
+about sqrt(p) of the p features. All trees of a fit grow in one lockstep
+pass over arrays that hold every tree's state, with the nodes of each step
+scored together in split searches of at most KEY_CAP keys. Everything is
+seeded through numpy SeedSequence streams, one per tree, so a fixed master
 seed reproduces identical reports regardless of how the work is scheduled.
 """
 
