@@ -29,7 +29,8 @@ TRAIN_FRACTION = 0.9
 # Most keys one split search sorts and scores. A lockstep step sorts one key
 # per (node, drawn feature, distinct bootstrap row); a step with more is
 # scored in runs of whole nodes, so the cap, not the number of trees, bounds
-# the working memory of a fit.
+# the working memory of a fit. predict routes as many (tree, row) cells at
+# once.
 KEY_CAP = 1 << 14
 
 
@@ -138,24 +139,30 @@ class RandomForest:
         moved = np.repeat(offset, sizes)
         forest = forest._replace(left=forest.left + moved, right=forest.right + moved)
         votes = np.zeros((x.shape[0], len(self.classes_)))
-        # trees vote one after another, in fit order, so the float sums (and
-        # hence argmax ties) do not depend on how the rows are routed
-        for leaf in self._route(forest, offset, x):
-            votes += forest.probs[leaf]
+        # at most KEY_CAP (tree, row) cells are routed at once; trees vote one
+        # after another, in fit order, so the float sums (and hence argmax
+        # ties) do not depend on how the rows are routed
+        block = max(1, KEY_CAP // len(self._trees))
+        for start in range(0, x.shape[0], block):
+            rows = slice(start, start + block)
+            for leaf in self._route(forest, offset, x[rows]):
+                votes[rows] += forest.probs[leaf]
         return [self.classes_[i] for i in votes.argmax(axis=1)]
 
     @staticmethod
     def _route(tree: _Tree, roots: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Leaf index of every (root, row of ``x``), all moving down together."""
-        n_rows = x.shape[0]
+        n_rows, n_features = x.shape
         leaf = np.repeat(roots, n_rows)
         cells = np.arange(len(leaf))
+        row_at = np.tile(np.arange(n_rows) * n_features, len(roots))  # in x.flat
+        values = x.ravel()
         while cells.size:
             node = leaf[cells]
             feature = tree.feature[node]
             inner = feature >= 0
-            cells, node, feature = cells[inner], node[inner], feature[inner]
-            go_left = x[cells % n_rows, feature] <= tree.threshold[node]
+            cells, node, row_at = cells[inner], node[inner], row_at[inner]
+            go_left = values[row_at + feature[inner]] <= tree.threshold[node]
             leaf[cells] = np.where(go_left, tree.left[node], tree.right[node])
         return leaf.reshape(len(roots), n_rows)
 

@@ -195,10 +195,12 @@ def test_forest_grown_in_blocks_matches_reference_forest(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ml, "KEY_CAP", 1)
         forest = RandomForest(config).fit(x, y)
+        predicted = forest.predict(x)  # one row at a time through all trees
     reference = ReferenceForest(config).fit(x, y)
     assert [_tree_shape(t) for t in forest._trees] == [
         _reference_shape(root) for root in reference._trees
     ]
+    assert predicted == reference.predict(x)
 
 
 @pytest.mark.parametrize("n_classes", [2, 12])
@@ -221,23 +223,27 @@ def test_thirty_trees_grown_in_one_pass_match_reference_forest(n_classes):
     assert forest.predict(probe) == reference.predict(probe)
 
 
-def test_forest_fit_memory_is_bounded_by_the_key_cap():
+def test_forest_memory_is_bounded_by_the_key_cap():
     # 630 rows of about 315 distinct ones, like the fused etherg1 training
     # rows. A fit holds every tree's rows at once, but each split search
     # sorts at most KEY_CAP keys: here the fit peaks near 2.9 MB, and one
-    # search over all 100 roots at once would peak near 11 MB.
+    # search over all 100 roots at once would peak near 11 MB. predict routes
+    # at most KEY_CAP (tree, row) cells at once: all 10,080 rows through all
+    # trees at once would take near 67 MB.
     rng = np.random.default_rng(5)
     x = rng.normal(size=(315, 10))[rng.integers(0, 315, size=630)]
     y = ["phishing" if v else "benign" for v in (x[:, 0] > 0) ^ (rng.random(630) < 0.02)]
     forest = RandomForest(ForestConfig(n_trees=100, seed=5))
     forest.fit(x, y)  # leave numpy's one-time allocations out of the count
-    tracemalloc.start()
-    try:
-        forest.fit(x, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4_000_000
+    many = np.tile(x, (16, 1))
+    for run in (lambda: forest.fit(x, y), lambda: forest.predict(many)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000
 
 
 @pytest.mark.parametrize("n_classes", range(2, 13))
