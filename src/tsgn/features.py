@@ -7,7 +7,8 @@ across every variant; mapped edge weights are exposed only through the
 transform exports.
 
 That view is one dense 0/1 adjacency matrix, and every feature is matrix code
-on it. Betweenness and closeness share one level-synchronous BFS that runs
+on it. The largest eigenvalue comes from one dense symmetric eigensolve
+(eigvalsh). Betweenness and closeness share one level-synchronous BFS that runs
 from a block of sources at once (Brandes, J. Math. Sociol. 2001; Kepner and
 Gilbert, Graph Algorithms in the Language of Linear Algebra, 2011).
 feature_matrix rounds each value to the digits FeatureMatrix.to_csv writes.
@@ -17,7 +18,6 @@ training rows of each split.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,9 +44,6 @@ FEATURE_NAMES = (
 # How FeatureMatrix.to_csv writes a value; feature_matrix rounds to it, so the
 # forest trains on exactly the numbers that a written matrix loads back as.
 VALUE_FORMAT = ".12g"
-
-POWER_ITERATION_TOL = 1e-9
-POWER_ITERATION_MAX_STEPS = 1000
 
 # Sources per all-sources BFS pass: its working matrices are SOURCE_BLOCK x n.
 SOURCE_BLOCK = 256
@@ -104,8 +101,6 @@ def handcrafted_features(graph: TransactionGraph | TsgnGraph) -> np.ndarray:
 
 def average_neighbor_degree(a: np.ndarray) -> float:
     """Mean over nodes of the mean degree of their neighbors; isolated nodes count 0."""
-    if len(a) == 0:
-        return 0.0
     deg = a.sum(axis=1)
     per_node = np.divide(a @ deg, deg, out=np.zeros_like(deg), where=deg > 0)
     return float(per_node.mean())
@@ -113,8 +108,6 @@ def average_neighbor_degree(a: np.ndarray) -> float:
 
 def average_clustering(a: np.ndarray) -> float:
     """Mean local clustering coefficient; nodes of degree < 2 contribute 0."""
-    if len(a) == 0:
-        return 0.0
     deg = a.sum(axis=1)
     links = ((a @ a) * a).sum(axis=1)  # each neighbor link counted twice
     pairs = deg * (deg - 1)
@@ -122,28 +115,10 @@ def average_clustering(a: np.ndarray) -> float:
 
 
 def largest_eigenvalue(a: np.ndarray) -> float:
-    """Largest adjacency eigenvalue by power iteration.
-
-    Deterministic all-ones start, Rayleigh-quotient tolerance 1e-9, at most
-    1000 steps. The iteration runs on A + I: the +1 shift keeps bipartite
-    spectra (where +lambda/-lambda pairs tie in magnitude) from stalling the
-    plain iteration, and leaves the reported Rayleigh quotient of A unchanged.
-    """
-    n = len(a)
-    if n == 0 or not a.any():
+    """Largest adjacency eigenvalue; exactly 0.0 for an empty or edgeless graph."""
+    if not a.any():
         return 0.0
-    x = np.full(n, 1.0 / math.sqrt(n))
-    rayleigh = 0.0
-    prev = None
-    for _ in range(POWER_ITERATION_MAX_STEPS):
-        ax = a @ x
-        rayleigh = float(x @ ax)
-        if prev is not None and abs(rayleigh - prev) <= POWER_ITERATION_TOL:
-            break
-        prev = rayleigh
-        y = ax + x
-        x = y / np.linalg.norm(y)  # y > 0 entrywise, A + I is nonnegative
-    return rayleigh
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
 def _source_blocks(n: int):
@@ -176,24 +151,13 @@ def _shortest_paths(a: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.
     return dist, sigma
 
 
-def betweenness_centrality(a: np.ndarray) -> np.ndarray:
-    """Normalized undirected betweenness for every node (Brandes accumulation).
-
-    Only connected pairs contribute; with fewer than 3 nodes everything is 0.
-    """
-    return _path_centralities(a)[0]
-
-
-def closeness_centrality(a: np.ndarray) -> np.ndarray:
-    """Closeness with reachable-set scaling: (r-1)/sum(d) * (r-1)/(n-1).
-
-    r counts the node itself plus everything it reaches; isolated nodes get 0.
-    """
-    return _path_centralities(a)[1]
-
-
 def _path_centralities(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Betweenness and closeness from one BFS per block of sources."""
+    """Betweenness and closeness from one BFS per block of sources.
+
+    Betweenness is normalized and undirected; only connected pairs count.
+    Closeness is (r-1)/sum(d) * (r-1)/(n-1), where r counts the node and all
+    it reaches; isolated nodes get 0.
+    """
     n = len(a)
     bc = np.zeros(n)
     closeness = np.zeros(n)

@@ -70,10 +70,6 @@ class TsgnGraph:
         object.__setattr__(self, "weights", weights)
 
     @property
-    def directed(self) -> bool:
-        return self.variant != "tsgn"
-
-    @property
     def node_count(self) -> int:
         return len(self.nodes)
 

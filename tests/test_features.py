@@ -15,12 +15,7 @@ from tsgn import (
     handcrafted_features,
 )
 from tsgn import features
-from tsgn.features import (
-    betweenness_centrality,
-    closeness_centrality,
-    largest_eigenvalue,
-    simple_adjacency,
-)
+from tsgn.features import _path_centralities, largest_eigenvalue, simple_adjacency
 
 from oracles import (
     betweenness_oracle,
@@ -91,17 +86,22 @@ def test_eigenvalue_handles_bipartite_paths():
     assert handcrafted_features(path)[7] == pytest.approx(math.sqrt(2), abs=1e-6)
 
 
+def test_eigenvalue_of_edgeless_graphs_is_positive_zero():
+    for n in (0, 1, 4):
+        value = largest_eigenvalue(np.zeros((n, n)))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    lone = TransactionGraph.build([], "a", directed=False)
+    assert format(handcrafted_features(lone)[7], ".12g") == "0"
+
+
 def test_centralities_match_exhaustive_oracle():
     rnd = random.Random(21)
     for _ in range(150):
         g = random_undirected_graph(rnd)
         a, adj = simple_adjacency(g), oracle_adjacency(g)
-        np.testing.assert_allclose(
-            betweenness_centrality(a), betweenness_oracle(adj), atol=1e-9
-        )
-        np.testing.assert_allclose(
-            closeness_centrality(a), closeness_oracle(adj), atol=1e-9
-        )
+        betweenness, closeness = _path_centralities(a)
+        np.testing.assert_allclose(betweenness, betweenness_oracle(adj), atol=1e-9)
+        np.testing.assert_allclose(closeness, closeness_oracle(adj), atol=1e-9)
 
 
 def test_centralities_match_oracle_across_source_blocks(monkeypatch):
@@ -119,12 +119,9 @@ def test_centralities_match_oracle_across_source_blocks(monkeypatch):
         a, adj = simple_adjacency(g), oracle_adjacency(g)
         isolated += not all(adj)
         disconnected += len(bfs_distances(adj, 0)) < len(adj)
-        np.testing.assert_allclose(
-            betweenness_centrality(a), betweenness_oracle(adj), atol=1e-9
-        )
-        np.testing.assert_allclose(
-            closeness_centrality(a), closeness_oracle(adj), atol=1e-9
-        )
+        betweenness, closeness = _path_centralities(a)
+        np.testing.assert_allclose(betweenness, betweenness_oracle(adj), atol=1e-9)
+        np.testing.assert_allclose(closeness, closeness_oracle(adj), atol=1e-9)
     assert isolated > 10 and disconnected > 20
 
 
@@ -132,9 +129,10 @@ def test_all_features_match_oracle_on_random_graphs():
     rnd = random.Random(31)
     for _ in range(120):
         g = random_undirected_graph(rnd)
-        np.testing.assert_allclose(
-            handcrafted_features(g), feature_oracle(g), atol=1e-6
-        )
+        values, expected = handcrafted_features(g), feature_oracle(g)
+        np.testing.assert_allclose(values, expected, atol=1e-6)
+        # the eigenvalue is exact, not an iteration's estimate
+        assert abs(values[7] - expected[7]) <= 1e-12
 
 
 def test_features_work_on_mapped_graphs():
