@@ -15,18 +15,15 @@ from .graphs import (
     TransactionGraph,
     at_tier,
     undirected_projection,
-    validate,
 )
 from .ingest import (
     DatasetManifest,
     DatasetStats,
     dataset_stats,
     extract_ego_network,
-    generate_dense_star_graphs,
     generate_synthetic_dataset,
     load_dataset,
     load_edge_list,
-    load_edge_list_jsonl,
     save_dataset,
 )
 from .ml import (
@@ -71,17 +68,14 @@ __all__ = [
     "extract_ego_network",
     "f1_score",
     "feature_matrix",
-    "generate_dense_star_graphs",
     "generate_synthetic_dataset",
     "handcrafted_features",
     "load_dataset",
     "load_edge_list",
-    "load_edge_list_jsonl",
     "map_weight",
     "percent_increase",
     "require_attributes",
     "save_dataset",
     "stratified_split",
     "undirected_projection",
-    "validate",
 ]

@@ -174,41 +174,3 @@ def at_tier(g: TransactionGraph, tier: str) -> TransactionGraph:
         return _collapse(g, directed=True) if g.multiedge else g
     return replace(g, multiedge=True, temporal=all(r.timestamp is not None for r in g.edges))
 
-
-def validate(g: TransactionGraph) -> list[str]:
-    """Check every structural invariant; returns one message per violation.
-
-    Diagnostic only — an empty list means the graph is well formed.
-    """
-    problems: list[str] = []
-    node_set = set(g.nodes)
-    for node in g.nodes:
-        if not node:
-            problems.append("empty address in node set")
-    if g.center not in node_set:
-        problems.append(f"center {g.center!r} not in node set")
-    seen_ids: set[int] = set()
-    seen_pairs: set[tuple[str, str]] = set()
-    for r in g.edges:
-        tag = f"edge {r.edge_id} ({r.src}->{r.dst})"
-        if r.src not in node_set:
-            problems.append(f"{tag}: src not in node set")
-        if r.dst not in node_set:
-            problems.append(f"{tag}: dst not in node set")
-        if r.amount < 0:
-            problems.append(f"{tag}: negative amount {r.amount}")
-        if r.src == r.dst:
-            problems.append(f"{tag}: self-loop")
-        if r.edge_id in seen_ids:
-            problems.append(f"{tag}: duplicate edge_id")
-        seen_ids.add(r.edge_id)
-        if g.temporal and r.timestamp is None:
-            problems.append(f"{tag}: temporal graph but timestamp missing")
-        if not g.multiedge:
-            key = (r.src, r.dst)
-            if not g.directed and r.dst < r.src:
-                key = (r.dst, r.src)
-            if key in seen_pairs:
-                problems.append(f"{tag}: parallel edge in a simple graph")
-            seen_pairs.add(key)
-    return problems

@@ -11,13 +11,13 @@ empty and the column absent).
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -38,14 +38,13 @@ MIN_AMOUNT = sys.float_info.min  # the least normal float
 MAX_AMOUNT = sys.float_info.max / 2
 
 
-def _parse_record(fields: dict, lineno: int, problems: list[str]):
-    """One raw row -> (src, dst, amount, timestamp) or None when malformed."""
-    src = (fields.get("src") or "").strip().lower()
-    dst = (fields.get("dst") or "").strip().lower()
+def _parse_record(src: str, dst: str, raw_amount: str, raw_ts: str, lineno: int, problems):
+    """One row's raw fields -> (src, dst, amount, timestamp) or None when malformed."""
+    src, dst = src.strip().lower(), dst.strip().lower()
     if not src or not dst:
         problems.append(f"line {lineno}: missing src or dst address")
         return None
-    raw_amount = (fields.get("amount") or "").strip()
+    raw_amount = raw_amount.strip()
     try:
         amount = Decimal(raw_amount)
     except InvalidOperation:
@@ -65,75 +64,59 @@ def _parse_record(fields: dict, lineno: int, problems: list[str]):
         problems.append(f"line {lineno}: nonzero amount {raw_amount} below {MIN_AMOUNT!r}")
         return None
     timestamp = None
-    raw_ts = fields.get("timestamp")
-    raw_ts = raw_ts.strip() if isinstance(raw_ts, str) else raw_ts
-    if raw_ts not in (None, ""):
+    raw_ts = raw_ts.strip()
+    if raw_ts:
         try:
             timestamp = int(raw_ts)
-        except (TypeError, ValueError):
+        except ValueError:
             problems.append(f"line {lineno}: unparseable timestamp {raw_ts!r}")
             return None
     return src, dst, amount, timestamp
-
-
-def _finish_load(path, rows, problems) -> list[EdgeRecord]:
-    if problems:
-        raise ValueError(f"{path}: malformed rows: " + "; ".join(problems))
-    records = []
-    dropped = 0
-    for src, dst, amount, timestamp in rows:
-        if src == dst:
-            dropped += 1
-            continue
-        records.append(EdgeRecord(src, dst, amount, timestamp, len(records)))
-    if dropped:
-        logger.warning("%s: dropped %d self-loop transaction(s)", path, dropped)
-    return records
 
 
 def load_edge_list(path) -> list[EdgeRecord]:
     """Parse a CSV export into edge records.
 
     Addresses are lowercased, self-loops are dropped with a logged warning,
-    and malformed rows raise a ValueError listing every offending line number.
+    and malformed rows raise a ValueError listing every offending row by the
+    file line it ends on. Blank lines are skipped.
     """
     path = Path(path)
+    problems: list[str] = []
+    records: list[EdgeRecord] = []
+    dropped = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file")
-        missing = [c for c in ("src", "dst", "amount") if c not in reader.fieldnames]
+        missing = [c for c in ("src", "dst", "amount") if c not in header]
         if missing:
             raise ValueError(f"{path}: missing mandatory column(s) {missing}")
-        problems: list[str] = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            parsed = _parse_record(row, lineno, problems)
-            if parsed is not None:
-                rows.append(parsed)
-    return _finish_load(path, rows, problems)
-
-
-def load_edge_list_jsonl(path) -> list[EdgeRecord]:
-    """JSON-lines loader with the same field semantics as the CSV loader."""
-    path = Path(path)
-    problems: list[str] = []
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+        column = {name: i for i, name in enumerate(header)}
+        pick = itemgetter(column["src"], column["dst"], column["amount"])
+        ts_col = column.get("timestamp")
+        for row in reader:
+            if not row:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                problems.append(f"line {lineno}: invalid JSON")
+            lineno = reader.line_num
+            if len(row) < len(header):
+                problems.append(f"line {lineno}: {len(row)} field(s) for {len(header)} columns")
                 continue
-            fields = {k: (v if v is None else str(v)) for k, v in obj.items()}
-            parsed = _parse_record(fields, lineno, problems)
-            if parsed is not None:
-                rows.append(parsed)
-    return _finish_load(path, rows, problems)
+            raw_ts = "" if ts_col is None else row[ts_col]
+            parsed = _parse_record(*pick(row), raw_ts, lineno, problems)
+            if parsed is None:
+                continue
+            src, dst, amount, timestamp = parsed
+            if src == dst:
+                dropped += 1
+            else:
+                records.append(EdgeRecord(src, dst, amount, timestamp, len(records)))
+    if problems:
+        raise ValueError(f"{path}: malformed rows: " + "; ".join(problems))
+    if dropped:
+        logger.warning("%s: dropped %d self-loop transaction(s)", path, dropped)
+    return records
 
 
 def extract_ego_network(
@@ -208,8 +191,8 @@ class DatasetManifest:
 
 
 def numbered_graph_ids(n: int) -> tuple[str, ...]:
-    """``graph_0000``, ``graph_0001``, ...: the ids ``save_dataset`` gives the
-    graphs, zero-padded to at least four digits."""
+    """``graph_0000``, ``graph_0001``, ...: the ids of a manifest built without
+    ids, zero-padded to at least four digits."""
     width = max(4, len(str(max(n - 1, 0))))
     return tuple(f"graph_{i:0{width}d}" for i in range(n))
 
@@ -344,37 +327,6 @@ def _rows_to_graph(rng, rows, center, tier, label) -> TransactionGraph:
     return at_tier(base, tier).with_label(label)
 
 
-def generate_dense_star_graphs(
-    n_graphs: int = 3, n_nodes: int = 520, seed: int = 0
-) -> list[TransactionGraph]:
-    """Dense mixed-direction star ego-nets for construction-cost comparisons.
-
-    Half the neighbors send to the center and half receive from it, with
-    timestamps interleaved at random, so each mapping variant prunes a
-    substantial share of the candidate transaction pairs.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    graphs = []
-    for gid in range(n_graphs):
-        center = f"d{gid}c"
-        rows = []
-        for k in range(n_nodes - 1):
-            v = f"d{gid}n{k}"
-            amount = _amt(rng, 0.05, 5.0)
-            if k % 2 == 0:
-                rows.append((v, center, amount))
-            else:
-                rows.append((center, v, amount))
-        order = rng.permutation(len(rows))
-        stamped = _with_timestamps(rng, [rows[i] for i in order])
-        graphs.append(
-            TransactionGraph.build(
-                stamped, center, directed=True, temporal=True, multiedge=False
-            )
-        )
-    return graphs
-
-
 @dataclass(frozen=True)
 class DatasetStats:
     """Table-row statistics for one manifest at one attribute tier.
@@ -424,7 +376,8 @@ def dataset_stats(manifest: DatasetManifest) -> DatasetStats:
 
 
 def stats_table(name: str, form: str, per_tier: dict[str, DatasetStats]) -> str:
-    """Aligned text table, one row per dataset with per-tier edge columns."""
+    """Aligned text table, one row per dataset with per-tier edge columns in
+    ``per_tier`` order."""
     headers = ["Dataset", "Form", "N_G", "#C_max", "N_C", "#N", "max#N"]
     any_stats = next(iter(per_tier.values()))
     base = any_stats.rounded()
@@ -437,10 +390,8 @@ def stats_table(name: str, form: str, per_tier: dict[str, DatasetStats]) -> str:
         str(base["mean_nodes"]),
         str(base["max_nodes"]),
     ]
-    for tier in ("plain", "directed", "multiedge"):
-        if tier not in per_tier:
-            continue
-        r = per_tier[tier].rounded()
+    for tier, stats in per_tier.items():
+        r = stats.rounded()
         headers += [f"#E({tier})", f"max#E({tier})"]
         row += [str(r["mean_edges"]), str(r["max_edges"])]
     widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
@@ -457,29 +408,42 @@ def write_csv(path, header: Sequence, rows) -> None:
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # csv.writer may quote only the line-end characters of its own
+        # lineterminator, so a row holding a "\r" has every field quoted
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(header)
-        writer.writerows(rows)
+        for row in rows:
+            has_cr = any(isinstance(f, str) and "\r" in f for f in row)
+            (quote_all if has_cr else writer).writerow(row)
 
 
 LABELS_HEADER = ("graph_id", "center_address", "label")
 
 
+def _check_graph_ids(graph_ids: Sequence[str], where) -> None:
+    """Raise ValueError naming every id that is repeated or is not a bare file
+    name: ids name the files that save_dataset and transform write, and
+    ``labels`` would name labels.csv."""
+    counts = Counter(graph_ids)
+    bad = [i for i, n in counts.items() if n > 1 or Path(i).name != i or i == "labels"]
+    if bad:
+        raise ValueError(f"{where}: graph ids must be unique file names: {', '.join(bad)}")
+
+
 def save_dataset(manifest: DatasetManifest, out_dir) -> Path:
-    """Write a manifest as a dataset directory (graph CSVs + labels.csv)."""
+    """Write a manifest as a dataset directory (graph CSVs + labels.csv), each
+    graph's file named by its id; bad ids fail before anything is written."""
     out = Path(out_dir)
+    _check_graph_ids(manifest.graph_ids, out)
     out.mkdir(parents=True, exist_ok=True)
-    graph_ids = numbered_graph_ids(manifest.n_graphs)
-    for graph_id, g in zip(graph_ids, manifest.graphs):
+    named = list(zip(manifest.graph_ids, manifest.graphs))
+    for graph_id, g in named:
         write_csv(
             out / f"{graph_id}.csv",
             ("src", "dst", "amount", "timestamp"),
             ((r.src, r.dst, r.amount, r.timestamp) for r in g.edges),
         )
-    write_csv(
-        out / "labels.csv",
-        LABELS_HEADER,
-        ((graph_id, g.center, g.label) for graph_id, g in zip(graph_ids, manifest.graphs)),
-    )
+    write_csv(out / "labels.csv", LABELS_HEADER, ((i, g.center, g.label) for i, g in named))
     return out
 
 
@@ -503,13 +467,7 @@ def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetMan
     if not entries:
         raise ValueError(f"{root}: labels.csv lists no graphs")
     entries.sort(key=lambda e: e[0])
-    # ids name the files transform writes, so each must be one unique file name
-    counts = Counter(graph_id for graph_id, _, _ in entries)
-    bad = [i for i, n in counts.items() if n > 1 or Path(i).name != i]
-    if bad:
-        raise ValueError(
-            f"{root}: labels.csv graph ids must be unique file names: {', '.join(bad)}"
-        )
+    _check_graph_ids([graph_id for graph_id, _, _ in entries], labels_path)
     graphs = []
     failures = []
     for graph_id, center, label in entries:

@@ -13,6 +13,7 @@ from collections import deque
 import numpy as np
 
 from tsgn import RandomForest, TransactionGraph, TsgnGraph
+from tsgn.ingest import _amt, _with_timestamps
 
 
 # ---------------------------------------------------------------- mappings
@@ -92,6 +93,47 @@ def is_dag(node_ids, pairs):
             if indeg[w] == 0:
                 queue.append(w)
     return done == len(node_ids)
+
+
+# ------------------------------------------------------------------ graphs
+
+def validate(g: TransactionGraph) -> list[str]:
+    """Check every structural invariant; returns one message per violation.
+
+    Diagnostic only — an empty list means the graph is well formed.
+    """
+    problems: list[str] = []
+    node_set = set(g.nodes)
+    for node in g.nodes:
+        if not node:
+            problems.append("empty address in node set")
+    if g.center not in node_set:
+        problems.append(f"center {g.center!r} not in node set")
+    seen_ids: set[int] = set()
+    seen_pairs: set[tuple[str, str]] = set()
+    for r in g.edges:
+        tag = f"edge {r.edge_id} ({r.src}->{r.dst})"
+        if r.src not in node_set:
+            problems.append(f"{tag}: src not in node set")
+        if r.dst not in node_set:
+            problems.append(f"{tag}: dst not in node set")
+        if r.amount < 0:
+            problems.append(f"{tag}: negative amount {r.amount}")
+        if r.src == r.dst:
+            problems.append(f"{tag}: self-loop")
+        if r.edge_id in seen_ids:
+            problems.append(f"{tag}: duplicate edge_id")
+        seen_ids.add(r.edge_id)
+        if g.temporal and r.timestamp is None:
+            problems.append(f"{tag}: temporal graph but timestamp missing")
+        if not g.multiedge:
+            key = (r.src, r.dst)
+            if not g.directed and r.dst < r.src:
+                key = (r.dst, r.src)
+            if key in seen_pairs:
+                problems.append(f"{tag}: parallel edge in a simple graph")
+            seen_pairs.add(key)
+    return problems
 
 
 # ---------------------------------------------------------------- features
@@ -391,6 +433,38 @@ def random_multigraph(rnd: random.Random, max_nodes: int = 8) -> TransactionGrap
     return TransactionGraph.build(
         edges, base.center, directed=True, temporal=True, multiedge=True
     )
+
+
+def generate_dense_star_graphs(
+    n_graphs: int = 3, n_nodes: int = 520, seed: int = 0
+) -> list[TransactionGraph]:
+    """Dense mixed-direction star ego-nets for construction-cost comparisons.
+
+    Half the neighbors send to the center and half receive from it, with
+    timestamps interleaved at random, so each mapping variant prunes a
+    substantial share of the candidate transaction pairs.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    graphs = []
+    for gid in range(n_graphs):
+        center = f"d{gid}c"
+        rows = []
+        for k in range(n_nodes - 1):
+            v = f"d{gid}n{k}"
+            amount = _amt(rng, 0.05, 5.0)
+            if k % 2 == 0:
+                rows.append((v, center, amount))
+            else:
+                rows.append((center, v, amount))
+        order = rng.permutation(len(rows))
+        stamped = _with_timestamps(rng, [rows[i] for i in order])
+        graphs.append(
+            TransactionGraph.build(
+                stamped, center, directed=True, temporal=True, multiedge=False
+            )
+        )
+    return graphs
+
 
 
 # ------------------------------------------------------------ fixed examples

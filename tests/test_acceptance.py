@@ -20,7 +20,6 @@ from tsgn import (
     evaluate,
     f1_score,
     feature_matrix,
-    generate_dense_star_graphs,
     generate_synthetic_dataset,
     handcrafted_features,
     map_weight,
@@ -31,6 +30,7 @@ from tsgn.cli import main
 import numpy as np
 
 from oracles import (
+    generate_dense_star_graphs,
     TIME_VIOLATING_PAIRS,
     feature_oracle,
     star_with_neighbor_trades_pairs,

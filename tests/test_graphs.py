@@ -3,9 +3,9 @@ from decimal import Decimal
 
 import pytest
 
-from tsgn import EdgeRecord, TransactionGraph, at_tier, undirected_projection, validate
+from tsgn import EdgeRecord, TransactionGraph, at_tier, undirected_projection
 
-from oracles import random_digraph, random_multigraph, star_with_neighbor_trades
+from oracles import random_digraph, random_multigraph, star_with_neighbor_trades, validate
 
 
 def test_projection_collapses_antiparallel_to_max_amount():

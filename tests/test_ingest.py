@@ -1,4 +1,3 @@
-import json
 import logging
 import random
 import tempfile
@@ -14,16 +13,15 @@ from tsgn import (
     EdgeRecord,
     dataset_stats,
     extract_ego_network,
-    generate_dense_star_graphs,
     generate_synthetic_dataset,
     load_dataset,
     load_edge_list,
-    load_edge_list_jsonl,
     save_dataset,
     TransactionGraph,
-    validate,
 )
 from tsgn.ingest import stats_table
+
+from oracles import generate_dense_star_graphs, validate
 
 
 def _write(tmp_path, text, name="records.csv"):
@@ -130,23 +128,29 @@ def test_load_keeps_amounts_bit_exact(tmp_path):
     assert records[0].timestamp is None
 
 
-def test_jsonl_loader_matches_csv_semantics(tmp_path):
-    path = tmp_path / "records.jsonl"
-    rows = [
-        {"src": "0xA", "dst": "0xB", "amount": "1.5", "timestamp": 10},
-        {"src": "b", "dst": "b", "amount": "1", "timestamp": 11},
-        {"src": "B", "dst": "C", "amount": 0, "timestamp": None},
-    ]
-    path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
-    records = load_edge_list_jsonl(path)
-    assert len(records) == 2  # self-loop dropped
-    assert records[0].src == "0xa"
-    assert records[1].timestamp is None
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # blank lines 2, 4 and 5 are skipped but still counted
+        ("src,dst,amount,timestamp\n\na,b,1,1\n\n\nb,c,-1,2\n", 6),
+        # the quoted address spans lines 2 and 3
+        ('src,dst,amount,timestamp\n"a\nb",c,1,1\nb,c,-1,2\n', 4),
+    ],
+    ids=["blank-lines", "multiline-field"],
+)
+def test_load_numbers_rows_by_file_line(tmp_path, text, line):
+    with pytest.raises(ValueError, match=f"line {line}: negative amount -1$"):
+        load_edge_list(_write(tmp_path, text))
 
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"src": "a", "dst": "b", "amount": "-3"}', encoding="utf-8")
-    with pytest.raises(ValueError, match="line 1: negative amount"):
-        load_edge_list_jsonl(bad)
+
+def test_load_reports_rows_shorter_than_the_header(tmp_path):
+    path = _write(tmp_path, "src,dst,amount,timestamp\na,b\nb,c,1,1\nc,d,2\n")
+    with pytest.raises(ValueError) as err:
+        load_edge_list(path)
+    message = str(err.value)
+    assert "line 2: 2 field(s) for 4 columns" in message
+    assert "line 4: 3 field(s) for 4 columns" in message
+    assert "line 3" not in message
 
 
 # ------------------------------------------------------------- ego extraction
@@ -308,12 +312,8 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_saved_address_with_comma_is_quoted_and_loads_back(tmp_path):
-    path = _write(
-        tmp_path,
-        json.dumps({"src": "a,b", "dst": "c", "amount": "1.5", "timestamp": 1}) + "\n",
-        name="records.jsonl",
-    )
-    g = extract_ego_network(load_edge_list_jsonl(path), "c", tier="multiedge")
+    path = _write(tmp_path, 'src,dst,amount,timestamp\n"a,b",c,1.5,1\n')
+    g = extract_ego_network(load_edge_list(path), "c", tier="multiedge")
     manifest = DatasetManifest((g.with_label("phishing"),), "net", "multiedge")
     out = save_dataset(manifest, tmp_path / "ds")
     assert (out / "graph_0000.csv").read_text().splitlines()[1] == '"a,b",c,1.5,1'
@@ -321,7 +321,7 @@ def test_saved_address_with_comma_is_quoted_and_loads_back(tmp_path):
 
 
 # lowercase, no outer whitespace: the loaders lowercase and strip addresses
-_ADDRESSES = st.text(alphabet='ab0x ,"', min_size=1, max_size=6).filter(
+_ADDRESSES = st.text(alphabet='ab0x ,"\r\n', min_size=1, max_size=6).filter(
     lambda s: s == s.strip()
 )
 _AMOUNTS = st.decimals(min_value=0, max_value=10**9, allow_nan=False, allow_infinity=False)
@@ -356,6 +356,36 @@ def test_load_of_save_gives_back_the_records(graphs):
     # Decimal equality ignores trailing zeros; the text must survive too
     amounts = lambda m: [str(r.amount) for g in m.graphs for r in g.edges]
     assert amounts(loaded) == amounts(manifest)
+
+
+# bare file names: no path separator, not "." or "..", no NUL, and not the
+# "labels" of labels.csv
+_GRAPH_IDS = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="/\x00"),
+    min_size=1,
+    max_size=8,
+).filter(lambda s: s not in (".", "..", "labels"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_star_egonets(), min_size=1, max_size=4), st.data())
+def test_load_of_save_keeps_the_graph_ids(graphs, data):
+    ids = data.draw(st.lists(_GRAPH_IDS, min_size=len(graphs), max_size=len(graphs), unique=True))
+    manifest = DatasetManifest(tuple(graphs), "net", "multiedge", tuple(ids))
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = load_dataset(save_dataset(manifest, tmp), tier="multiedge", form="net")
+    # load_dataset sorts by id, so compare id -> graph
+    assert dict(zip(loaded.graph_ids, loaded.graphs)) == dict(zip(ids, graphs))
+
+
+def test_save_refuses_ids_that_are_not_file_names_before_writing(tmp_path):
+    g = generate_synthetic_dataset("etherg1", n_per_class=1, seed=9).graphs
+    for ids in (("../x", "y"), ("x", "x"), ("labels", "y")):
+        manifest = DatasetManifest(g, "net", "multiedge", ids)
+        with pytest.raises(ValueError, match="unique file names"):
+            save_dataset(manifest, tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_save_is_byte_identical_on_rerun(tmp_path):
