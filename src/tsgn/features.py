@@ -212,10 +212,6 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_columns(self) -> int:
-        return self.values.shape[1]
-
     def to_csv(self, path) -> None:
         """Write header = column names, one row per graph, label last."""
         rows = (

@@ -450,7 +450,9 @@ def save_dataset(manifest: DatasetManifest, out_dir) -> Path:
 def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetManifest:
     """Load a dataset directory at the requested attribute tier and form.
 
-    A graph whose record file is missing or malformed, or whose center is in
+    A labels.csv row shorter than its header fails before any record file
+    is read, with one ValueError naming every such row by its file line. A
+    graph whose record file is missing or malformed, or whose center is in
     none of its records, does not stop the load: one ValueError then names
     every such graph with its reason.
     """
@@ -458,12 +460,25 @@ def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetMan
     labels_path = root / "labels.csv"
     if not labels_path.is_file():
         raise ValueError(f"{root}: not a dataset directory (labels.csv missing)")
+    entries = []
+    short = []
     with open(labels_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in LABELS_HEADER if c not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in LABELS_HEADER if c not in header]
         if missing:
             raise ValueError(f"{labels_path}: missing column(s) {', '.join(missing)}")
-        entries = [tuple(row[c] for c in LABELS_HEADER) for row in reader]
+        column = {name: i for i, name in enumerate(header)}
+        pick = itemgetter(*(column[c] for c in LABELS_HEADER))
+        for row in reader:
+            if len(row) >= len(header):
+                entries.append(pick(row))
+            elif row:  # blank lines are skipped
+                short.append(
+                    f"line {reader.line_num}: {len(row)} field(s) for {len(header)} columns"
+                )
+    if short:
+        raise ValueError(f"{labels_path}: malformed rows: " + "; ".join(short))
     if not entries:
         raise ValueError(f"{root}: labels.csv lists no graphs")
     entries.sort(key=lambda e: e[0])

@@ -4,11 +4,12 @@ stratified-split evaluation harness.
 The forest is a standard bagging ensemble of CART trees: every tree trains on
 a bootstrap sample and grows until its leaves are pure or cannot be split,
 splits minimize Gini impurity, and each node considers a random subset of
-about sqrt(p) of the p features. All trees of a fit grow in one lockstep
-pass over arrays that hold every tree's state, with the nodes of each step
-scored together in split searches of at most KEY_CAP keys. Everything is
-seeded through numpy SeedSequence streams, one per tree, so a fixed master
-seed reproduces identical reports regardless of how the work is scheduled.
+about sqrt(p) of the p features. Every random number of a fit is a keyed
+draw, a hash of the fit seed and a counter (bootstrap rows) or of a node's
+key (its features and its children's keys), so no tree depends on the order
+in which nodes grow. The whole forest therefore grows one depth level per
+step, with the nodes of a level scored together in split searches of at most
+KEY_CAP keys, and a fixed master seed reproduces identical reports.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .ingest import PHISHING_LABEL
 # share of every class that stratified_split puts in the training rows (9:1)
 TRAIN_FRACTION = 0.9
 
-# Most keys one split search sorts and scores. A lockstep step sorts one key
-# per (node, drawn feature, distinct bootstrap row); a step with more is
+# Most keys one split search sorts and scores. A level sorts one key per
+# (node, drawn feature, distinct bootstrap row); a level with more is
 # scored in runs of whole nodes, so the cap, not the number of trees, bounds
-# the working memory of a fit. predict routes as many (tree, row) cells at
+# the working memory of a search. predict routes as many (tree, row) cells at
 # once.
 KEY_CAP = 1 << 14
 
@@ -88,7 +89,7 @@ class ForestConfig:
 
 
 class _Tree(NamedTuple):
-    """One fitted tree as flat node arrays; ``feature == -1`` marks a leaf.
+    """The nodes of fitted trees as flat arrays; ``feature == -1`` marks a leaf.
 
     Internal node ``i`` sends a row to ``left[i]`` when
     ``row[feature[i]] <= threshold[i]`` and to ``right[i]`` otherwise; a leaf
@@ -108,7 +109,9 @@ class RandomForest:
     def __init__(self, config: ForestConfig):
         self.config = config
         self.classes_: tuple | None = None
-        self._trees: list[_Tree] = []
+        # every tree's nodes in one table; tree t starts at node _roots[t]
+        self._forest: _Tree | None = None
+        self._roots = np.zeros(0, dtype=np.intp)
 
     def fit(self, x: np.ndarray, labels: Sequence) -> "RandomForest":
         x = np.asarray(x, dtype=float)
@@ -123,7 +126,7 @@ class RandomForest:
         code = {c: i for i, c in enumerate(classes)}
         y = np.fromiter((code[v] for v in labels), dtype=np.int64, count=len(labels))
         data = _RankedRows(x, y, len(classes))
-        self._trees = _grow_forest(self.config.n_trees, self.config.seed, data)
+        self._forest, self._roots = _grow_forest(self.config.n_trees, self.config.seed, data)
         return self
 
     def predict(self, x: np.ndarray) -> list:
@@ -131,21 +134,15 @@ class RandomForest:
         if self.classes_ is None:
             raise ValueError("predict called before fit")
         x = np.asarray(x, dtype=float)
-        # every tree's tables stacked into one, with the children of tree t
-        # moved by its offset; a leaf's children are never followed
-        sizes = [len(tree.feature) for tree in self._trees]
-        offset = np.cumsum([0] + sizes[:-1])
-        forest = _Tree(*(np.concatenate(column) for column in zip(*self._trees)))
-        moved = np.repeat(offset, sizes)
-        forest = forest._replace(left=forest.left + moved, right=forest.right + moved)
+        forest = self._forest
         votes = np.zeros((x.shape[0], len(self.classes_)))
         # at most KEY_CAP (tree, row) cells are routed at once; trees vote one
         # after another, in fit order, so the float sums (and hence argmax
         # ties) do not depend on how the rows are routed
-        block = max(1, KEY_CAP // len(self._trees))
+        block = max(1, KEY_CAP // len(self._roots))
         for start in range(0, x.shape[0], block):
             rows = slice(start, start + block)
-            for leaf in self._route(forest, offset, x[rows]):
+            for leaf in self._route(forest, self._roots, x[rows]):
                 votes[rows] += forest.probs[leaf]
         return [self.classes_[i] for i in votes.argmax(axis=1)]
 
@@ -172,7 +169,7 @@ class _RankedRows:
 
     Every feature's distinct values are ranked once. Ranks order like the
     values, so nodes are searched and split on ranks. ``best_splits`` scores
-    the impure nodes of a lockstep step together: one int64 key per (node,
+    the impure nodes of a level together: one int64 key per (node,
     drawn feature, distinct bootstrap row) packs, from the high bits down, the
     segment ``node * k + draw``, the row's value rank, its class and its
     bootstrap count, and one sort orders every segment by value.
@@ -329,96 +326,92 @@ def _sum_classes(terms: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(terms.T).sum(axis=1)
 
 
-def _grow_forest(n_trees: int, seed: int, data: _RankedRows) -> list[_Tree]:
-    """Grow the ``n_trees`` trees of a fit in lockstep.
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function (Steele, Lea & Flood, OOPSLA 2014),
+    applied in place to a uint64 array, whose products wrap silently."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
-    Each tree keeps its own generator, bootstrap draw and depth-first stack,
-    so its draws come in the same order as when it grows alone: at every step
-    each unfinished tree pops its next node, and the impure nodes among them
-    draw their features and are scored together. The trees' state is held in
-    arrays: ``member[t, r]`` is the node of tree ``t`` that row ``r`` is in
-    (-1 when the bootstrap did not draw it), ``drawn[t, r]`` how often it was
-    drawn, and ``stack[t, :top[t]]`` the nodes tree ``t`` has yet to grow. A
-    step's per-node arrays are indexed by tree.
+
+def _draws(keys: np.ndarray, count: int, first: int = 1) -> np.ndarray:
+    """Draws ``first`` to ``first + count - 1`` of the SplitMix64 stream of
+    every key: a (len(keys), count) uint64 array."""
+    step = np.arange(first, first + count, dtype=np.uint64)
+    step *= np.uint64(0x9E3779B97F4A7C15)
+    return _mix(keys[:, None] + step)
+
+
+def _grow_forest(n_trees: int, seed: int, data: _RankedRows) -> tuple[_Tree, np.ndarray]:
+    """Grow the ``n_trees`` trees of a fit one depth level at a time.
+
+    Every random number is a keyed draw, so no tree depends on the order in
+    which nodes grow. Tree ``t`` bootstraps rows from draws ``t * n + 1`` to
+    ``t * n + n`` of the fit's bootstrap stream, and its root's key is draw
+    ``t + 1`` of the fit's root stream. A node with ``p`` features draws the
+    ``k`` smallest of draws 1 to ``p`` of its key's stream, in ascending
+    order, and its children's keys are draws ``p + 1`` and ``p + 2``.
+
+    Nodes are numbered across the forest in the order they are made, so node
+    ``t`` is the root of tree ``t`` and each level is one range of numbers.
+    The rows of a level's nodes are held as int32 cells sorted by node:
+    ``node``, the distinct bootstrap ``rows`` and their ``weight``, the times
+    drawn.
+    Returns the forest's node table and its roots.
     """
-    n_classes = data.n_classes
-    n = data.ranks.shape[1]
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
-        for t in range(n_trees)
-    ]
-    drawn = np.array(
-        [np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs], dtype=np.int32
-    )
-    member = np.where(drawn > 0, 0, -1).astype(np.int32)
-    # the pop order fixes the order of each tree's feature draws, so it must
-    # not change: depth first, right child first
-    stack = np.zeros((n_trees, 16), dtype=np.int32)
-    top = np.ones(n_trees, dtype=np.intp)
-    size = np.ones(n_trees, dtype=np.int32)  # nodes numbered so far, per tree
-    steps = []  # per step: tree, node, feature, threshold, left child, class shares
-    growing = np.arange(n_trees)
-    while growing.size:
-        top[growing] -= 1
-        node = np.full(n_trees, -2, dtype=np.int32)  # -2: no node, matches no row
-        node[growing] = stack[growing, top[growing]]
-        # the step's (tree, row) cells: trees in growing order, then rows
-        # ascending
-        cell = np.flatnonzero(member == node[:, None])
-        owner = cell // n
-        rows = cell - owner * n
-        weight = drawn.take(cell)
-        del cell
+    n_classes, n, p = data.n_classes, data.ranks.shape[1], data.n_features
+    boot_key, root_key = np.random.SeedSequence(seed).generate_state(2, np.uint64)[:, None]
+    boot = (_draws(boot_key, n_trees * n)[0] % np.uint64(n)).astype(np.intp)
+    boot += np.arange(n_trees * n) // n * n  # the (tree, row) cell of each draw
+    drawn = np.bincount(boot, minlength=n_trees * n)
+    del boot
+    cell = np.flatnonzero(drawn)
+    weight = drawn[cell].astype(np.int32)
+    del drawn
+    node, rows = (a.astype(np.int32) for a in np.divmod(cell, n))
+    del cell
+    keys = _draws(root_key, n_trees)[0]
+    first = 0  # number of the level's first node
+    levels = []  # per level: feature, threshold, left child, class shares
+    while len(keys):
+        width = len(keys)
+        owner = node - first
         counts = np.bincount(
-            owner * n_classes + data.y[rows], weights=weight, minlength=n_trees * n_classes
-        ).astype(np.int64).reshape(n_trees, n_classes)
+            owner * n_classes + data.y[rows], weights=weight, minlength=width * n_classes
+        ).astype(np.int64).reshape(width, n_classes)
         m = counts.sum(axis=1)
         impure = np.flatnonzero(counts.max(axis=1) < m)
-        features = np.array(
-            [rngs[t].choice(data.n_features, size=data.k, replace=False) for t in impure],
-            dtype=np.int64,
-        ).reshape(len(impure), data.k)
+        features = np.argsort(_draws(keys[impure], p), axis=1, kind="stable")[:, : data.k]
         at, split_feature, split_rank, split_threshold = _search_in_chunks(
             data, impure, features, owner, rows, weight, counts
         )
-        feature = np.full(n_trees, -1, dtype=np.intp)
+        feature = np.full(width, -1, dtype=np.intp)
         feature[at] = split_feature
-        threshold = np.zeros(n_trees)
+        threshold = np.zeros(width)
         threshold[at] = split_threshold
-        left = np.full(n_trees, -1, dtype=np.intp)
-        left[at] = size[at]
-        shares = counts[growing] / m[growing, None]
-        shares[feature[growing] >= 0] = 0.0
-        steps.append(
-            (growing, node[growing], feature[growing], threshold[growing], left[growing], shares)
-        )
-        # send every row of a split node to its left or right child; rows of
-        # other nodes have cut -1 and stay where they are
-        cut = np.full(n_trees, -1)
+        left = np.full(width, -1, dtype=np.int32)
+        left[at] = first + width + 2 * np.arange(len(at))
+        shares = counts / m[:, None]
+        shares[at] = 0.0
+        levels.append((feature, threshold, left, shares))
+        # the rows of a split node move to its left or right child, kept
+        # sorted by node; the rows of a leaf are done
+        cut = np.full(width, -1)
         cut[at] = split_rank
         moving = cut[owner] >= 0
-        owner, rows = owner[moving], rows[moving]
-        goes_right = data.ranks.take(feature[owner] * n + rows) > cut[owner]
-        member.put(owner * n + rows, left[owner] + goes_right)
-        del owner, rows, goes_right
-        size[at] += 2
-        if top.max() + 2 > stack.shape[1]:
-            stack = np.hstack([stack, np.zeros_like(stack)])
-        stack[at, top[at]] = left[at]
-        stack[at, top[at] + 1] = left[at] + 1
-        top[at] += 2
-        growing = np.flatnonzero(top)
-    del drawn, member
-    tree, node, *tables = map(np.concatenate, zip(*steps))
-    del steps
-    # each node was popped once; order them by tree, then by number
-    order = np.lexsort((node, tree))
-    feature, threshold, left, probs = (a[order] for a in tables)
-    del tables
+        owner, rows, weight = owner[moving], rows[moving], weight[moving]
+        node = left[owner] + (data.ranks.take(feature[owner] * n + rows) > cut[owner])
+        order = np.argsort(node, kind="stable")
+        node, rows, weight = node[order], rows[order], weight[order]
+        del owner, order
+        keys = _draws(keys[at], 2, first=p + 1).ravel()
+        first += width
+    feature, threshold, left, probs = map(np.concatenate, zip(*levels))
     right = np.where(left >= 0, left + 1, -1)
-    ends = np.cumsum(size)[:-1]
-    columns = (np.split(a, ends) for a in (feature, threshold, left, right, probs))
-    return [_Tree(*t) for t in zip(*columns)]
+    return _Tree(feature, threshold, left, right, probs), np.arange(n_trees)
 
 
 def _search_in_chunks(
@@ -430,7 +423,7 @@ def _search_in_chunks(
     weight: np.ndarray,
     counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``data.best_splits`` of the impure nodes of a step, called on runs of
+    """``data.best_splits`` of the impure nodes of a level, called on runs of
     whole nodes of at most KEY_CAP keys each; a node with more goes alone.
 
     ``owner`` is the node of every row, ascending, and ``impure`` the nodes

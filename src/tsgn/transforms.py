@@ -77,12 +77,6 @@ class TsgnGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def edge_pairs(self) -> frozenset[tuple[int, int]]:
-        """(from_edge_id, to_edge_id) set with weights projected away, for
-        set-level comparisons."""
-        ids = [r.edge_id for r in self.nodes]
-        return frozenset((ids[a], ids[b]) for a, b in self.edges.tolist())
-
 
 def map_weight(w_a: float, w_b: float) -> float:
     """Combine two transaction amounts into one mapped edge weight.

@@ -54,6 +54,12 @@ def time_ordered_pairs(records):
     return pairs
 
 
+def edge_pairs(t: TsgnGraph) -> frozenset[tuple[int, int]]:
+    """A mapped graph's (from_edge_id, to_edge_id) set, weights projected away."""
+    ids = [r.edge_id for r in t.nodes]
+    return frozenset((ids[a], ids[b]) for a, b in t.edges.tolist())
+
+
 def edge_tuples(t: TsgnGraph) -> tuple[tuple[int, int, float], ...]:
     """A mapped graph's edges as (from_edge_id, to_edge_id, weight), in stored order."""
     ids = [r.edge_id for r in t.nodes]
@@ -303,11 +309,27 @@ class _Node:
         self.probs = None
 
 
+_MASK = (1 << 64) - 1
+
+
+def splitmix64(key: int, i: int) -> int:
+    """Draw ``i`` of the SplitMix64 stream of ``key``, in Python integers."""
+    z = (key + i * 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
 class ReferenceForest(RandomForest):
     """The per-feature CART search: every drawn feature is stable-sorted and
-    scored at every position, and trees are linked ``_Node`` objects walked
-    one row at a time. Same bootstrap draws and RNG order as RandomForest,
-    with one tree grown after another."""
+    scored at every position, and trees are linked ``_Node`` objects grown
+    recursively, one tree after another, and walked one row at a time. The
+    same keyed draws as RandomForest, computed one at a time: tree ``t``
+    bootstraps row ``draw % n`` for draws ``t * n + 1`` to ``t * n + n`` of
+    the fit's bootstrap stream, its root's key is draw ``t + 1`` of the root
+    stream, and a node draws the ``k`` features of least draw among draws 1
+    to ``p`` of its key's stream, its children's keys being draws ``p + 1``
+    and ``p + 2``."""
 
     def fit(self, x: np.ndarray, labels) -> "ReferenceForest":
         x = np.asarray(x, dtype=float)
@@ -315,13 +337,15 @@ class ReferenceForest(RandomForest):
         code = {c: i for i, c in enumerate(self.classes_)}
         y = np.array([code[v] for v in labels], dtype=np.int64)
         n = len(y)
+        boot_key, root_key = (
+            int(v) for v in np.random.SeedSequence(self.config.seed).generate_state(2, np.uint64)
+        )
         self._trees = []
         for t in range(self.config.n_trees):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.config.seed, spawn_key=(t,))
+            boot = [splitmix64(boot_key, t * n + i + 1) % n for i in range(n)]
+            self._trees.append(
+                self._grow(x[boot], y[boot], np.arange(n), splitmix64(root_key, t + 1))
             )
-            boot = rng.integers(0, n, size=n)
-            self._trees.append(self._grow(x[boot], y[boot], rng))
         return self
 
     def predict(self, x: np.ndarray) -> list:
@@ -338,36 +362,29 @@ class ReferenceForest(RandomForest):
                 votes[i] += node.probs
         return [self.classes_[int(np.argmax(v))] for v in votes]
 
-    def _grow(self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> _Node:
+    def _grow(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray, key: int) -> _Node:
+        node = _Node()
+        counts = np.bincount(y[idx], minlength=len(self.classes_))
+        m = len(idx)
+        node.probs = counts / m  # read only at a leaf
+        if counts.max() == m:
+            return node
+        p = x.shape[1]
+        k = max(1, int(math.sqrt(p)))
+        draws = [splitmix64(key, j + 1) for j in range(p)]
+        features = sorted(range(p), key=lambda f: (draws[f], f))[:k]
+        parent_gini = 1.0 - float(((counts / m) ** 2).sum())
+        best = self._best_split(x, y, idx, features)
+        if best is None or parent_gini - best[0] <= 1e-12:
+            return node
+        _, node.feature, node.threshold = best
+        mask = x[idx, node.feature] <= node.threshold
+        node.left = self._grow(x, y, idx[mask], splitmix64(key, p + 1))
+        node.right = self._grow(x, y, idx[~mask], splitmix64(key, p + 2))
+        return node
+
+    def _best_split(self, x, y, idx, features):
         n_classes = len(self.classes_)
-        k = max(1, int(math.sqrt(x.shape[1])))
-
-        root = _Node()
-        work = [(np.arange(len(y)), root)]
-        while work:
-            idx, node = work.pop()
-            counts = np.bincount(y[idx], minlength=n_classes)
-            m = len(idx)
-            if counts.max() == m:
-                node.probs = counts / m
-                continue
-            parent_gini = 1.0 - float(((counts / m) ** 2).sum())
-            best = self._best_split(x, y, idx, k, n_classes, rng)
-            if best is None or parent_gini - best[0] <= 1e-12:
-                node.probs = counts / m
-                continue
-            _, feature, threshold = best
-            mask = x[idx, feature] <= threshold
-            node.feature = feature
-            node.threshold = threshold
-            node.left = _Node()
-            node.right = _Node()
-            work.append((idx[mask], node.left))
-            work.append((idx[~mask], node.right))
-        return root
-
-    def _best_split(self, x, y, idx, k, n_classes, rng):
-        features = rng.choice(x.shape[1], size=k, replace=False)
         m = len(idx)
         onehot = np.zeros((m, n_classes))
         onehot[np.arange(m), y[idx]] = 1.0

@@ -30,6 +30,7 @@ from tsgn.cli import main
 import numpy as np
 
 from oracles import (
+    edge_pairs,
     generate_dense_star_graphs,
     TIME_VIOLATING_PAIRS,
     feature_oracle,
@@ -61,19 +62,19 @@ def test_mapping_oracle_suite():
     mismatches = 0
     for _ in range(1000):
         g = random_undirected_graph(rnd)
-        if build_tsgn(g).edge_pairs() != frozenset(shared_endpoint_pairs(g.edges)):
+        if edge_pairs(build_tsgn(g)) != frozenset(shared_endpoint_pairs(g.edges)):
             mismatches += 1
     for _ in range(1000):
         g = random_digraph(rnd)
-        if build_directed_tsgn(g).edge_pairs() != frozenset(head_to_tail_pairs(g.edges)):
+        if edge_pairs(build_directed_tsgn(g)) != frozenset(head_to_tail_pairs(g.edges)):
             mismatches += 1
     for _ in range(1000):
         g = random_digraph(rnd, temporal=True)
-        if build_temporal_tsgn(g).edge_pairs() != frozenset(time_ordered_pairs(g.edges)):
+        if edge_pairs(build_temporal_tsgn(g)) != frozenset(time_ordered_pairs(g.edges)):
             mismatches += 1
     for _ in range(1000):
         g = random_multigraph(rnd)
-        if build_multiple_tsgn(g).edge_pairs() != frozenset(time_ordered_pairs(g.edges)):
+        if edge_pairs(build_multiple_tsgn(g)) != frozenset(time_ordered_pairs(g.edges)):
             mismatches += 1
     elapsed = time.perf_counter() - started
     _criterion(
@@ -84,11 +85,11 @@ def test_mapping_oracle_suite():
 
 
 def test_worked_examples():
-    tsgn_ok = build_tsgn(star_with_neighbor_trades()).edge_pairs() == frozenset(star_with_neighbor_trades_pairs())
+    tsgn_ok = edge_pairs(build_tsgn(star_with_neighbor_trades())) == frozenset(star_with_neighbor_trades_pairs())
 
     flows = time_filtered_flow_graph()
-    directed = build_directed_tsgn(flows).edge_pairs()
-    temporal = build_temporal_tsgn(flows).edge_pairs()
+    directed = edge_pairs(build_directed_tsgn(flows))
+    temporal = edge_pairs(build_temporal_tsgn(flows))
     filter_ok = TIME_VIOLATING_PAIRS <= directed and directed - temporal == TIME_VIOLATING_PAIRS
 
     chains = two_transaction_chains()
@@ -109,17 +110,17 @@ def test_structural_invariants():
         g = random_digraph(rnd, max_nodes=7, temporal=True)
         directed = build_directed_tsgn(g)
         temporal = build_temporal_tsgn(g)
-        if not temporal.edge_pairs() <= directed.edge_pairs():
+        if not edge_pairs(temporal) <= edge_pairs(directed):
             violations += 1
-        if not is_dag([r.edge_id for r in temporal.nodes], temporal.edge_pairs()):
+        if not is_dag([r.edge_id for r in temporal.nodes], edge_pairs(temporal)):
             violations += 1
         multi = build_multiple_tsgn(g)  # simple input is the degenerate multi case
-        if not is_dag([r.edge_id for r in multi.nodes], multi.edge_pairs()):
+        if not is_dag([r.edge_id for r in multi.nodes], edge_pairs(multi)):
             violations += 1
     for _ in range(2_000):
         g = random_multigraph(rnd, max_nodes=7)
         multi = build_multiple_tsgn(g)
-        if not is_dag([r.edge_id for r in multi.nodes], multi.edge_pairs()):
+        if not is_dag([r.edge_id for r in multi.nodes], edge_pairs(multi)):
             violations += 1
     _criterion(
         "structural invariants (DAG + containment on 10,000 temporal graphs)",
@@ -193,7 +194,7 @@ def test_end_to_end_classification():
         concat_features(tn, ttsgn),
         config,
         n_repeats=100,
-        pca_dim=tn.n_columns,
+        pca_dim=len(tn.columns),
         dataset_name="etherg1",
         variant="tn+ttsgn",
     ).with_baseline(tn_report)

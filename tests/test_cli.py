@@ -364,6 +364,23 @@ def test_labels_without_required_columns_fail_with_their_names(tmp_path, capsys)
     assert err.startswith("error:") and "missing column(s) graph_id, label" in err
 
 
+def test_short_labels_rows_are_all_named_before_any_record_file_is_read(
+    tmp_path, capsys, monkeypatch
+):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "g.csv").write_text("src,dst,amount,timestamp\na,b,1,1\n")
+    (ds / "labels.csv").write_text(
+        "graph_id,center_address,label\ng\n\nh,a\ng,a,phishing\n"
+    )
+    monkeypatch.setattr(ingest, "load_edge_list", lambda path: pytest.fail(f"read {path}"))
+    assert main(["stats", "--dataset", str(ds)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "line 2: 1 field(s) for 3 columns" in err
+    assert "line 4: 2 field(s) for 3 columns" in err
+
+
 def test_transform_names_outputs_by_dataset_id(tmp_path):
     ds = tmp_path / "ds"
     ds.mkdir()

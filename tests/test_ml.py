@@ -89,6 +89,16 @@ def test_forest_is_deterministic_for_fixed_seed():
     assert p1 == p2
 
 
+def test_forest_accepts_seeds_beyond_64_bits():
+    x, y = _separable(20, seed=3)
+    config = ForestConfig(n_trees=5, seed=2**70 + 9)
+    first = RandomForest(config).fit(x, y)
+    second = RandomForest(config).fit(x, y)
+    assert _tree_shapes(first) == _tree_shapes(second)
+    other = RandomForest(ForestConfig(n_trees=5, seed=9)).fit(x, y)
+    assert _tree_shapes(first) != _tree_shapes(other)
+
+
 def test_forest_rejects_degenerate_input():
     x = np.zeros((4, 2))
     with pytest.raises(ValueError, match="single class"):
@@ -119,7 +129,11 @@ def test_forest_invariant_under_monotone_feature_transform():
     assert base == transformed
 
 
-def _tree_shape(tree, node=0):
+def _tree_shapes(forest):
+    return [_tree_shape(forest._forest, root) for root in forest._roots]
+
+
+def _tree_shape(tree, node):
     if tree.feature[node] < 0:
         return tuple(tree.probs[node])
     return (
@@ -166,9 +180,7 @@ def test_forest_matches_reference_forest(seed, n_rows, kinds, n_classes):
     config = ForestConfig(n_trees=4, seed=seed % 1000)
     forest = RandomForest(config).fit(x, y)
     reference = ReferenceForest(config).fit(x, y)
-    assert [_tree_shape(t) for t in forest._trees] == [
-        _reference_shape(root) for root in reference._trees
-    ]
+    assert _tree_shapes(forest) == [_reference_shape(root) for root in reference._trees]
     probe = np.vstack([x, np.round(rng.normal(scale=2.0, size=(20, x.shape[1])))])
     assert forest.predict(probe) == reference.predict(probe)
 
@@ -185,7 +197,7 @@ def test_forest_matches_reference_forest(seed, n_rows, kinds, n_classes):
 def test_forest_grown_in_blocks_matches_reference_forest(
     seed, n_rows, n_features, n_classes, decimals, n_trees
 ):
-    # a key cap of 1 scores every node of every step in a search of its own.
+    # a key cap of 1 scores every node of every level in a search of its own.
     # From 8 classes numpy sums the Gini terms pairwise instead of in order.
     rng = np.random.default_rng(seed)
     x = np.round(rng.normal(scale=2.0, size=(n_rows, n_features)), decimals)
@@ -197,17 +209,15 @@ def test_forest_grown_in_blocks_matches_reference_forest(
         forest = RandomForest(config).fit(x, y)
         predicted = forest.predict(x)  # one row at a time through all trees
     reference = ReferenceForest(config).fit(x, y)
-    assert [_tree_shape(t) for t in forest._trees] == [
-        _reference_shape(root) for root in reference._trees
-    ]
+    assert _tree_shapes(forest) == [_reference_shape(root) for root in reference._trees]
     assert predicted == reference.predict(x)
 
 
 @pytest.mark.parametrize("n_classes", [2, 12])
 def test_thirty_trees_grown_in_one_pass_match_reference_forest(n_classes):
-    # more trees than the 25 a lockstep pass once held, on a few hundred rows
-    # with the default key cap, so the first steps are searched in chunks;
-    # 12 classes of 300 rows take two int64 words of class-count fields
+    # 30 trees on a few hundred rows with the default key cap, so the first
+    # levels are searched in chunks; 12 classes of 300 rows take two int64
+    # words of class-count fields
     rng = np.random.default_rng(23)
     x = np.round(rng.normal(scale=2.0, size=(300, 6)), 2)
     noisy = x[:, 0] + x[:, 1] + rng.normal(size=300)
@@ -216,9 +226,7 @@ def test_thirty_trees_grown_in_one_pass_match_reference_forest(n_classes):
     forest = RandomForest(config).fit(x, y)
     reference = ReferenceForest(config).fit(x, y)
     assert len(forest.classes_) == n_classes
-    assert [_tree_shape(t) for t in forest._trees] == [
-        _reference_shape(root) for root in reference._trees
-    ]
+    assert _tree_shapes(forest) == [_reference_shape(root) for root in reference._trees]
     probe = np.round(rng.normal(scale=2.0, size=(50, 6)), 2)
     assert forest.predict(probe) == reference.predict(probe)
 
@@ -226,8 +234,8 @@ def test_thirty_trees_grown_in_one_pass_match_reference_forest(n_classes):
 def test_forest_memory_is_bounded_by_the_key_cap():
     # 630 rows of about 315 distinct ones, like the fused etherg1 training
     # rows. A fit holds every tree's rows at once, but each split search
-    # sorts at most KEY_CAP keys: here the fit peaks near 2.9 MB, and one
-    # search over all 100 roots at once would peak near 11 MB. predict routes
+    # sorts at most KEY_CAP keys: here the fit peaks near 2.2 MB, and one
+    # search over all 100 roots at once would peak near 10 MB. predict routes
     # at most KEY_CAP (tree, row) cells at once: all 10,080 rows through all
     # trees at once would take near 67 MB.
     rng = np.random.default_rng(5)
@@ -257,11 +265,10 @@ def test_class_sums_add_like_row_sums(n_classes):
 def test_forest_vote_tie_goes_to_smallest_class_label():
     forest = RandomForest(ForestConfig(n_trees=2))
     forest.classes_ = ("neg", "pos")
-    leaf = np.array([-1])
-    for probs in ([1.0, 0.0], [0.0, 1.0]):  # one full vote each way
-        forest._trees.append(
-            _Tree(leaf, np.zeros(1), leaf, leaf, np.array([probs]))
-        )
+    leaves = np.array([-1, -1])
+    # two trees of one leaf each, one full vote each way
+    forest._forest = _Tree(leaves, np.zeros(2), leaves, leaves, np.eye(2))
+    forest._roots = np.arange(2)
     assert forest.predict(np.zeros((3, 1))) == ["neg", "neg", "neg"]
 
 
