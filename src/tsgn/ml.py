@@ -359,8 +359,7 @@ def _grow_forest(n_trees: int, seed: int, data: _RankedRows) -> tuple[_Tree, np.
     ``t`` is the root of tree ``t`` and each level is one range of numbers.
     The rows of a level's nodes are held as int32 cells sorted by node:
     ``node``, the distinct bootstrap ``rows`` and their ``weight``, the times
-    drawn.
-    Returns the forest's node table and its roots.
+    drawn. Returns the forest's node table and its roots.
     """
     n_classes, n, p = data.n_classes, data.ranks.shape[1], data.n_features
     boot_key, root_key = np.random.SeedSequence(seed).generate_state(2, np.uint64)[:, None]
@@ -394,9 +393,7 @@ def _grow_forest(n_trees: int, seed: int, data: _RankedRows) -> tuple[_Tree, np.
         threshold[at] = split_threshold
         left = np.full(width, -1, dtype=np.int32)
         left[at] = first + width + 2 * np.arange(len(at))
-        shares = counts / m[:, None]
-        shares[at] = 0.0
-        levels.append((feature, threshold, left, shares))
+        levels.append((feature, threshold, left, counts / m[:, None]))
         # the rows of a split node move to its left or right child, kept
         # sorted by node; the rows of a leaf are done
         cut = np.full(width, -1)
