@@ -147,7 +147,7 @@ def cmd_evaluate(args) -> int:
     config = ForestConfig(n_trees=args.trees, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tn = feature_matrix(manifest.graphs, labels, variant="tn", threads=args.threads)
+    tn = feature_matrix(manifest.graphs, labels, variant="tn")
     tn.to_csv(out / "features_tn.csv")
     tn_report = evaluate(
         tn, config, n_repeats=args.repeats, dataset_name=name, variant="tn"
@@ -155,7 +155,7 @@ def cmd_evaluate(args) -> int:
     reports = [tn_report]
     for variant in variants:
         mapped = ordered_map(BUILDERS[variant], manifest.graphs, args.threads)
-        mapped_matrix = feature_matrix(mapped, labels, variant=variant, threads=args.threads)
+        mapped_matrix = feature_matrix(mapped, labels, variant=variant)
         mapped_matrix.to_csv(out / f"features_{variant}.csv")
         fused = concat_features(tn, mapped_matrix)
         report = evaluate(

@@ -7,11 +7,16 @@ across every variant; mapped edge weights are exposed only through the
 transform exports.
 
 That view is one dense 0/1 adjacency matrix, and every feature is matrix code
-on it. The largest eigenvalue comes from one dense symmetric eigensolve
-(eigvalsh). Betweenness and closeness share one level-synchronous BFS that runs
-from a block of sources at once (Brandes, J. Math. Sociol. 2001; Kepner and
-Gilbert, Graph Algorithms in the Language of Linear Algebra, 2011).
-feature_matrix rounds each value to the digits FeatureMatrix.to_csv writes.
+on it. feature_matrix groups its graphs by node count and stacks each group's
+adjacencies into (G, n, n) arrays of at most CELL_CAP cells; the kernels work
+on the last two axes, so one pass computes a feature for a whole stack, and a
+single matrix is a stack of one. The largest eigenvalue comes from one dense
+symmetric eigensolve per matrix (eigvalsh). Betweenness and closeness share
+one level-synchronous BFS over every (graph, source) row of a stack, in
+blocks of sources that keep its working arrays within CELL_CAP cells
+(Brandes, J. Math. Sociol. 2001; Kepner and Gilbert, Graph Algorithms in the
+Language of Linear Algebra, 2011). feature_matrix rounds each value to the
+digits FeatureMatrix.to_csv writes.
 Fusion is concat_features followed by a PCA that ml.evaluate fits on the
 training rows of each split.
 """
@@ -45,102 +50,116 @@ FEATURE_NAMES = (
 # forest trains on exactly the numbers that a written matrix loads back as.
 VALUE_FORMAT = ".12g"
 
-# Sources per all-sources BFS pass: its working matrices are SOURCE_BLOCK x n.
-SOURCE_BLOCK = 256
+# Cells of a stack's working arrays (256 KB of float64): a stack holds at most
+# CELL_CAP // (n * n) graphs of n nodes, and its BFS runs at most
+# CELL_CAP // (graphs * n) sources per pass, so a graph with n * n > CELL_CAP
+# runs alone, in blocks of CELL_CAP // n sources.
+CELL_CAP = 1 << 15
 
 
-def simple_adjacency(graph: TransactionGraph | TsgnGraph) -> np.ndarray:
-    """Dense unweighted undirected simple adjacency over indices 0..n-1.
+def simple_adjacency(graphs: Sequence[TransactionGraph | TsgnGraph]) -> np.ndarray:
+    """Dense unweighted undirected simple adjacencies of same-size graphs.
 
-    A symmetric 0/1 float64 matrix with a zero diagonal. Transaction graphs
-    index their sorted address list; TsgnGraphs index their nodes in edge_id
-    order. Parallel, anti-parallel, and self edges collapse away here, so
-    multi-edge inputs featurize exactly like their simple view.
+    A (G, n, n) stack of symmetric 0/1 float64 matrices with zero diagonals,
+    one per graph, over indices 0..n-1. Transaction graphs index their sorted
+    address list; TsgnGraphs index their nodes in edge_id order. Parallel,
+    anti-parallel, and self edges collapse away here, so multi-edge inputs
+    featurize exactly like their simple view.
     """
-    if isinstance(graph, TransactionGraph):
-        index = {addr: i for i, addr in enumerate(graph.nodes)}
-        pairs = np.array([(index[r.src], index[r.dst]) for r in graph.edges], dtype=np.intp)
-    else:
-        pairs = graph.edges
-    n = len(graph.nodes)
-    a = np.zeros((n, n))
-    u, v = pairs.reshape(-1, 2).T
-    a[u, v] = a[v, u] = 1.0
-    np.fill_diagonal(a, 0.0)
+    pairs = []
+    for graph in graphs:
+        if isinstance(graph, TransactionGraph):
+            index = {addr: i for i, addr in enumerate(graph.nodes)}
+            graph_pairs = [(index[r.src], index[r.dst]) for r in graph.edges]
+            pairs.append(np.array(graph_pairs, dtype=np.intp).reshape(-1, 2))
+        else:
+            pairs.append(graph.edges)
+    n = len(graphs[0].nodes)
+    a = np.zeros((len(graphs), n, n))
+    which = np.repeat(np.arange(len(graphs)), [len(p) for p in pairs])
+    u, v = np.concatenate(pairs).T
+    a[which, u, v] = a[which, v, u] = 1.0
+    a[:, np.arange(n), np.arange(n)] = 0.0
     return a
 
 
 def handcrafted_features(graph: TransactionGraph | TsgnGraph) -> np.ndarray:
     """The ten topological attributes of a graph, in FEATURE_NAMES order.
 
-    Raises ValueError on an empty (zero-node) graph.
+    Unrounded; the graph runs as a stack of one through the code that
+    feature_matrix runs on every stack. Raises ValueError on an empty
+    (zero-node) graph.
     """
-    a = simple_adjacency(graph)
-    n = len(a)
-    if n == 0:
+    if len(graph.nodes) == 0:
         raise ValueError("cannot featurize an empty graph")
-    deg = a.sum(axis=1)
-    m = float(deg.sum()) / 2.0
-    density = 0.0 if n <= 1 else 2.0 * m / (n * (n - 1))
+    return _stack_features(simple_adjacency([graph]))[0]
+
+
+def _stack_features(a: np.ndarray) -> np.ndarray:
+    """One row of the ten features per graph of a (G, n, n) adjacency stack, n >= 1."""
+    n = a.shape[-1]
+    deg = a.sum(axis=-1)
+    m = deg.sum(axis=-1) / 2.0
+    density = 2.0 * m / (n * (n - 1)) if n > 1 else np.zeros_like(m)
     betweenness, closeness = _path_centralities(a)
-    return np.array(
+    return np.stack(
         [
-            float(n),
+            np.full_like(m, n),
             m,
             2.0 * m / n,
-            float((deg == 1).mean()),
+            (deg == 1).mean(axis=-1),
             density,
             average_neighbor_degree(a),
             average_clustering(a),
             largest_eigenvalue(a),
-            float(betweenness.mean()),
-            float(closeness.mean()),
-        ]
+            betweenness.mean(axis=-1),
+            closeness.mean(axis=-1),
+        ],
+        axis=-1,
     )
 
 
-def average_neighbor_degree(a: np.ndarray) -> float:
+# The kernels below take one adjacency matrix or a stack of them: they work
+# on the last two axes and return one value (or one row) per matrix.
+
+
+def average_neighbor_degree(a: np.ndarray) -> np.ndarray:
     """Mean over nodes of the mean degree of their neighbors; isolated nodes count 0."""
-    deg = a.sum(axis=1)
-    per_node = np.divide(a @ deg, deg, out=np.zeros_like(deg), where=deg > 0)
-    return float(per_node.mean())
+    deg = a.sum(axis=-1)
+    per_node = np.divide((a @ deg[..., None])[..., 0], deg, out=np.zeros_like(deg), where=deg > 0)
+    return per_node.mean(axis=-1)
 
 
-def average_clustering(a: np.ndarray) -> float:
+def average_clustering(a: np.ndarray) -> np.ndarray:
     """Mean local clustering coefficient; nodes of degree < 2 contribute 0."""
-    deg = a.sum(axis=1)
-    links = ((a @ a) * a).sum(axis=1)  # each neighbor link counted twice
+    deg = a.sum(axis=-1)
+    links = ((a @ a) * a).sum(axis=-1)  # each neighbor link counted twice
     pairs = deg * (deg - 1)
-    return float(np.divide(links, pairs, out=np.zeros_like(deg), where=pairs > 0).mean())
+    return np.divide(links, pairs, out=np.zeros_like(deg), where=pairs > 0).mean(axis=-1)
 
 
-def largest_eigenvalue(a: np.ndarray) -> float:
-    """Largest adjacency eigenvalue; exactly 0.0 for an empty or edgeless graph."""
-    if not a.any():
-        return 0.0
-    return float(np.linalg.eigvalsh(a)[-1])
-
-
-def _source_blocks(n: int):
-    """Consecutive blocks of at most SOURCE_BLOCK source indices."""
-    for start in range(0, n, SOURCE_BLOCK):
-        yield np.arange(start, min(start + SOURCE_BLOCK, n))
+def largest_eigenvalue(a: np.ndarray) -> np.ndarray:
+    """Largest adjacency eigenvalue; exactly +0.0 for an empty or edgeless graph."""
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-2])
+    return np.where(a.any(axis=(-2, -1)), np.linalg.eigvalsh(a)[..., -1], 0.0)
 
 
 def _shortest_paths(a: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hop distances (-1 if unreachable) and shortest-path counts from each source.
 
-    Row i is for sources[i]. One level-synchronous BFS serves all the sources:
-    the path counts of each level, times the adjacency, give the counts of the
-    next level on the nodes that no earlier level reached.
+    Row i of each graph is for sources[i]. One level-synchronous BFS serves
+    every (graph, source) row: the path counts of each level, times the
+    adjacency, give the counts of the next level on the nodes that no earlier
+    level reached. It runs until no row of the stack reaches a new node.
     """
     rows = np.arange(len(sources))
-    dist = np.full((len(sources), len(a)), -1)
-    dist[rows, sources] = 0
+    dist = np.full((*a.shape[:-2], len(sources), a.shape[-1]), -1)
+    dist[..., rows, sources] = 0
     sigma = np.zeros(dist.shape)
-    sigma[rows, sources] = 1.0
+    sigma[..., rows, sources] = 1.0
     frontier = sigma.copy()
-    for level in range(1, len(a)):
+    for level in range(1, a.shape[-1]):
         frontier = frontier @ a
         frontier[dist >= 0] = 0.0
         reached = frontier > 0
@@ -152,30 +171,33 @@ def _shortest_paths(a: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _path_centralities(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Betweenness and closeness from one BFS per block of sources.
+    """Per-node betweenness and closeness from one BFS per block of sources.
 
     Betweenness is normalized and undirected; only connected pairs count.
     Closeness is (r-1)/sum(d) * (r-1)/(n-1), where r counts the node and all
-    it reaches; isolated nodes get 0.
+    it reaches; isolated nodes get 0. A block holds as many sources as keep
+    its (graphs, sources, n) working arrays within CELL_CAP cells.
     """
-    n = len(a)
-    bc = np.zeros(n)
-    closeness = np.zeros(n)
+    n = a.shape[-1]
+    bc = np.zeros(a.shape[:-1])
+    closeness = np.zeros(a.shape[:-1])
     if n <= 1:
         return bc, closeness
-    for sources in _source_blocks(n):
+    block = max(1, CELL_CAP // bc.size)
+    for start in range(0, n, block):
+        sources = np.arange(start, min(start + block, n))
         dist, sigma = _shortest_paths(a, sources)
-        reached = (dist > 0).sum(axis=1)  # r - 1
-        total = dist.clip(min=0).sum(axis=1)
-        scale = np.divide(reached, total, out=np.zeros(len(sources)), where=total > 0)
-        closeness[sources] = scale * (reached / (n - 1))
+        reached = (dist > 0).sum(axis=-1)  # r - 1
+        total = dist.clip(min=0).sum(axis=-1)
+        scale = np.divide(reached, total, out=np.zeros(reached.shape), where=total > 0)
+        closeness[..., sources] = scale * (reached / (n - 1))
         # dependencies flow back one level at a time, deepest first; a
         # source's own dependency (level 0) is never counted
         delta = np.zeros_like(sigma)
         for level in range(dist.max(), 1, -1):
             coeff = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist == level)
             delta += (coeff @ a) * np.where(dist == level - 1, sigma, 0.0)
-        bc += delta.sum(axis=0)
+        bc += delta.sum(axis=-2)
     if n > 2:
         # accumulation counts each unordered pair twice; fold that into the scale
         bc /= (n - 1) * (n - 2)
@@ -230,24 +252,44 @@ def ordered_map(fn, items: Sequence, threads: int = 1) -> list:
     return [fn(x) for x in items]
 
 
+def _stacks(graphs: Sequence[TransactionGraph | TsgnGraph]):
+    """Yield (positions, adjacency stack) over the graphs, grouped by node count.
+
+    A stack holds the (G, n, n) adjacencies of the graphs at those positions:
+    at most CELL_CAP // (n * n) graphs, and at least one. Raises ValueError
+    naming the position of every empty (zero-node) graph before yielding.
+    """
+    by_size: dict[int, list[int]] = {}
+    for i, graph in enumerate(graphs):
+        by_size.setdefault(len(graph.nodes), []).append(i)
+    if 0 in by_size:
+        raise ValueError(f"cannot featurize empty graphs at positions {by_size[0]}")
+    for n, members in sorted(by_size.items()):
+        per_stack = max(1, CELL_CAP // (n * n))
+        for start in range(0, len(members), per_stack):
+            positions = members[start : start + per_stack]
+            yield positions, simple_adjacency([graphs[i] for i in positions])
+
+
 def feature_matrix(
     graphs: Sequence[TransactionGraph | TsgnGraph],
     labels: Sequence[str],
     variant: str = "tn",
-    threads: int = 1,
 ) -> FeatureMatrix:
     """Extract handcrafted features for a batch of graphs.
 
-    Rows follow the input order regardless of thread count, so the result is
-    deterministic for a fixed input. Every value is rounded to VALUE_FORMAT,
-    so to_csv writes the matrix exactly and last-bit summation noise cannot
-    decide a split.
+    Graphs of the same node count go through _stack_features together, in
+    the stacks of _stacks; rows come back in input order. Every value is
+    rounded to VALUE_FORMAT, so to_csv writes the matrix exactly and last-bit
+    summation noise cannot decide a split. Raises one ValueError naming the
+    position of every empty (zero-node) graph.
     """
     if len(graphs) != len(labels):
         raise ValueError("graphs and labels differ in length")
     columns = tuple(f"{variant}:{name}" for name in FEATURE_NAMES)
-    rows = ordered_map(handcrafted_features, graphs, threads)
-    values = np.vstack(rows) if rows else np.zeros((0, len(columns)))
+    values = np.zeros((len(graphs), len(columns)))
+    for positions, a in _stacks(graphs):
+        values[positions] = _stack_features(a)
     values = np.array(
         [float(format(v, VALUE_FORMAT)) for v in values.flat]
     ).reshape(values.shape)

@@ -85,7 +85,9 @@ def load_edge_list(path) -> list[EdgeRecord]:
     problems: list[str] = []
     records: list[EdgeRecord] = []
     dropped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig: a leading byte-order mark, as spreadsheet programs write,
+    # is not part of the first column name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -462,7 +464,7 @@ def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetMan
         raise ValueError(f"{root}: not a dataset directory (labels.csv missing)")
     entries = []
     short = []
-    with open(labels_path, newline="", encoding="utf-8") as fh:
+    with open(labels_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in LABELS_HEADER if c not in header]

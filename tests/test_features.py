@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsgn import (
     FEATURE_NAMES,
@@ -15,6 +17,7 @@ from tsgn import (
     handcrafted_features,
 )
 from tsgn import features
+from tsgn.transforms import BUILDERS, VARIANTS
 from tsgn.features import _path_centralities, largest_eigenvalue, simple_adjacency
 
 from oracles import (
@@ -24,6 +27,7 @@ from oracles import (
     eigenvalue_oracle,
     feature_oracle,
     oracle_adjacency,
+    random_digraph,
     random_multigraph,
     random_undirected_graph,
     svd_pca_components,
@@ -98,31 +102,47 @@ def test_centralities_match_exhaustive_oracle():
     rnd = random.Random(21)
     for _ in range(150):
         g = random_undirected_graph(rnd)
-        a, adj = simple_adjacency(g), oracle_adjacency(g)
+        a, adj = simple_adjacency([g])[0], oracle_adjacency(g)
         betweenness, closeness = _path_centralities(a)
         np.testing.assert_allclose(betweenness, betweenness_oracle(adj), atol=1e-9)
         np.testing.assert_allclose(closeness, closeness_oracle(adj), atol=1e-9)
+
+
+def _path(n):
+    names = [f"v{i:02d}" for i in range(n)]
+    edges = [(names[i], names[i + 1], 1) for i in range(n - 1)]
+    return TransactionGraph.build(edges, names[0], directed=False)
 
 
 def test_centralities_match_oracle_across_source_blocks(monkeypatch):
-    # three sources per BFS pass, so most graphs take several passes
-    monkeypatch.setattr(features, "SOURCE_BLOCK", 3)
+    # 64 cells: graphs of up to 8 nodes share stacks (seven of 3 nodes, two
+    # of 5), larger ones run alone in blocks of 64 // n sources
+    monkeypatch.setattr(features, "CELL_CAP", 64)
     rnd = random.Random(59)
-    isolated = disconnected = 0
+    graphs = []
     for i in range(120):
         if i % 2:
-            g = random_undirected_graph(rnd, max_nodes=12)
+            graphs.append(random_undirected_graph(rnd, max_nodes=12))
         else:
             g = build_multiple_tsgn(random_multigraph(rnd, max_nodes=5))
-            if g.node_count == 0:
-                continue
-        a, adj = simple_adjacency(g), oracle_adjacency(g)
-        isolated += not all(adj)
-        disconnected += len(bfs_distances(adj, 0)) < len(adj)
+            if g.node_count:
+                graphs.append(g)
+    # a diameter of 59: the BFS of every one-source block runs 59 levels
+    graphs.append(_path(60))
+    isolated = disconnected = shared = blocked = 0
+    for positions, a in features._stacks(graphs):
+        n = a.shape[-1]
+        shared += len(positions) if len(positions) > 1 else 0
+        blocked += n * n > features.CELL_CAP
         betweenness, closeness = _path_centralities(a)
-        np.testing.assert_allclose(betweenness, betweenness_oracle(adj), atol=1e-9)
-        np.testing.assert_allclose(closeness, closeness_oracle(adj), atol=1e-9)
+        for i, bc, cl in zip(positions, betweenness, closeness):
+            adj = oracle_adjacency(graphs[i])
+            isolated += not all(adj)
+            disconnected += len(bfs_distances(adj, 0)) < len(adj)
+            np.testing.assert_allclose(bc, betweenness_oracle(adj), atol=1e-9)
+            np.testing.assert_allclose(cl, closeness_oracle(adj), atol=1e-9)
     assert isolated > 10 and disconnected > 20
+    assert shared > 20 and blocked > 20
 
 
 def test_all_features_match_oracle_on_random_graphs():
@@ -186,7 +206,7 @@ def test_oracle_adjacency_agrees_with_simple_adjacency():
     rnd = random.Random(43)
     for _ in range(50):
         g = random_multigraph(rnd)
-        a = simple_adjacency(g)
+        a = simple_adjacency([g])[0]
         assert a.dtype == np.float64
         np.testing.assert_array_equal(a, a.T)
         assert set(np.unique(a).tolist()) <= {0.0, 1.0}
@@ -304,11 +324,62 @@ def test_written_feature_matrix_loads_back_bit_for_bit(tmp_path):
     np.testing.assert_array_equal(loaded, fm.values)
 
 
-def test_feature_matrix_threaded_extraction_matches_serial():
-    rnd = random.Random(47)
-    graphs = [random_undirected_graph(rnd) for _ in range(12)]
-    labels = ["a", "b"] * 6
-    serial = feature_matrix(graphs, labels, threads=1)
-    threaded = feature_matrix(graphs, labels, threads=4)
-    np.testing.assert_array_equal(serial.values, threaded.values)
+def _mixed_graphs(rnd, count):
+    """Transaction graphs and mapped graphs of every variant, 1-node and
+    edgeless ones among them, in shuffled order."""
+    graphs = [TransactionGraph.build([], "lone", directed=False)]
+    while len(graphs) < count:
+        kind = rnd.randrange(3)
+        if kind == 0:
+            graphs.append(random_undirected_graph(rnd, max_nodes=10))
+        elif kind == 1:
+            graphs.append(random_digraph(rnd, max_nodes=10, temporal=True))
+        else:
+            variant = rnd.choice(VARIANTS)
+            if variant == "mtsgn":
+                source = random_multigraph(rnd, max_nodes=6)
+            else:
+                source = random_digraph(rnd, max_nodes=6, temporal=True)
+            mapped = BUILDERS[variant](source)
+            if mapped.node_count:
+                graphs.append(mapped)
+    rnd.shuffle(graphs)
+    return graphs
 
+
+def _rounded(values):
+    return np.array([float(format(v, features.VALUE_FORMAT)) for v in values])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([None, 1, 30, 100]))
+def test_feature_matrix_rows_equal_per_graph_features(seed, count, cap):
+    graphs = _mixed_graphs(random.Random(seed), count)
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(features, "CELL_CAP", cap)
+        fm = feature_matrix(graphs, ["x"] * len(graphs))
+        for row, g in zip(fm.values, graphs):
+            np.testing.assert_array_equal(row, _rounded(handcrafted_features(g)))
+            np.testing.assert_allclose(row, feature_oracle(g), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("cap", [None, 30])
+def test_permuting_the_graphs_permutes_the_rows(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(features, "CELL_CAP", cap)
+    rnd = random.Random(47)
+    graphs = _mixed_graphs(rnd, 60)
+    order = list(range(len(graphs)))
+    rnd.shuffle(order)
+    labels = [f"g{i}" for i in range(len(graphs))]
+    fm = feature_matrix(graphs, labels)
+    permuted = feature_matrix([graphs[i] for i in order], [labels[i] for i in order])
+    np.testing.assert_array_equal(permuted.values, fm.values[order])
+    assert permuted.labels == tuple(labels[i] for i in order)
+
+
+def test_feature_matrix_names_every_empty_graph():
+    empty = tsgn_graph("tsgn", (), ())
+    with pytest.raises(ValueError, match=r"empty graphs at positions \[1, 3\]"):
+        feature_matrix([_star(2), empty, _star(3), empty], ["a"] * 4)

@@ -423,3 +423,18 @@ def test_load_dataset_rejects_ids_that_are_not_unique_file_names(tmp_path):
     )
     with pytest.raises(ValueError, match=r"unique file names: \.\./g, g$"):
         load_dataset(tmp_path)
+
+
+def test_load_dataset_reads_files_with_a_byte_order_mark(tmp_path):
+    files = {
+        "g.csv": "src,dst,amount,timestamp\na,b,1.5,1\nb,c,2,2\n",
+        "labels.csv": "graph_id,center_address,label\ng,b,phishing\n",
+    }
+    for name, marked in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        (tmp_path / name).mkdir()
+        for file, text in files.items():
+            (tmp_path / name / file).write_bytes(marked + text.encode("utf-8"))
+    assert (tmp_path / "marked" / "g.csv").read_bytes()[:3] == b"\xef\xbb\xbf"
+    plain = load_dataset(tmp_path / "plain")
+    assert plain.graph_ids == ("g",) and plain.graphs[0].edge_count == 2
+    assert load_dataset(tmp_path / "marked") == plain
