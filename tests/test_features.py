@@ -96,6 +96,12 @@ def test_eigenvalue_of_edgeless_graphs_is_positive_zero():
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
     lone = TransactionGraph.build([], "a", directed=False)
     assert format(handcrafted_features(lone)[7], ".12g") == "0"
+    # in a stack, too: one edgeless graph next to a single edge
+    stack = np.zeros((2, 3, 3))
+    stack[1, 0, 1] = stack[1, 1, 0] = 1.0
+    edgeless, edge = largest_eigenvalue(stack)
+    assert edgeless == 0.0 and math.copysign(1.0, edgeless) == 1.0
+    assert edge == pytest.approx(1.0, abs=1e-12)
 
 
 def test_centralities_match_exhaustive_oracle():
@@ -115,8 +121,9 @@ def _path(n):
 
 
 def test_centralities_match_oracle_across_source_blocks(monkeypatch):
-    # 64 cells: graphs of up to 8 nodes share stacks (seven of 3 nodes, two
-    # of 5), larger ones run alone in blocks of 64 // n sources
+    # 64 cells: graphs of 3 to 5 nodes share stacks (seven of 3 nodes, four
+    # of 4, two of 5); graphs of more than 8 run alone in blocks of 64 // n
+    # sources
     monkeypatch.setattr(features, "CELL_CAP", 64)
     rnd = random.Random(59)
     graphs = []
@@ -127,7 +134,7 @@ def test_centralities_match_oracle_across_source_blocks(monkeypatch):
             g = build_multiple_tsgn(random_multigraph(rnd, max_nodes=5))
             if g.node_count:
                 graphs.append(g)
-    # a diameter of 59: the BFS of every one-source block runs 59 levels
+    # a diameter of 59: its 60 one-source blocks each run up to 59 BFS levels
     graphs.append(_path(60))
     isolated = disconnected = shared = blocked = 0
     for positions, a in features._stacks(graphs):
