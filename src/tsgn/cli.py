@@ -116,9 +116,8 @@ def _write_mapped(path: Path, t: TsgnGraph) -> None:
     costs about twice as much per row. The lines come from one ``%`` over the
     line template repeated once per edge, fed the fields edge by edge.
     """
-    ids = np.array([str(r.edge_id) for r in t.nodes], dtype=object)
     fields = np.empty((t.edge_count, 3), dtype=object)
-    fields[:, :2] = ids[t.edges]
+    fields[:, :2] = np.array(list(map(str, t.nodes.tolist())), dtype=object)[t.edges]
     fields[:, 2] = t.weights.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("from_tx,to_tx,weight\n" + "%s,%s,%.12g\n" * t.edge_count % tuple(fields.flat))

@@ -66,18 +66,12 @@ def simple_adjacency(graphs: Sequence[TransactionGraph | TsgnGraph]) -> np.ndarr
     anti-parallel, and self edges collapse away here, so multi-edge inputs
     featurize exactly like their simple view.
     """
-    pairs = []
-    for graph in graphs:
-        if isinstance(graph, TransactionGraph):
-            index = {addr: i for i, addr in enumerate(graph.nodes)}
-            graph_pairs = [(index[r.src], index[r.dst]) for r in graph.edges]
-            pairs.append(np.array(graph_pairs, dtype=np.intp).reshape(-1, 2))
-        else:
-            pairs.append(graph.edges)
+    heads = [g.src if isinstance(g, TransactionGraph) else g.edges[:, 0] for g in graphs]
+    tails = [g.dst if isinstance(g, TransactionGraph) else g.edges[:, 1] for g in graphs]
     n = len(graphs[0].nodes)
     a = np.zeros((len(graphs), n, n))
-    which = np.repeat(np.arange(len(graphs)), [len(p) for p in pairs])
-    u, v = np.concatenate(pairs).T
+    which = np.repeat(np.arange(len(graphs)), [len(h) for h in heads])
+    u, v = np.concatenate(heads), np.concatenate(tails)
     a[which, u, v] = a[which, v, u] = 1.0
     a[:, np.arange(n), np.arange(n)] = 0.0
     return a
@@ -290,9 +284,9 @@ def feature_matrix(
     values = np.zeros((len(graphs), len(columns)))
     for positions, a in _stacks(graphs):
         values[positions] = _stack_features(a)
-    values = np.array(
-        [float(format(v, VALUE_FORMAT)) for v in values.flat]
-    ).reshape(values.shape)
+    # one %-format of every value, then one float per field
+    text = f"%{VALUE_FORMAT} " * values.size % tuple(values.ravel().tolist())
+    values = np.fromiter(map(float, text.split()), np.float64, values.size).reshape(values.shape)
     return FeatureMatrix(values, tuple(labels), columns)
 
 

@@ -2,16 +2,25 @@
 
 A transaction graph is an ego-network around a target account: nodes are
 addresses, edges are individual transfers carrying an amount and an optional
-integer timestamp. Instances are frozen after construction so they can be
-shared read-only across worker threads; every operation in this module is a
-pure function of its input graph.
+integer timestamp. Its records are read-only numpy columns, one row per
+record, whose row is its edge id: ``src`` and ``dst`` as positions into the
+sorted ``nodes``, float64 ``amounts``, the exact ``decimals`` read, ``ranks``
+(the amount's place among the sorted distinct decimals of the records the
+graph was built from, a whole file for a loaded one, equal decimals sharing
+one) and int64 ``stamps`` with a ``timed`` mask. Graphs are
+frozen so they can be shared across worker threads; every operation in this
+module is a pure function of its input graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable
+from itertools import chain, repeat
+from operator import is_not
+from typing import Iterable, Sequence
+
+import numpy as np
 
 TIERS = ("plain", "directed", "multiedge")
 
@@ -29,10 +38,10 @@ def _as_amount(value) -> Decimal:
 class EdgeRecord:
     """One raw transaction: ``src`` transfers ``amount`` to ``dst``.
 
-    Amounts are kept as Decimal (bit-exact w.r.t. the source export) until the
-    transform/feature layer converts them to float. ``amount`` may be 0 for a
-    contract invocation. ``edge_id`` is the ordinal of the record within its
-    graph and is what the subgraph mappings use as node identity.
+    Amounts are kept as Decimal (bit-exact w.r.t. the source export). ``amount``
+    may be 0 for a contract invocation. ``edge_id`` is the ordinal of the
+    record within its graph and is what the subgraph mappings use as node
+    identity.
     """
 
     src: str
@@ -45,19 +54,31 @@ class EdgeRecord:
         object.__setattr__(self, "amount", _as_amount(self.amount))
 
 
-@dataclass(frozen=True)
-class TransactionGraph:
-    """Ego-network of one target account.
+_COLUMNS = ("src", "dst", "amounts", "ranks", "stamps", "timed", "decimals")
 
-    ``nodes`` is sorted and duplicate-free and ``edges`` is ordered by
-    edge_id; both orderings exist to make downstream output deterministic.
-    The three attribute flags say which edge attributes are meaningful:
-    direction, timestamps, and whether parallel records are allowed.
+
+@dataclass(frozen=True, eq=False)
+class TransactionGraph:
+    """Ego-network of one target account, or with ``center`` None the records
+    of one file.
+
+    ``nodes`` is sorted and duplicate-free, and every column has one row per
+    record in edge-id order; both orderings exist to make downstream output
+    deterministic. The three attribute flags say which edge attributes are
+    meaningful: direction, timestamps, and whether parallel records are
+    allowed. Graphs are equal when their nodes, records, center, flags and
+    label are.
     """
 
     nodes: tuple[str, ...]
-    edges: tuple[EdgeRecord, ...]
-    center: str
+    src: np.ndarray
+    dst: np.ndarray
+    amounts: np.ndarray
+    ranks: np.ndarray
+    stamps: np.ndarray
+    timed: np.ndarray
+    decimals: np.ndarray
+    center: str | None
     directed: bool = True
     temporal: bool = False
     multiedge: bool = False
@@ -65,40 +86,65 @@ class TransactionGraph:
 
     @classmethod
     def build(
-        cls,
-        edges: Iterable[EdgeRecord | tuple],
-        center: str,
-        *,
-        directed: bool = True,
-        temporal: bool = False,
-        multiedge: bool = False,
-        label: str | None = None,
+        cls, edges: Iterable[EdgeRecord | tuple], center: str | None, **flags
     ) -> "TransactionGraph":
-        """Assemble a graph from records or (src, dst, amount[, timestamp]) tuples.
+        """Assemble a graph from records or (src, dst, amount[, timestamp]) tuples;
+        ``flags`` set the other fields (directed, temporal, multiedge, label).
 
         Edge ids are (re)assigned sequentially in input order and the node set
-        is collected from the edge endpoints plus the center.
+        is collected from the edge endpoints plus the center. Amount ranks
+        are taken over the distinct amounts of these records.
         """
-        records = []
-        for i, e in enumerate(edges):
-            if isinstance(e, EdgeRecord):
-                records.append(replace(e, edge_id=i))
-            else:
-                src, dst, amount = e[0], e[1], e[2]
-                ts = e[3] if len(e) > 3 else None
-                records.append(EdgeRecord(src, dst, amount, ts, i))
-        nodes = {center}
-        for r in records:
-            nodes.add(r.src)
-            nodes.add(r.dst)
-        return cls(
-            nodes=tuple(sorted(nodes)),
-            edges=tuple(records),
-            center=center,
-            directed=directed,
-            temporal=temporal,
-            multiedge=multiedge,
-            label=label,
+        rows = [
+            (e.src, e.dst, e.amount, e.timestamp) if isinstance(e, EdgeRecord)
+            else e if len(e) == 4 else (*e, None)
+            for e in edges
+        ]
+        srcs, dsts, amounts, stamps = zip(*rows) if rows else ((), (), (), ())
+        decimals = list(map(_as_amount, amounts))
+        values = list(map(float, decimals))
+        return cls.from_columns(srcs, dsts, decimals, values, stamps, center, **flags)
+
+    @classmethod
+    def from_columns(
+        cls, srcs: Sequence[str], dsts: Sequence[str], decimals: Sequence[Decimal],
+        values: Sequence[float], stamps: Sequence[int | None], center: str | None, **flags,
+    ) -> "TransactionGraph":
+        """The graph of per-record addresses, Decimal amounts, their floats and
+        timestamps (None where missing), as build makes it; load_edge_list,
+        which has the floats already, calls it directly."""
+        m = len(srcs)
+        names = {*srcs, *dsts} if center is None else {*srcs, *dsts, center}
+        nodes = tuple(sorted(names))
+        index = dict(zip(nodes, range(len(nodes))))
+        amounts = np.array(values, dtype=np.float64)
+        ends = np.fromiter(map(index.__getitem__, chain(srcs, dsts)), np.intp, 2 * m)
+        timed = np.fromiter(map(is_not, stamps, repeat(None)), bool, m)
+        if None in stamps:
+            stamps = [0 if t is None else t for t in stamps]
+        columns = {
+            "src": ends[:m],
+            "dst": ends[m:],
+            "amounts": amounts,
+            "ranks": _exact_ranks(decimals),
+            "stamps": np.fromiter(stamps, np.int64, m),
+            "timed": timed,
+            "decimals": np.fromiter(decimals, object, m),
+        }
+        for column in columns.values():
+            column.setflags(write=False)
+        # fields not given keep the defaults dataclass leaves on the class
+        return object.__new__(cls).replace(nodes=nodes, center=center, **columns, **flags)
+
+    @property
+    def edges(self) -> tuple[EdgeRecord, ...]:
+        """The records as EdgeRecord objects, in edge-id order."""
+        nodes = self.nodes
+        rows = zip(self.src.tolist(), self.dst.tolist(), self.decimals.tolist(),
+                   self.stamps.tolist(), self.timed.tolist())
+        return tuple(
+            EdgeRecord(nodes[s], nodes[d], amount, stamp if timed else None, i)
+            for i, (s, d, amount, stamp, timed) in enumerate(rows)
         )
 
     @property
@@ -107,34 +153,68 @@ class TransactionGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.src)
+
+    def __eq__(self, other):
+        if not isinstance(other, TransactionGraph):
+            return NotImplemented
+        key = lambda g: (g.nodes, g.edges, g.center, g.directed, g.temporal, g.multiedge, g.label)
+        return key(self) == key(other)
+
+    def take(self, rows, **changes) -> "TransactionGraph":
+        """The graph of the records at ``rows`` (a mask or positions), renumbered
+        in that order; ``changes`` replace fields, columns included."""
+        columns = {name: getattr(self, name)[rows] for name in _COLUMNS}
+        columns.update(changes)
+        for name in _COLUMNS:
+            columns[name].setflags(write=False)
+        return self.replace(**columns)
+
+    def replace(self, **changes) -> "TransactionGraph":
+        """dataclasses.replace without __init__, whose object.__setattr__ per
+        field costs more than the column work on a graph of a few records."""
+        graph = object.__new__(TransactionGraph)
+        graph.__dict__.update(vars(self), **changes)
+        return graph
 
     def with_label(self, label: str | None) -> "TransactionGraph":
-        return replace(self, label=label)
+        return self.replace(label=label)
+
+
+def _exact_ranks(decimals: Sequence[Decimal]) -> np.ndarray:
+    """Each amount's place among the sorted distinct decimals; equal decimals
+    spelled apart (1.5 and 1.50) share one, and decimals that round to one
+    float (0.1 and 0.1000000000000000000001) do not."""
+    distinct = sorted(set(decimals))
+    rank = dict(zip(distinct, range(len(distinct))))
+    return np.fromiter(map(rank.__getitem__, decimals), np.intp, len(decimals))
 
 
 def _collapse(g: TransactionGraph, *, directed: bool) -> TransactionGraph:
     """One record per address pair, the heaviest of the pair's records.
 
     Pairs are ordered when ``directed`` and sorted otherwise, so anti-parallel
-    records share an undirected pair. Edge ids are renumbered in pair order,
-    the node set is kept, and the result is temporal when every kept record
-    has a timestamp.
+    records share an undirected pair. Records are ordered by pair, then by
+    exact amount rank, heaviest first, then by edge id (lexsort is stable), and
+    the first record of each pair wins: equal decimals go to the earliest
+    record. Edge ids are renumbered in pair order, the node set is kept, and
+    the result is temporal when every kept record has a timestamp.
     """
-    groups: dict[tuple[str, str], list[EdgeRecord]] = {}
-    for r in g.edges:
-        key = (r.src, r.dst) if directed or r.src <= r.dst else (r.dst, r.src)
-        groups.setdefault(key, []).append(r)
-    records = []
-    for i, key in enumerate(sorted(groups)):
-        # largest amount; ties go to the earliest edge_id
-        winner = max(groups[key], key=lambda r: (r.amount, -r.edge_id))
-        records.append(EdgeRecord(key[0], key[1], winner.amount, winner.timestamp, i))
-    return replace(
-        g,
-        edges=tuple(records),
+    a, b = g.src, g.dst
+    if not directed:
+        a, b = np.minimum(a, b), np.maximum(a, b)
+    pair = a * len(g.nodes) + b
+    order = np.lexsort((-g.ranks, pair))
+    pair = pair[order]
+    first = np.ones(len(pair), dtype=bool)
+    first[1:] = pair[1:] != pair[:-1]
+    won = order[first]
+    return g.take(
+        won,
+        src=a[won],
+        dst=b[won],
         directed=directed,
-        temporal=all(r.timestamp is not None for r in records),
+        temporal=bool(g.timed[won].all()),
         multiedge=False,
     )
 
@@ -151,7 +231,7 @@ def undirected_projection(g: TransactionGraph) -> TransactionGraph:
     if not g.directed and not g.multiedge:
         return g
     plain = _collapse(g, directed=False)
-    return plain if g.temporal else replace(plain, temporal=False)
+    return plain if g.temporal else plain.replace(temporal=False)
 
 
 def at_tier(g: TransactionGraph, tier: str) -> TransactionGraph:
@@ -167,10 +247,9 @@ def at_tier(g: TransactionGraph, tier: str) -> TransactionGraph:
     if tier not in TIERS:
         raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
     if tier == "plain":
-        return replace(undirected_projection(g), temporal=False)
+        return undirected_projection(g).replace(temporal=False)
     if not g.directed:
         raise ValueError(f"tier {tier!r} needs directed data but the graph is undirected")
     if tier == "directed":
         return _collapse(g, directed=True) if g.multiedge else g
-    return replace(g, multiedge=True, temporal=all(r.timestamp is not None for r in g.edges))
-
+    return g.replace(multiedge=True, temporal=bool(g.timed.all()))

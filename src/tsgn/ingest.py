@@ -4,8 +4,13 @@ dataset generation, and dataset statistics.
 On-disk dataset layout: one directory per dataset holding one edge-list CSV
 per graph plus a ``labels.csv`` (graph_id, center_address, label). Record
 files carry the columns src, dst, amount (decimal string: 0, or from
-MIN_AMOUNT to MAX_AMOUNT) and timestamp (integer seconds; the field may be
-empty and the column absent).
+MIN_AMOUNT to MAX_AMOUNT) and timestamp (integer seconds within int64; the
+field may be empty and the column absent). load_edge_list reads a file into
+the columns of one TransactionGraph, checking each field a column at a time,
+parsing each distinct amount once and ranking the file's distinct decimals
+exactly; extract_ego_network cuts an ego-net out of those columns with
+boolean masks, so no record object is built on the way to the mappings.
+Edge ids are record positions.
 """
 
 from __future__ import annotations
@@ -13,17 +18,19 @@ from __future__ import annotations
 import csv
 import logging
 import sys
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, ne
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import EdgeRecord, TransactionGraph, at_tier
+from .graphs import TransactionGraph, at_tier
 
 logger = logging.getLogger(__name__)
 
@@ -38,53 +45,50 @@ MIN_AMOUNT = sys.float_info.min  # the least normal float
 MAX_AMOUNT = sys.float_info.max / 2
 
 
-def _parse_record(src: str, dst: str, raw_amount: str, raw_ts: str, lineno: int, problems):
-    """One row's raw fields -> (src, dst, amount, timestamp) or None when malformed."""
-    src, dst = src.strip().lower(), dst.strip().lower()
-    if not src or not dst:
-        problems.append(f"line {lineno}: missing src or dst address")
-        return None
-    raw_amount = raw_amount.strip()
+def _parse_amount(raw: str) -> tuple[Decimal, float] | str:
+    """A stripped amount field -> its Decimal and float, or the reason it is
+    malformed. float(raw) is float(Decimal(raw)): both round the same digits."""
     try:
-        amount = Decimal(raw_amount)
+        amount = Decimal(raw)
     except InvalidOperation:
-        problems.append(f"line {lineno}: unparseable amount {raw_amount!r}")
-        return None
+        return f"unparseable amount {raw!r}"
     if not amount.is_finite():
-        problems.append(f"line {lineno}: non-finite amount {raw_amount!r}")
-        return None
+        return f"non-finite amount {raw!r}"
     if amount < 0:
-        problems.append(f"line {lineno}: negative amount {raw_amount}")
-        return None
-    value = float(amount)
+        return f"negative amount {raw}"
+    value = float(raw)
     if value > MAX_AMOUNT:
-        problems.append(f"line {lineno}: amount {raw_amount} above {MAX_AMOUNT!r}")
-        return None
+        return f"amount {raw} above {MAX_AMOUNT!r}"
     if value < MIN_AMOUNT and amount:
-        problems.append(f"line {lineno}: nonzero amount {raw_amount} below {MIN_AMOUNT!r}")
+        return f"nonzero amount {raw} below {MIN_AMOUNT!r}"
+    return amount, value
+
+
+def _parse_stamp(raw: str) -> int | None | str:
+    """A stripped timestamp field -> its int, None when empty, or the reason
+    it is malformed."""
+    if not raw:
         return None
-    timestamp = None
-    raw_ts = raw_ts.strip()
-    if raw_ts:
-        try:
-            timestamp = int(raw_ts)
-        except ValueError:
-            problems.append(f"line {lineno}: unparseable timestamp {raw_ts!r}")
-            return None
-    return src, dst, amount, timestamp
+    try:
+        stamp = int(raw)
+    except ValueError:
+        return f"unparseable timestamp {raw!r}"
+    return stamp if -(2**63) <= stamp < 2**63 else f"timestamp {raw} outside int64"
 
 
-def load_edge_list(path) -> list[EdgeRecord]:
-    """Parse a CSV export into edge records.
+def load_edge_list(path) -> TransactionGraph:
+    """Parse a CSV export into the columns of one multiedge graph with no center.
 
     Addresses are lowercased, self-loops are dropped with a logged warning,
     and malformed rows raise a ValueError listing every offending row by the
-    file line it ends on. Blank lines are skipped.
+    file line it ends on. Blank lines are skipped. Each field is checked a
+    column at a time, each distinct amount field is parsed once, and
+    timestamps must fit int64. Edge ids number the kept records in file order.
     """
     path = Path(path)
-    problems: list[str] = []
-    records: list[EdgeRecord] = []
-    dropped = 0
+    problems: list[tuple[int, str]] = []
+    lines: list[int] = []
+    rows: list[list[str]] = []
     # utf-8-sig: a leading byte-order mark, as spreadsheet programs write,
     # is not part of the first column name
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -95,70 +99,86 @@ def load_edge_list(path) -> list[EdgeRecord]:
         missing = [c for c in ("src", "dst", "amount") if c not in header]
         if missing:
             raise ValueError(f"{path}: missing mandatory column(s) {missing}")
-        column = {name: i for i, name in enumerate(header)}
-        pick = itemgetter(column["src"], column["dst"], column["amount"])
-        ts_col = column.get("timestamp")
         for row in reader:
-            if not row:
-                continue
-            lineno = reader.line_num
-            if len(row) < len(header):
-                problems.append(f"line {lineno}: {len(row)} field(s) for {len(header)} columns")
-                continue
-            raw_ts = "" if ts_col is None else row[ts_col]
-            parsed = _parse_record(*pick(row), raw_ts, lineno, problems)
-            if parsed is None:
-                continue
-            src, dst, amount, timestamp = parsed
-            if src == dst:
-                dropped += 1
-            else:
-                records.append(EdgeRecord(src, dst, amount, timestamp, len(records)))
-    if problems:
-        raise ValueError(f"{path}: malformed rows: " + "; ".join(problems))
-    if dropped:
-        logger.warning("%s: dropped %d self-loop transaction(s)", path, dropped)
-    return records
+            if len(row) >= len(header):
+                lines.append(reader.line_num)
+                rows.append(row)
+            elif row:
+                short = f"{len(row)} field(s) for {len(header)} columns"
+                problems.append((reader.line_num, short))
+    column = {name: i for i, name in enumerate(header)}
+    field = lambda name: list(map(str.strip, map(itemgetter(column[name]), rows)))
+    srcs = list(map(str.lower, field("src")))
+    dsts = list(map(str.lower, field("dst")))
+    raw_amounts = field("amount")
+    parsed = {raw: _parse_amount(raw) for raw in set(raw_amounts)}
+    amounts = list(map(parsed.__getitem__, raw_amounts))
+    stamps = [None] * len(rows)
+    if "timestamp" in column:
+        stamps = list(map(_parse_stamp, field("timestamp")))
+    reasons = [*parsed.values(), *stamps]
+    if problems or "" in srcs or "" in dsts or str in set(map(type, reasons)):
+        for line, src, dst, amount, stamp in zip(lines, srcs, dsts, amounts, stamps):
+            if not src or not dst:
+                problems.append((line, "missing src or dst address"))
+            elif isinstance(amount, str) or isinstance(stamp, str):
+                problems.append((line, amount if isinstance(amount, str) else stamp))
+        problems.sort()
+        raise ValueError(
+            f"{path}: malformed rows: " + "; ".join(f"line {n}: {p}" for n, p in problems)
+        )
+    kept = list(map(ne, srcs, dsts))
+    if not all(kept):
+        logger.warning("%s: dropped %d self-loop transaction(s)", path, kept.count(False))
+        srcs, dsts, amounts, stamps = (
+            list(compress(c, kept)) for c in (srcs, dsts, amounts, stamps)
+        )
+    decimals, values = zip(*amounts) if amounts else ((), ())
+    return TransactionGraph.from_columns(
+        srcs, dsts, decimals, values, stamps, None, temporal=None not in stamps, multiedge=True
+    )
 
 
 def extract_ego_network(
-    records: Sequence[EdgeRecord],
+    records: TransactionGraph,
     target: str,
     form: str = "star",
     tier: str = "directed",
 ) -> TransactionGraph:
-    """Cut the 1-hop ego-network of ``target`` out of a record list.
+    """Cut the 1-hop ego-network of ``target`` out of a graph's records.
 
     Star form keeps only transactions incident to the target; net form also
-    keeps transactions between the target's 1-hop neighbors. The tier decides
-    how much edge structure survives: plain collapses to an undirected simple
-    graph, directed keeps one record per ordered pair, multiedge keeps every
-    parallel record with its timestamp.
+    keeps transactions between the target's 1-hop neighbors. Both cuts are
+    masks over the record columns, and the kept records keep their order. The
+    tier decides how much edge structure survives: plain collapses to an
+    undirected simple graph, directed keeps one record per ordered pair,
+    multiedge keeps every parallel record with its timestamp.
     """
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}; expected one of {FORMS}")
     target = target.strip().lower()
-    incident = [r for r in records if target in (r.src, r.dst)]
-    if not incident:
+    nodes, src, dst = records.nodes, records.src, records.dst
+    at = bisect_left(nodes, target)
+    incident = (src == at) | (dst == at) if nodes[at : at + 1] == (target,) else None
+    if incident is None or not incident.any():
         raise ValueError(f"target {target!r} does not appear in any record")
-    if form == "net":
-        neighbors = {r.src for r in incident} | {r.dst for r in incident}
-        neighbors.discard(target)
-        selected = [
-            r
-            for r in records
-            if target in (r.src, r.dst)
-            or (r.src in neighbors and r.dst in neighbors)
-        ]
+    # the target and its neighbours: the endpoints of its records
+    near = np.zeros(len(nodes), dtype=bool)
+    near[src[incident]] = near[dst[incident]] = True
+    keep = near[src] & near[dst] if form == "net" else incident
+    flags = {"center": target, "directed": True, "multiedge": True}
+    if near.all() and keep.all():  # the records are the ego-net already
+        base = records.replace(temporal=bool(records.timed.all()), **flags)
     else:
-        selected = incident
-    base = TransactionGraph.build(
-        selected,
-        target,
-        directed=True,
-        temporal=all(r.timestamp is not None for r in selected),
-        multiedge=True,
-    )
+        position = np.cumsum(near) - 1
+        base = records.take(
+            keep,
+            nodes=tuple(compress(nodes, near.tolist())),
+            src=position[src[keep]],
+            dst=position[dst[keep]],
+            temporal=bool(records.timed[keep].all()),
+            **flags,
+        )
     return at_tier(base, tier)
 
 

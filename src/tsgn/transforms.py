@@ -15,7 +15,7 @@ the variant:
 
 Every builder is a pure function of an immutable input graph, safe to run
 concurrently across graphs. A mapped graph keeps its edges as numpy arrays of
-positions into its node tuple, built by a few vectorized passes per graph;
+positions into its node array, built by a few vectorized passes per graph;
 only the log of each mapped weight runs per value, through math.log, so every
 weight equals map_weight of its pair bit for bit.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import EdgeRecord, TransactionGraph, undirected_projection
+from .graphs import TransactionGraph, undirected_projection
 
 VARIANTS = ("tsgn", "dtsgn", "ttsgn", "mtsgn")
 
@@ -46,28 +46,28 @@ class TsgnGraph:
     """A mapped subgraph network.
 
     ``variant`` is the VARIANTS key of the mapping that built it. ``nodes``
-    are the source graph's transactions ordered by edge_id. ``edges`` is an
-    ``(m, 2)`` int32 array of (from, to) positions into ``nodes`` and
-    ``weights`` the ``m`` float64 mapped weights, both read-only. For ``tsgn``
-    edges are undirected and stored with from < to; the other variants are
-    directed. Edges are sorted by (from, to) so repeated builds emit identical
-    arrays.
+    holds the edge ids of the source graph's transactions in ascending order.
+    ``edges`` is an ``(m, 2)`` int32 array of (from, to) positions into
+    ``nodes`` and ``weights`` the ``m`` float64 mapped weights; all three are
+    read-only. For ``tsgn`` edges are undirected and stored with from < to;
+    the other variants are directed. Edges are sorted by (from, to) so
+    repeated builds emit identical arrays.
     """
 
     variant: str
-    nodes: tuple[EdgeRecord, ...]
+    nodes: np.ndarray
     edges: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
+        nodes = np.asarray(self.nodes, dtype=np.intp).reshape(-1)
         edges = np.asarray(self.edges, dtype=np.int32).reshape(-1, 2)
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if len(edges) != len(weights):
             raise ValueError(f"{len(edges)} edges but {len(weights)} weights")
-        edges.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "weights", weights)
+        for name, column in (("nodes", nodes), ("edges", edges), ("weights", weights)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
     @property
     def node_count(self) -> int:
@@ -109,18 +109,6 @@ def require_attributes(g: TransactionGraph, variant: str) -> None:
         )
 
 
-def _sorted_nodes(g: TransactionGraph) -> tuple[EdgeRecord, ...]:
-    return tuple(sorted(g.edges, key=lambda r: r.edge_id))
-
-
-def _address_codes(recs: tuple[EdgeRecord, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Source and destination addresses of ``recs`` as small integer codes."""
-    index: dict[str, int] = {}
-    src = [index.setdefault(r.src, len(index)) for r in recs]
-    dst = [index.setdefault(r.dst, len(index)) for r in recs]
-    return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
-
-
 def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For runs of the given lengths, each slot's run index and its offset
     within the run: counts [2, 0, 3] give runs [0, 0, 2, 2, 2] and offsets
@@ -130,21 +118,18 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return runs, np.arange(len(runs)) - starts[runs]
 
 
-def _mapped(
-    variant: str, recs: tuple[EdgeRecord, ...], heads: np.ndarray, tails: np.ndarray
-) -> TsgnGraph:
-    """The TsgnGraph over ``recs`` with edges heads -> tails, sorted by
-    (head, tail) and weighted by map_weight of the two amounts."""
-    order = np.argsort(heads.astype(np.int64) * len(recs) + tails, kind="stable")
+def _mapped(variant: str, g: TransactionGraph, heads: np.ndarray, tails: np.ndarray) -> TsgnGraph:
+    """The TsgnGraph over the records of ``g`` with edges heads -> tails,
+    sorted by (head, tail) and weighted by map_weight of the two amounts."""
+    order = np.argsort(heads * g.edge_count + tails, kind="stable")
     heads, tails = heads[order], tails[order]
-    amounts = np.array([float(r.amount) for r in recs])
-    w_heads, w_tails = amounts[heads], amounts[tails]
+    w_heads, w_tails = g.amounts[heads], g.amounts[tails]
     means = (w_heads + w_tails) / 2.0
     # math.log(1.0) is exactly 0.0, map_weight's value for two zero amounts;
     # np.log is not bit-equal to math.log, so the log runs per value
     means[(w_heads == 0) & (w_tails == 0)] = 1.0
     weights = np.fromiter(map(math.log, means.tolist()), dtype=np.float64, count=len(means))
-    return TsgnGraph(variant, recs, np.stack([heads, tails], axis=1), weights)
+    return TsgnGraph(variant, np.arange(g.edge_count), np.stack([heads, tails], axis=1), weights)
 
 
 def build_tsgn(g: TransactionGraph) -> TsgnGraph:
@@ -156,20 +141,19 @@ def build_tsgn(g: TransactionGraph) -> TsgnGraph:
     weight is map_weight of the two amounts. An edgeless input yields an
     empty TsgnGraph.
     """
-    recs = _sorted_nodes(undirected_projection(g))
-    src, dst = _address_codes(recs)
+    plain = undirected_projection(g)
     # every (address, record) incidence, grouped by address and then by
     # record; each incidence pairs with the ones after it in its group. Two
     # distinct simple edges share at most one address, so no pair repeats.
-    addresses = np.concatenate([src, dst])
-    positions = np.tile(np.arange(len(recs)), 2)
+    addresses = np.concatenate([plain.src, plain.dst])
+    positions = np.tile(np.arange(plain.edge_count), 2)
     order = np.lexsort((positions, addresses))
     addresses, positions = addresses[order], positions[order]
     group_end = np.searchsorted(addresses, addresses, side="right")
     firsts, offsets = _expand(group_end - np.arange(len(addresses)) - 1)
     heads = positions[firsts]
     tails = positions[firsts + 1 + offsets]
-    return _mapped("tsgn", recs, heads, tails)
+    return _mapped("tsgn", plain, heads, tails)
 
 
 def build_directed_tsgn(g: TransactionGraph) -> TsgnGraph:
@@ -209,23 +193,21 @@ def _build_flow(g: TransactionGraph, variant: str) -> TsgnGraph:
     pairs whose timestamps strictly increase."""
     require_attributes(g, variant)
     time_ordered = "temporal" in VARIANT_REQUIREMENTS[variant][0]
-    if time_ordered:
-        for r in g.edges:
-            if r.timestamp is None:
-                raise ValueError(f"edge {r.edge_id} ({r.src}->{r.dst}) has no timestamp")
-    recs = _sorted_nodes(g)
-    src, dst = _address_codes(recs)
+    if time_ordered and not g.timed.all():
+        i = int(np.argmin(g.timed))
+        src, dst = g.nodes[g.src[i]], g.nodes[g.dst[i]]
+        raise ValueError(f"edge {i} ({src}->{dst}) has no timestamp")
+    src, dst = g.src, g.dst
     # join each record's destination to the records grouped by source
     by_src = np.argsort(src, kind="stable")
-    counts = np.bincount(src, minlength=2 * len(recs))  # codes < 2 * len(recs)
+    counts = np.bincount(src, minlength=len(g.nodes))
     starts = np.cumsum(counts) - counts
     heads, offsets = _expand(counts[dst])
     tails = by_src[starts[dst[heads]] + offsets]
     keep = tails != heads
     if time_ordered:
-        stamps = np.array([r.timestamp for r in recs], dtype=np.int64)
-        keep &= stamps[tails] > stamps[heads]
-    return _mapped(variant, recs, heads[keep], tails[keep])
+        keep &= g.stamps[tails] > g.stamps[heads]
+    return _mapped(variant, g, heads[keep], tails[keep])
 
 
 BUILDERS = {

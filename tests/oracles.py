@@ -56,13 +56,13 @@ def time_ordered_pairs(records):
 
 def edge_pairs(t: TsgnGraph) -> frozenset[tuple[int, int]]:
     """A mapped graph's (from_edge_id, to_edge_id) set, weights projected away."""
-    ids = [r.edge_id for r in t.nodes]
+    ids = t.nodes.tolist()
     return frozenset((ids[a], ids[b]) for a, b in t.edges.tolist())
 
 
 def edge_tuples(t: TsgnGraph) -> tuple[tuple[int, int, float], ...]:
     """A mapped graph's edges as (from_edge_id, to_edge_id, weight), in stored order."""
-    ids = [r.edge_id for r in t.nodes]
+    ids = t.nodes.tolist()
     return tuple(
         (ids[a], ids[b], w) for (a, b), w in zip(t.edges.tolist(), t.weights.tolist())
     )
@@ -70,14 +70,16 @@ def edge_tuples(t: TsgnGraph) -> tuple[tuple[int, int, float], ...]:
 
 def same_mapping(t1: TsgnGraph, t2: TsgnGraph) -> bool:
     """Whether two mapped graphs hold the same variant, nodes and weighted edges."""
-    return (t1.variant, t1.nodes, edge_tuples(t1)) == (t2.variant, t2.nodes, edge_tuples(t2))
+    return (t1.variant, t1.nodes.tolist(), edge_tuples(t1)) == (
+        t2.variant, t2.nodes.tolist(), edge_tuples(t2)
+    )
 
 
 def tsgn_graph(variant, nodes, edges) -> TsgnGraph:
-    """A TsgnGraph from records and (from_edge_id, to_edge_id, weight) tuples."""
-    pos = {r.edge_id: i for i, r in enumerate(nodes)}
+    """A TsgnGraph from edge ids and (from_edge_id, to_edge_id, weight) tuples."""
+    pos = {edge_id: i for i, edge_id in enumerate(nodes)}
     return TsgnGraph(
-        variant, tuple(nodes), [(pos[a], pos[b]) for a, b, _ in edges], [w for _, _, w in edges]
+        variant, list(nodes), [(pos[a], pos[b]) for a, b, _ in edges], [w for _, _, w in edges]
     )
 
 
@@ -115,21 +117,13 @@ def validate(g: TransactionGraph) -> list[str]:
             problems.append("empty address in node set")
     if g.center not in node_set:
         problems.append(f"center {g.center!r} not in node set")
-    seen_ids: set[int] = set()
     seen_pairs: set[tuple[str, str]] = set()
     for r in g.edges:
         tag = f"edge {r.edge_id} ({r.src}->{r.dst})"
-        if r.src not in node_set:
-            problems.append(f"{tag}: src not in node set")
-        if r.dst not in node_set:
-            problems.append(f"{tag}: dst not in node set")
         if r.amount < 0:
             problems.append(f"{tag}: negative amount {r.amount}")
         if r.src == r.dst:
             problems.append(f"{tag}: self-loop")
-        if r.edge_id in seen_ids:
-            problems.append(f"{tag}: duplicate edge_id")
-        seen_ids.add(r.edge_id)
         if g.temporal and r.timestamp is None:
             problems.append(f"{tag}: temporal graph but timestamp missing")
         if not g.multiedge:
@@ -142,12 +136,37 @@ def validate(g: TransactionGraph) -> list[str]:
     return problems
 
 
+def collapse_reference(g: TransactionGraph, *, directed: bool) -> TransactionGraph:
+    """One record per address pair, record by record: the heaviest by Decimal,
+    ties to the earliest edge id.
+
+    Pairs are ordered when ``directed`` and sorted otherwise; the kept records
+    are renumbered in sorted-pair order and the result is temporal when every
+    kept record has a timestamp.
+    """
+    groups: dict[tuple[str, str], list] = {}
+    for r in g.edges:
+        key = (r.src, r.dst) if directed or r.src <= r.dst else (r.dst, r.src)
+        groups.setdefault(key, []).append(r)
+    records = []
+    for key in sorted(groups):
+        winner = max(groups[key], key=lambda r: (r.amount, -r.edge_id))
+        records.append((key[0], key[1], winner.amount, winner.timestamp))
+    return TransactionGraph.build(
+        records,
+        g.center,
+        directed=directed,
+        temporal=all(ts is not None for *_, ts in records),
+        label=g.label,
+    )
+
+
 # ---------------------------------------------------------------- features
 
 def oracle_adjacency(graph):
     """Simple undirected adjacency, built independently of tsgn.features."""
     if isinstance(graph, TsgnGraph):
-        names = [r.edge_id for r in graph.nodes]
+        names = graph.nodes.tolist()
         raw = [(a, b) for a, b, _ in edge_tuples(graph)]
     else:
         names = list(graph.nodes)

@@ -112,15 +112,15 @@ def test_structural_invariants():
         temporal = build_temporal_tsgn(g)
         if not edge_pairs(temporal) <= edge_pairs(directed):
             violations += 1
-        if not is_dag([r.edge_id for r in temporal.nodes], edge_pairs(temporal)):
+        if not is_dag(temporal.nodes.tolist(), edge_pairs(temporal)):
             violations += 1
         multi = build_multiple_tsgn(g)  # simple input is the degenerate multi case
-        if not is_dag([r.edge_id for r in multi.nodes], edge_pairs(multi)):
+        if not is_dag(multi.nodes.tolist(), edge_pairs(multi)):
             violations += 1
     for _ in range(2_000):
         g = random_multigraph(rnd, max_nodes=7)
         multi = build_multiple_tsgn(g)
-        if not is_dag([r.edge_id for r in multi.nodes], edge_pairs(multi)):
+        if not is_dag(multi.nodes.tolist(), edge_pairs(multi)):
             violations += 1
     _criterion(
         "structural invariants (DAG + containment on 10,000 temporal graphs)",

@@ -1,11 +1,12 @@
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
 import weakref
-from decimal import Decimal
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgn import DatasetManifest, TransactionGraph, save_dataset
-from tsgn import cli, ingest, transforms
-from tsgn.graphs import TIERS, EdgeRecord
-from tsgn.ingest import dataset_stats, load_dataset, stats_table
+from tsgn import cli, graphs, ingest, transforms
+from tsgn.graphs import TIERS
+from tsgn.ingest import FORMS, dataset_stats, load_dataset, stats_table
+from tsgn.transforms import VARIANTS
 from tsgn.cli import main
 
 from oracles import star_with_neighbor_trades
@@ -189,6 +191,92 @@ def test_transform_output_matches_golden_digest(tmp_path):
     assert digest.hexdigest() == TRANSFORM_DIGEST
 
 
+def _edge_case_dataset(root: Path) -> Path:
+    """Fourteen graphs whose records hold the cases a collapse or a loader can
+    get wrong: zero amounts, amounts equal as floats but not as decimals,
+    one decimal spelled two ways, anti-parallel and repeated pairs, upper-case
+    and space-padded addresses, self-loops, tied timestamps, and one graph
+    whose only untimed record is a lighter parallel neighbour trade (the
+    directed tier drops it; the multiedge tier keeps it, unless form=star)."""
+    graphs = {
+        "ties": ("C", "phishing", [
+            " 0xA ,c,0.1,5", "0xa,C,0.1000000000000000000001,2", "C,0xB,1.5,7",
+            "c,0xb,1.50,3", "0xb,c,0,4", "0xB,c,0,9", "c, c ,3,1", "0xa,0xb,2,6",
+            "0xb,0xa,2,8", "c,0xd,0.25,3", "0xd,0xe,1,10",
+        ]),
+        "untimed": ("c", "benign", [
+            "a,c,5,1", "c,b,2,4", "a,b,3,6", "a,b,1,", "b,a,0,2", "c,a,0,3",
+        ]),
+    }
+    rnd = random.Random(29)
+    amounts = ["0", "0.1", "0.1000000000000000000001", "1.5", "1.50", "2", "0.30", "7e-3"]
+    for k in range(12):
+        names = [f"v{i}" for i in range(rnd.randint(3, 7))]
+        rows = []
+        for _ in range(rnd.randint(4, 14)):
+            src, dst = rnd.sample(names, 2)
+            if rnd.random() < 0.1:
+                dst = src  # a self-loop, dropped at load
+            if rnd.random() < 0.2:
+                src = f" {src.upper()} "
+            rows.append(f"{src},{dst},{rnd.choice(amounts)},{rnd.randint(0, 6)}")
+        rows.append(f"v0,v1,{rnd.choice(amounts)},{rnd.randint(0, 6)}")  # v0 is in a record
+        graphs[f"g{k:02d}"] = ("V0" if k % 3 else "v0", ("phishing", "benign")[k % 2], rows)
+    root.mkdir()
+    labels = ["graph_id,center_address,label"]
+    for graph_id, (center, label, rows) in graphs.items():
+        (root / f"{graph_id}.csv").write_text("\n".join(["src,dst,amount,timestamp", *rows]) + "\n")
+        labels.append(f"{graph_id},{center},{label}")
+    (root / "labels.csv").write_text("\n".join(labels) + "\n")
+    return root
+
+
+# SHA-256 of stats, transform at every tier and form with each variant the
+# tier accepts, and the feature files of one evaluate, on _edge_case_dataset;
+# taken with the record-object ingest and collapse that preceded the columnar
+# ones, before any source change to them.
+EDGE_CASE_DIGEST = "cda757ebb66e056e4002d1292910dfcbbe72d9f57e7a27541152829f1e2688ea"
+
+
+def test_edge_case_outputs_match_golden_digest(tmp_path, capsys):
+    ds = _edge_case_dataset(tmp_path / "ds")
+    digest = hashlib.sha256()
+    capsys.readouterr()
+    for form in FORMS:
+        assert main(["stats", "--dataset", str(ds), "--form", form]) == 0
+        digest.update(capsys.readouterr().out.encode())
+        for tier, variants in (("plain", ("tsgn",)), ("directed", VARIANTS),
+                               ("multiedge", ("tsgn", "mtsgn"))):
+            if (form, tier) == ("net", "multiedge"):
+                code = main(["transform", "--dataset", str(ds), "--tier", tier, "--form", form,
+                             "--variant", "mtsgn", "--out", str(tmp_path / "refused")])
+                assert code == 1 and not (tmp_path / "refused").exists()
+                # the error line only: self-loop warnings name the temporary path
+                error = capsys.readouterr().err.splitlines()[-1]
+                assert error.startswith("error:")
+                digest.update(error.encode())
+                variants = ("tsgn",)
+            out = tmp_path / f"{form}-{tier}"
+            args = ["transform", "--dataset", str(ds), "--tier", tier, "--form", form,
+                    "--out", str(out)]
+            for variant in variants:
+                args += ["--variant", variant]
+            assert main(args) == 0
+            capsys.readouterr()  # timings
+            for f in sorted(out.rglob("*.csv")):
+                digest.update(f"{form}/{tier}/{f.relative_to(out).as_posix()}\n".encode())
+                digest.update(f.read_bytes())
+    out = tmp_path / "evaluate"
+    args = ["evaluate", "--dataset", str(ds), "--repeats", "2", "--trees", "5", "--out", str(out)]
+    for variant in VARIANTS:
+        args += ["--variant", variant]
+    assert main(args) == 0
+    for f in sorted(out.glob("features_*.csv")):
+        digest.update(f"evaluate/{f.name}\n".encode())
+        digest.update(f.read_bytes())
+    assert digest.hexdigest() == EDGE_CASE_DIGEST
+
+
 _WEIGHTS = st.one_of(
     st.floats(),
     st.integers(-(10**6), 10**6).map(float),  # integral
@@ -203,13 +291,13 @@ _WEIGHTS = st.one_of(
     edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), _WEIGHTS), max_size=40),
 )
 def test_edge_writer_text_equals_per_row_format(ids, edges):
-    nodes = tuple(EdgeRecord("a", "b", Decimal(1), None, i) for i in sorted(ids))
+    nodes = sorted(ids)
     edges = [(a % len(nodes), b % len(nodes), w) for a, b, w in edges]
     t = transforms.TsgnGraph(
         "dtsgn", nodes, [(a, b) for a, b, _ in edges], [w for _, _, w in edges]
     )
     expected = "from_tx,to_tx,weight\n" + "".join(
-        f"{nodes[a].edge_id},{nodes[b].edge_id},{w:.12g}\n" for a, b, w in edges
+        f"{nodes[a]},{nodes[b]},{w:.12g}\n" for a, b, w in edges
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edges.csv"
@@ -485,6 +573,71 @@ def test_amounts_without_a_mapped_weight_fail_before_any_output(
     assert "2 graph(s) failed to load" in err
     assert "bad1: " in err and "bad2: " in err and "good:" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stamp", ["99999999999999999999", "-99999999999999999999"])
+def test_timestamps_outside_int64_fail_at_load_by_line(tmp_path, capsys, stamp):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    rows = "src,dst,amount,timestamp\na,b,1,1\nb,c,2,{}\n"
+    (ds / "good.csv").write_text(rows.format(2))
+    (ds / "late.csv").write_text(rows.format(stamp))
+    (ds / "labels.csv").write_text("graph_id,center_address,label\ngood,b,phishing\nlate,b,benign\n")
+    out = tmp_path / "out"
+    assert main(["transform", "--dataset", str(ds), "--variant", "ttsgn", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "1 graph(s) failed to load" in err
+    assert f"late: {ds / 'late.csv'}: malformed rows: line 3: timestamp {stamp} outside int64" in err
+    assert not out.exists()
+
+
+# the entry points the benchmark's tracer wraps by name (bench/tracing.py)
+TRACED = {
+    ingest: ("load_edge_list", "extract_ego_network"),
+    graphs: ("at_tier", "undirected_projection"),
+    transforms: ("build_tsgn", "build_directed_tsgn", "build_temporal_tsgn", "build_multiple_tsgn"),
+}
+
+
+def test_transform_calls_every_traced_entry_point_by_name(tmp_path, monkeypatch):
+    """Rebind each traced name wherever the package holds it, in module globals
+    and module-level dicts, as the tracer does, and count the calls: a span
+    goes dark when the package stops calling through the name."""
+    ds = tmp_path / "ds"
+    assert main(["synth", "--per-class", "3", "--seed", "5", "--out", str(ds)]) == 0
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    modules = [m for n, m in sys.modules.items() if n == "tsgn" or n.startswith("tsgn.")]
+    for module, names in TRACED.items():
+        for name in names:
+            original = getattr(module, name)
+            wrapped = counted(name, original)
+            for loaded in modules:
+                for key, value in list(vars(loaded).items()):
+                    if value is original:
+                        monkeypatch.setattr(loaded, key, wrapped)
+                    elif isinstance(value, dict):
+                        for k, v in list(value.items()):
+                            if v is original:
+                                monkeypatch.setitem(value, k, wrapped)
+    out = tmp_path / "out"
+    assert main(["transform", "--dataset", str(ds), "--tier", "directed", "--variant", "tsgn",
+                 "--variant", "dtsgn", "--variant", "ttsgn", "--out", str(out)]) == 0
+    assert main(["transform", "--dataset", str(ds), "--tier", "multiedge", "--variant", "mtsgn",
+                 "--out", str(out)]) == 0
+    # six graphs, loaded once per command and mapped once per variant
+    assert calls == {
+        "load_edge_list": 12, "extract_ego_network": 12, "at_tier": 12,
+        "undirected_projection": 6, "build_tsgn": 6, "build_directed_tsgn": 6,
+        "build_temporal_tsgn": 6, "build_multiple_tsgn": 6,
+    }
 
 
 def test_cli_imports_only_numpy_and_the_standard_library():

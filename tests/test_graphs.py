@@ -2,10 +2,19 @@ import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tsgn import EdgeRecord, TransactionGraph, at_tier, undirected_projection
+from tsgn import EdgeRecord, TransactionGraph, at_tier, extract_ego_network, undirected_projection
+from tsgn.ingest import FORMS
 
-from oracles import random_digraph, random_multigraph, star_with_neighbor_trades, validate
+from oracles import (
+    collapse_reference,
+    random_digraph,
+    random_multigraph,
+    star_with_neighbor_trades,
+    validate,
+)
 
 
 def test_projection_collapses_antiparallel_to_max_amount():
@@ -82,27 +91,15 @@ def test_validate_accepts_wellformed_star():
 
 
 def test_validate_flags_structural_problems():
-    bad_center = TransactionGraph(("a", "b"), (EdgeRecord("a", "b", 1),), "z")
+    # endpoints are positions into the node set and edge ids are rows, so a
+    # loose endpoint or a repeated edge id cannot be built
+    bad_center = TransactionGraph.build([("a", "b", 1)], "a").replace(center="z")
     assert any("center" in p for p in validate(bad_center))
 
-    loose_endpoint = TransactionGraph(("a",), (EdgeRecord("a", "b", 1),), "a")
-    assert any("dst not in node set" in p for p in validate(loose_endpoint))
-
-    self_loop = TransactionGraph(("a",), (EdgeRecord("a", "a", 1),), "a")
+    self_loop = TransactionGraph.build([("a", "a", 1)], "a")
     assert any("self-loop" in p for p in validate(self_loop))
 
-    dup_ids = TransactionGraph(
-        ("a", "b", "c"),
-        (EdgeRecord("a", "b", 1, None, 0), EdgeRecord("b", "c", 1, None, 0)),
-        "a",
-    )
-    assert any("duplicate edge_id" in p for p in validate(dup_ids))
-
-    parallel = TransactionGraph(
-        ("a", "b"),
-        (EdgeRecord("a", "b", 1, None, 0), EdgeRecord("a", "b", 2, None, 1)),
-        "a",
-    )
+    parallel = TransactionGraph.build([("a", "b", 1), ("a", "b", 2)], "a")
     assert any("parallel edge" in p for p in validate(parallel))
 
 
@@ -164,3 +161,44 @@ def test_collapse_keeps_each_tiers_temporal_flag():
     fields = lambda graph: [(r.src, r.dst, r.amount, r.timestamp, r.edge_id) for r in graph.edges]
     assert fields(plain) == [("a", "b", Decimal(3), 5, 0)]
     assert fields(directed) == [("a", "b", Decimal(3), 5, 0), ("b", "a", Decimal(1), 9, 1)]
+
+
+# equal as floats but not as decimals, and one decimal spelled two ways
+_TIE_AMOUNTS = ["0", "0.1", "0.1000000000000000000001", "1.5", "1.50", "2"]
+
+
+@st.composite
+def _ego_networks(draw):
+    """Ego-nets of v0 cut from a file's records: parallel and anti-parallel
+    records, amount ties, zero amounts, missing and tied timestamps, and
+    records outside the cut, so amount ranks come from the whole file."""
+    k = draw(st.integers(2, 5))
+    rows = []
+    for i in range(draw(st.integers(1, 12))):
+        src = 0 if i == 0 else draw(st.integers(0, k - 1))
+        dst = (src + draw(st.integers(1, k - 1))) % k
+        amount = draw(st.one_of(st.sampled_from(_TIE_AMOUNTS), st.decimals(0, 10, places=3)))
+        stamp = draw(st.one_of(st.none(), st.integers(0, 4)))
+        rows.append((f"v{src}", f"v{dst}", amount, stamp))
+    records = TransactionGraph.build(rows, None, multiedge=True)
+    return extract_ego_network(records, "v0", draw(st.sampled_from(FORMS)), "multiedge")
+
+
+def _fields(g):
+    """Flags, nodes and records, with amounts as their text."""
+    records = [(r.src, r.dst, str(r.amount), r.timestamp, r.edge_id) for r in g.edges]
+    return (g.directed, g.temporal, g.multiedge, g.nodes, records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_ego_networks())
+def test_tiers_and_projection_equal_the_record_level_collapse(g):
+    directed = collapse_reference(g, directed=True)
+    plain = collapse_reference(g, directed=False)
+    assert _fields(at_tier(g, "directed")) == _fields(directed)
+    assert _fields(at_tier(g, "plain")) == _fields(plain.replace(temporal=False))
+    assert _fields(undirected_projection(g)) == _fields(
+        plain.replace(temporal=plain.temporal and g.temporal)
+    )
+    timed = all(r.timestamp is not None for r in g.edges)
+    assert _fields(at_tier(g, "multiedge")) == _fields(g.replace(temporal=timed))

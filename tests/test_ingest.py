@@ -40,7 +40,7 @@ def test_load_wellformed_csv(tmp_path):
         "0xB,0xC,0,11\n"
         "0xC,0xA,2.25,12\n",
     )
-    records = load_edge_list(path)
+    records = load_edge_list(path).edges
     assert len(records) == 3
     assert records[0].src == "0xa"  # lowercased
     assert records[0].amount == Decimal("1.5")
@@ -81,7 +81,20 @@ def test_load_rejects_amounts_whose_mean_has_no_log(tmp_path, amount, reason):
 )
 def test_load_accepts_amounts_at_the_bounds(tmp_path, amount):
     path = _write(tmp_path, f"src,dst,amount,timestamp\na,b,{amount},1\n")
-    assert load_edge_list(path)[0].amount == Decimal(amount)
+    assert load_edge_list(path).edges[0].amount == Decimal(amount)
+
+
+@pytest.mark.parametrize(
+    "stamp, accepted",
+    [(str(2**63 - 1), True), (str(-(2**63)), True), (str(2**63), False), (str(-(2**63) - 1), False)],
+)
+def test_load_keeps_timestamps_to_int64(tmp_path, stamp, accepted):
+    path = _write(tmp_path, f"src,dst,amount,timestamp\na,b,1,1\nb,c,1,{stamp}\n")
+    if accepted:
+        assert load_edge_list(path).edges[1].timestamp == int(stamp)
+    else:
+        with pytest.raises(ValueError, match=f"line 3: timestamp {stamp} outside int64$"):
+            load_edge_list(path)
 
 
 def test_load_drops_self_loops_with_warning(tmp_path, caplog):
@@ -90,7 +103,7 @@ def test_load_drops_self_loops_with_warning(tmp_path, caplog):
         "src,dst,amount,timestamp\na,a,1,1\na,b,2,2\n",
     )
     with caplog.at_level(logging.WARNING, logger="tsgn.ingest"):
-        records = load_edge_list(path)
+        records = load_edge_list(path).edges
     assert len(records) == 1
     assert "dropped 1 self-loop" in caplog.text
 
@@ -116,14 +129,14 @@ def test_load_requires_mandatory_columns(tmp_path):
 
 def test_load_without_timestamp_column(tmp_path):
     path = _write(tmp_path, "src,dst,amount\na,b,3\n")
-    records = load_edge_list(path)
+    records = load_edge_list(path).edges
     assert records[0].timestamp is None
     assert records[0].amount == Decimal(3)
 
 
 def test_load_keeps_amounts_bit_exact(tmp_path):
     path = _write(tmp_path, "src,dst,amount,timestamp\na,b,0.1,\n")
-    records = load_edge_list(path)
+    records = load_edge_list(path).edges
     assert str(records[0].amount) == "0.1"
     assert records[0].timestamp is None
 
@@ -162,14 +175,19 @@ TRIANGLE = [
 ]
 
 
+def _file(records):
+    """Records as load_edge_list returns a file's: one multiedge graph, no center."""
+    return TransactionGraph.build(records, None, multiedge=True)
+
+
 def test_star_extraction_keeps_incident_edges_only():
-    g = extract_ego_network(TRIANGLE, "a", form="star", tier="directed")
+    g = extract_ego_network(_file(TRIANGLE), "a", form="star", tier="directed")
     assert g.edge_count == 2
     assert {(r.src, r.dst) for r in g.edges} == {("a", "b"), ("a", "c")}
 
 
 def test_net_extraction_adds_neighbor_edges():
-    g = extract_ego_network(TRIANGLE, "a", form="net", tier="directed")
+    g = extract_ego_network(_file(TRIANGLE), "a", form="net", tier="directed")
     assert g.edge_count == 3
 
 
@@ -178,16 +196,16 @@ def test_multiedge_tier_keeps_parallel_records():
         EdgeRecord("a", "b", 1, 1, 0),
         EdgeRecord("a", "b", 2, 5, 1),
     ]
-    g = extract_ego_network(records, "a", form="net", tier="multiedge")
+    g = extract_ego_network(_file(records), "a", form="net", tier="multiedge")
     assert g.edge_count == 2
     assert g.multiedge and g.temporal
 
 
 def test_extract_errors_on_absent_target():
     with pytest.raises(ValueError, match="does not appear"):
-        extract_ego_network(TRIANGLE, "zz", form="star", tier="plain")
+        extract_ego_network(_file(TRIANGLE), "zz", form="star", tier="plain")
     with pytest.raises(ValueError, match="unknown form"):
-        extract_ego_network(TRIANGLE, "a", form="ring", tier="plain")
+        extract_ego_network(_file(TRIANGLE), "a", form="ring", tier="plain")
 
 
 def test_star_edges_subset_of_net_edges():
@@ -199,8 +217,8 @@ def test_star_edges_subset_of_net_edges():
     ]
     records = [r for r in records if r.src != r.dst]
     for tier in ("plain", "directed", "multiedge"):
-        star = extract_ego_network(records, "v0", form="star", tier=tier)
-        net = extract_ego_network(records, "v0", form="net", tier=tier)
+        star = extract_ego_network(_file(records), "v0", form="star", tier=tier)
+        net = extract_ego_network(_file(records), "v0", form="net", tier=tier)
         star_pairs = {(r.src, r.dst) for r in star.edges}
         net_pairs = {(r.src, r.dst) for r in net.edges}
         assert star_pairs <= net_pairs
@@ -268,8 +286,8 @@ def test_dense_star_generator_shapes():
 # ------------------------------------------------------------------ statistics
 
 def test_dataset_stats_means_and_maxima():
-    g1 = extract_ego_network(TRIANGLE, "a", form="star", tier="directed")
-    g2 = extract_ego_network(TRIANGLE + [EdgeRecord("a", "d", 1, 4, 3), EdgeRecord("a", "e", 1, 5, 4)], "a", form="net", tier="directed")
+    g1 = extract_ego_network(_file(TRIANGLE), "a", form="star", tier="directed")
+    g2 = extract_ego_network(_file(TRIANGLE + [EdgeRecord("a", "d", 1, 4, 3), EdgeRecord("a", "e", 1, 5, 4)]), "a", form="net", tier="directed")
     manifest = DatasetManifest(
         (g1.with_label("x"), g2.with_label("y")), "net", "directed"
     )

@@ -125,10 +125,11 @@ def test_plain_edge_weights_use_map_weight():
     assert edge_tuples(t)[0][2] == pytest.approx(math.log(4.0))
 
 
-def _check_weights(t):
-    """Every mapped weight equals map_weight of its pair's amounts, bit for bit."""
+def _check_weights(t, source):
+    """Every mapped weight equals map_weight of its pair's amounts, bit for bit;
+    ``source`` is the graph whose records are the nodes of ``t``."""
     edges = edge_tuples(t)
-    amounts = {r.edge_id: float(r.amount) for r in t.nodes}
+    amounts = {r.edge_id: float(r.amount) for r in source.edges}
     assert [w for _, _, w in edges] == [map_weight(amounts[a], amounts[b]) for a, b, _ in edges]
 
 
@@ -142,9 +143,9 @@ def test_weights_are_bit_equal_to_map_weight_where_np_log_is_not():
     for i, x in enumerate(differ.tolist()):
         records += [(f"u{i}", f"w{i}", x), (f"w{i}", f"z{i}", x)]
     g = TransactionGraph.build(records, "u0")
-    for t in (build_tsgn(g), build_directed_tsgn(g)):
+    for t, source in ((build_tsgn(g), undirected_projection(g)), (build_directed_tsgn(g), g)):
         assert sorted(t.weights.tolist()) == sorted(math.log(x) for x in differ.tolist())
-        _check_weights(t)
+        _check_weights(t, source)
 
 
 # --------------------------------------------------------------- directed map
@@ -249,7 +250,7 @@ def test_temporal_subset_of_directed_and_acyclic():
         temporal = build_temporal_tsgn(g)
         assert edge_pairs(temporal) <= edge_pairs(directed)
         assert temporal.edge_count <= directed.edge_count
-        ids = [r.edge_id for r in temporal.nodes]
+        ids = temporal.nodes.tolist()
         assert is_dag(ids, edge_pairs(temporal))
         assert edge_pairs(temporal) == frozenset(time_ordered_pairs(g.edges))
 
@@ -290,7 +291,7 @@ def test_multiple_mapping_matches_brute_force_and_is_acyclic():
         t = build_multiple_tsgn(g)
         assert t.node_count == g.edge_count
         assert edge_pairs(t) == frozenset(time_ordered_pairs(g.edges))
-        assert is_dag([r.edge_id for r in t.nodes], edge_pairs(t))
+        assert is_dag(t.nodes.tolist(), edge_pairs(t))
 
 
 def test_mapped_outputs_are_deterministically_ordered():
@@ -301,7 +302,7 @@ def test_mapped_outputs_are_deterministically_ordered():
         t2 = build_multiple_tsgn(g)
         assert same_mapping(t1, t2)
         assert list(edge_tuples(t1)) == sorted(edge_tuples(t1))
-        ids = [r.edge_id for r in t1.nodes]
+        ids = t1.nodes.tolist()
         assert ids == sorted(ids)
 
 
@@ -344,14 +345,14 @@ def temporal_multigraphs(draw):
     return TransactionGraph.build(records, "v0", temporal=True, multiedge=True)
 
 
-def _check_edges(t, expected_pairs):
+def _check_edges(t, source, expected_pairs):
     """The mapped edges are exactly ``expected_pairs``, sorted, each once, and
     every weight equals map_weight of its pair bit for bit."""
     edges = edge_tuples(t)
     assert edge_pairs(t) == frozenset(expected_pairs)
     assert t.edge_count == len(expected_pairs)
     assert list(edges) == sorted(edges)
-    _check_weights(t)
+    _check_weights(t, source)
 
 
 @settings(max_examples=200, deadline=None)
@@ -360,11 +361,11 @@ def test_multigraph_mappings_match_brute_force(g):
     plain = undirected_projection(g)
     t = build_tsgn(g)
     assert t.node_count == plain.edge_count
-    _check_edges(t, shared_endpoint_pairs(plain.edges))
+    _check_edges(t, plain, shared_endpoint_pairs(plain.edges))
     multi = build_multiple_tsgn(g)
     assert multi.node_count == g.edge_count
-    _check_edges(multi, time_ordered_pairs(g.edges))
-    assert is_dag([r.edge_id for r in multi.nodes], edge_pairs(multi))
+    _check_edges(multi, g, time_ordered_pairs(g.edges))
+    assert is_dag(multi.nodes.tolist(), edge_pairs(multi))
 
 
 @settings(max_examples=200, deadline=None)
@@ -373,8 +374,8 @@ def test_simple_graph_mappings_match_brute_force(g):
     simple = at_tier(g, "directed")
     directed = build_directed_tsgn(simple)
     temporal = build_temporal_tsgn(simple)
-    _check_edges(directed, head_to_tail_pairs(simple.edges))
-    _check_edges(temporal, time_ordered_pairs(simple.edges))
+    _check_edges(directed, simple, head_to_tail_pairs(simple.edges))
+    _check_edges(temporal, simple, time_ordered_pairs(simple.edges))
     assert edge_pairs(temporal) <= edge_pairs(directed)
-    assert is_dag([r.edge_id for r in temporal.nodes], edge_pairs(temporal))
+    assert is_dag(temporal.nodes.tolist(), edge_pairs(temporal))
     assert edge_tuples(build_multiple_tsgn(simple)) == edge_tuples(temporal)
