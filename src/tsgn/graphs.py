@@ -4,21 +4,21 @@ A transaction graph is an ego-network around a target account: nodes are
 addresses, edges are individual transfers carrying an amount and an optional
 integer timestamp. Its records are read-only numpy columns, one row per
 record, whose row is its edge id: ``src`` and ``dst`` as positions into the
-sorted ``nodes``, float64 ``amounts``, the exact ``decimals`` read, ``ranks``
-(the amount's place among the sorted distinct decimals of the records the
-graph was built from, a whole file for a loaded one, equal decimals sharing
-one) and int64 ``stamps`` with a ``timed`` mask. Graphs are
-frozen so they can be shared across worker threads; every operation in this
-module is a pure function of its input graph.
+sorted ``nodes``, float64 ``amounts``, the exact ``decimals`` read, their
+``ranks`` (each amount's place among the sorted distinct decimals of the
+records the graph was built from, a whole file for a loaded one) and int64
+``stamps`` with a ``timed`` mask. Graphs are immutable so they can be shared
+across worker threads; every operation in this module is a pure function of
+its input graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from decimal import Decimal
 from itertools import chain, repeat
 from operator import is_not
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class EdgeRecord:
 _COLUMNS = ("src", "dst", "amounts", "ranks", "stamps", "timed", "decimals")
 
 
-@dataclass(frozen=True, eq=False)
 class TransactionGraph:
     """Ego-network of one target account, or with ``center`` None the records
     of one file.
@@ -66,75 +65,74 @@ class TransactionGraph:
     record in edge-id order; both orderings exist to make downstream output
     deterministic. The three attribute flags say which edge attributes are
     meaningful: direction, timestamps, and whether parallel records are
-    allowed. Graphs are equal when their nodes, records, center, flags and
+    allowed. The constructor takes the columns as they are and marks them
+    read-only; ``build`` makes them from records. Graphs are immutable, and
+    equal (with equal hashes) when their nodes, records, center, flags and
     label are.
     """
 
-    nodes: tuple[str, ...]
-    src: np.ndarray
-    dst: np.ndarray
-    amounts: np.ndarray
-    ranks: np.ndarray
-    stamps: np.ndarray
-    timed: np.ndarray
-    decimals: np.ndarray
-    center: str | None
-    directed: bool = True
-    temporal: bool = False
-    multiedge: bool = False
-    label: str | None = None
+    def __init__(
+        self, nodes: tuple[str, ...], src: np.ndarray, dst: np.ndarray,
+        amounts: np.ndarray, ranks: np.ndarray, stamps: np.ndarray, timed: np.ndarray,
+        decimals: np.ndarray, center: str | None, *, directed: bool = True,
+        temporal: bool = False, multiedge: bool = False, label: str | None = None,
+    ):
+        columns = (src, dst, amounts, ranks, stamps, timed, decimals)
+        for column in columns:
+            if column.flags.writeable:  # a replace passes on read-only columns
+                column.setflags(write=False)
+        vars(self).update(
+            zip(_COLUMNS, columns), nodes=nodes, center=center, directed=directed,
+            temporal=temporal, multiedge=multiedge, label=label,
+        )
+
+    def _immutable(self, name, *value):
+        raise FrozenInstanceError(f"cannot change {name!r} of an immutable TransactionGraph")
+
+    __setattr__ = __delattr__ = _immutable
 
     @classmethod
     def build(
-        cls, edges: Iterable[EdgeRecord | tuple], center: str | None, **flags
+        cls, edges: Iterable[EdgeRecord | tuple], center: str | None, *,
+        directed: bool = True, temporal: bool = False, multiedge: bool = False,
+        label: str | None = None,
     ) -> "TransactionGraph":
-        """Assemble a graph from records or (src, dst, amount[, timestamp]) tuples;
-        ``flags`` set the other fields (directed, temporal, multiedge, label).
+        """Assemble a graph from records or (src, dst, amount[, timestamp]) tuples.
 
         Edge ids are (re)assigned sequentially in input order and the node set
-        is collected from the edge endpoints plus the center. Amount ranks
-        are taken over the distinct amounts of these records.
+        is collected from the edge endpoints plus the center. An amount's rank
+        is its place among the sorted distinct decimals of these records, so
+        equal decimals spelled apart (1.5 and 1.50) share one and decimals
+        that round to one float (0.1 and 0.1000000000000000000001) do not;
+        its float is that of its distinct decimal.
         """
         rows = [
             (e.src, e.dst, e.amount, e.timestamp) if isinstance(e, EdgeRecord)
             else e if len(e) == 4 else (*e, None)
             for e in edges
         ]
+        m = len(rows)
         srcs, dsts, amounts, stamps = zip(*rows) if rows else ((), (), (), ())
         decimals = list(map(_as_amount, amounts))
-        values = list(map(float, decimals))
-        return cls.from_columns(srcs, dsts, decimals, values, stamps, center, **flags)
-
-    @classmethod
-    def from_columns(
-        cls, srcs: Sequence[str], dsts: Sequence[str], decimals: Sequence[Decimal],
-        values: Sequence[float], stamps: Sequence[int | None], center: str | None, **flags,
-    ) -> "TransactionGraph":
-        """The graph of per-record addresses, Decimal amounts, their floats and
-        timestamps (None where missing), as build makes it; load_edge_list,
-        which has the floats already, calls it directly."""
-        m = len(srcs)
-        names = {*srcs, *dsts} if center is None else {*srcs, *dsts, center}
-        nodes = tuple(sorted(names))
+        ranks, values, last = [0] * m, [], None
+        for i in sorted(range(m), key=decimals.__getitem__):
+            if decimals[i] != last:  # a new distinct decimal and its float
+                last = decimals[i]
+                values.append(float(last))
+            ranks[i] = len(values) - 1
+        ranks = np.array(ranks, dtype=np.intp)
+        nodes = tuple(sorted({*srcs, *dsts} if center is None else {*srcs, *dsts, center}))
         index = dict(zip(nodes, range(len(nodes))))
-        amounts = np.array(values, dtype=np.float64)
         ends = np.fromiter(map(index.__getitem__, chain(srcs, dsts)), np.intp, 2 * m)
         timed = np.fromiter(map(is_not, stamps, repeat(None)), bool, m)
         if None in stamps:
             stamps = [0 if t is None else t for t in stamps]
-        columns = {
-            "src": ends[:m],
-            "dst": ends[m:],
-            "amounts": amounts,
-            "ranks": _exact_ranks(decimals),
-            "stamps": np.fromiter(stamps, np.int64, m),
-            "timed": timed,
-            "decimals": np.fromiter(decimals, object, m),
-        }
-        for column in columns.values():
-            column.setflags(write=False)
-        # fields not given keep the defaults dataclass leaves on the class
-        return object.__new__(cls).replace(nodes=nodes, center=center, **columns, **flags)
+        return cls(
+            nodes, ends[:m], ends[m:],
+            np.array(values, dtype=np.float64)[ranks],
+            ranks, np.fromiter(stamps, np.int64, m), timed, np.fromiter(decimals, object, m),
+            center, directed=directed, temporal=temporal, multiedge=multiedge, label=label,
+        )
 
     @property
     def edges(self) -> tuple[EdgeRecord, ...]:
@@ -155,39 +153,33 @@ class TransactionGraph:
     def edge_count(self) -> int:
         return len(self.src)
 
+    def _key(self) -> tuple:
+        return (self.nodes, self.edges, self.center, self.directed, self.temporal,
+                self.multiedge, self.label)
+
     def __eq__(self, other):
         if not isinstance(other, TransactionGraph):
             return NotImplemented
-        key = lambda g: (g.nodes, g.edges, g.center, g.directed, g.temporal, g.multiedge, g.label)
-        return key(self) == key(other)
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"TransactionGraph{self._key()!r}"
+
+    def replace(self, **changes) -> "TransactionGraph":
+        """A copy with ``changes`` to its constructor's arguments."""
+        return TransactionGraph(**{**vars(self), **changes})
 
     def take(self, rows, **changes) -> "TransactionGraph":
         """The graph of the records at ``rows`` (a mask or positions), renumbered
-        in that order; ``changes`` replace fields, columns included."""
+        in that order, with ``changes`` as in replace."""
         columns = {name: getattr(self, name)[rows] for name in _COLUMNS}
-        columns.update(changes)
-        for name in _COLUMNS:
-            columns[name].setflags(write=False)
-        return self.replace(**columns)
-
-    def replace(self, **changes) -> "TransactionGraph":
-        """dataclasses.replace without __init__, whose object.__setattr__ per
-        field costs more than the column work on a graph of a few records."""
-        graph = object.__new__(TransactionGraph)
-        graph.__dict__.update(vars(self), **changes)
-        return graph
+        return TransactionGraph(**{**vars(self), **columns, **changes})
 
     def with_label(self, label: str | None) -> "TransactionGraph":
         return self.replace(label=label)
-
-
-def _exact_ranks(decimals: Sequence[Decimal]) -> np.ndarray:
-    """Each amount's place among the sorted distinct decimals; equal decimals
-    spelled apart (1.5 and 1.50) share one, and decimals that round to one
-    float (0.1 and 0.1000000000000000000001) do not."""
-    distinct = sorted(set(decimals))
-    rank = dict(zip(distinct, range(len(distinct))))
-    return np.fromiter(map(rank.__getitem__, decimals), np.intp, len(decimals))
 
 
 def _collapse(g: TransactionGraph, *, directed: bool) -> TransactionGraph:

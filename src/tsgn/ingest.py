@@ -45,9 +45,9 @@ MIN_AMOUNT = sys.float_info.min  # the least normal float
 MAX_AMOUNT = sys.float_info.max / 2
 
 
-def _parse_amount(raw: str) -> tuple[Decimal, float] | str:
-    """A stripped amount field -> its Decimal and float, or the reason it is
-    malformed. float(raw) is float(Decimal(raw)): both round the same digits."""
+def _parse_amount(raw: str) -> Decimal | str:
+    """A stripped amount field -> its Decimal, or the reason it is malformed.
+    The bounds hold for float(raw), which is the float(Decimal(raw)) mapped."""
     try:
         amount = Decimal(raw)
     except InvalidOperation:
@@ -61,7 +61,7 @@ def _parse_amount(raw: str) -> tuple[Decimal, float] | str:
         return f"amount {raw} above {MAX_AMOUNT!r}"
     if value < MIN_AMOUNT and amount:
         return f"nonzero amount {raw} below {MIN_AMOUNT!r}"
-    return amount, value
+    return amount
 
 
 def _parse_stamp(raw: str) -> int | None | str:
@@ -133,9 +133,8 @@ def load_edge_list(path) -> TransactionGraph:
         srcs, dsts, amounts, stamps = (
             list(compress(c, kept)) for c in (srcs, dsts, amounts, stamps)
         )
-    decimals, values = zip(*amounts) if amounts else ((), ())
-    return TransactionGraph.from_columns(
-        srcs, dsts, decimals, values, stamps, None, temporal=None not in stamps, multiedge=True
+    return TransactionGraph.build(
+        zip(srcs, dsts, amounts, stamps), None, temporal=None not in stamps, multiedge=True
     )
 
 
@@ -159,26 +158,25 @@ def extract_ego_network(
     target = target.strip().lower()
     nodes, src, dst = records.nodes, records.src, records.dst
     at = bisect_left(nodes, target)
-    incident = (src == at) | (dst == at) if nodes[at : at + 1] == (target,) else None
-    if incident is None or not incident.any():
-        raise ValueError(f"target {target!r} does not appear in any record")
+    found = nodes[at : at + 1] == (target,)
+    incident = (src == at) | (dst == at)
     # the target and its neighbours: the endpoints of its records
     near = np.zeros(len(nodes), dtype=bool)
     near[src[incident]] = near[dst[incident]] = True
+    if not found or not near[at]:
+        raise ValueError(f"target {target!r} does not appear in any record")
     keep = near[src] & near[dst] if form == "net" else incident
-    flags = {"center": target, "directed": True, "multiedge": True}
-    if near.all() and keep.all():  # the records are the ego-net already
-        base = records.replace(temporal=bool(records.timed.all()), **flags)
-    else:
-        position = np.cumsum(near) - 1
-        base = records.take(
-            keep,
-            nodes=tuple(compress(nodes, near.tolist())),
-            src=position[src[keep]],
-            dst=position[dst[keep]],
-            temporal=bool(records.timed[keep].all()),
-            **flags,
-        )
+    position = np.cumsum(near) - 1
+    base = records.take(
+        keep,
+        nodes=tuple(compress(nodes, near.tolist())),
+        src=position[src[keep]],
+        dst=position[dst[keep]],
+        center=target,
+        directed=True,
+        temporal=bool(records.timed[keep].all()),
+        multiedge=True,
+    )
     return at_tier(base, tier)
 
 

@@ -117,6 +117,19 @@ def validate(g: TransactionGraph) -> list[str]:
             problems.append("empty address in node set")
     if g.center not in node_set:
         problems.append(f"center {g.center!r} not in node set")
+    columns = ("src", "dst", "amounts", "ranks", "stamps", "timed", "decimals")
+    rows = {name: len(getattr(g, name)) for name in columns}
+    if len(set(rows.values())) > 1:
+        return problems + [f"columns of unequal length: {rows}"]
+    # an endpoint is a position into the node set; -1 would name the last node
+    loose = [
+        f"edge {i}: {name} position {p} not in node set"
+        for name in ("src", "dst")
+        for i, p in enumerate(getattr(g, name).tolist())
+        if not 0 <= p < len(g.nodes)
+    ]
+    if loose:
+        return problems + loose
     seen_pairs: set[tuple[str, str]] = set()
     for r in g.edges:
         tag = f"edge {r.edge_id} ({r.src}->{r.dst})"

@@ -1,12 +1,13 @@
 import random
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgn import EdgeRecord, TransactionGraph, at_tier, extract_ego_network, undirected_projection
-from tsgn.ingest import FORMS
+from tsgn.ingest import FORMS, DatasetManifest
 
 from oracles import (
     collapse_reference,
@@ -91,16 +92,38 @@ def test_validate_accepts_wellformed_star():
 
 
 def test_validate_flags_structural_problems():
-    # endpoints are positions into the node set and edge ids are rows, so a
-    # loose endpoint or a repeated edge id cannot be built
-    bad_center = TransactionGraph.build([("a", "b", 1)], "a").replace(center="z")
+    # edge ids are rows, so a repeated edge id cannot be built
+    edge = TransactionGraph.build([("a", "b", 1)], "a")
+    bad_center = edge.replace(center="z")
     assert any("center" in p for p in validate(bad_center))
+
+    for loose in (-1, 2):
+        problems = validate(edge.replace(dst=np.array([loose])))
+        assert problems == [f"edge 0: dst position {loose} not in node set"]
+
+    short = validate(edge.replace(stamps=np.array([], dtype=np.int64)))
+    assert len(short) == 1 and "unequal length" in short[0]
 
     self_loop = TransactionGraph.build([("a", "a", 1)], "a")
     assert any("self-loop" in p for p in validate(self_loop))
 
     parallel = TransactionGraph.build([("a", "b", 1), ("a", "b", 2)], "a")
     assert any("parallel edge" in p for p in validate(parallel))
+
+
+def test_graphs_are_immutable_and_hash_as_they_compare():
+    g = TransactionGraph.build([("a", "b", 1, 5)], "a", temporal=True)
+    with pytest.raises(TypeError, match="multi_edge"):
+        TransactionGraph.build([("a", "b", 1)], "a", multi_edge=True)
+    with pytest.raises(TypeError, match="multi_edge"):
+        g.replace(multi_edge=True)
+    with pytest.raises(AttributeError):
+        g.temporal = False
+    with pytest.raises(ValueError, match="read-only"):
+        g.replace(dst=np.array([0])).dst[0] = 1
+    same = TransactionGraph.build([("a", "b", Decimal("1.0"), 5)], "a", temporal=True)
+    assert same == g and hash(same) == hash(g)
+    hash(DatasetManifest((g.with_label("x"),), "net", "directed"))  # TypeError if unhashable
 
 
 def test_at_tier_plain_drops_direction_and_time():
