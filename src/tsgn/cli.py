@@ -80,6 +80,8 @@ def cmd_transform(args) -> int:
     if not variants:
         return 0
     manifest = load_dataset(args.dataset, tier=args.tier, form=args.form)
+    if "summary" in manifest.graph_ids:
+        raise ValueError(f"{args.dataset}: graph id summary would name summary.csv")
     _require_variants(manifest, variants)
     out = Path(args.out)
     # map, write and drop a window of --threads graphs at a time, so memory

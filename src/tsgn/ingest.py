@@ -442,12 +442,14 @@ LABELS_HEADER = ("graph_id", "center_address", "label")
 
 def _check_graph_ids(graph_ids: Sequence[str], where) -> None:
     """Raise ValueError naming every id that is repeated or is not a bare file
-    name: ids name the files that save_dataset and transform write, and
-    ``labels`` would name labels.csv."""
+    name: ids name the files that save_dataset and transform write, the empty
+    id would name the hidden file ``.csv``, and ``labels`` would name
+    labels.csv."""
     counts = Counter(graph_ids)
-    bad = [i for i, n in counts.items() if n > 1 or Path(i).name != i or i == "labels"]
+    bad = [i for i, n in counts.items() if n > 1 or not i or Path(i).name != i or i == "labels"]
     if bad:
-        raise ValueError(f"{where}: graph ids must be unique file names: {', '.join(bad)}")
+        names = ", ".join(i or '""' for i in bad)
+        raise ValueError(f"{where}: graph ids must be unique file names: {names}")
 
 
 def save_dataset(manifest: DatasetManifest, out_dir) -> Path:

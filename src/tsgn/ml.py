@@ -4,12 +4,14 @@ stratified-split evaluation harness.
 The forest is a standard bagging ensemble of CART trees: every tree trains on
 a bootstrap sample and grows until its leaves are pure or cannot be split,
 splits minimize Gini impurity, and each node considers a random subset of
-about sqrt(p) of the p features. Every random number of a fit is a keyed
-draw, a hash of the fit seed and a counter (bootstrap rows) or of a node's
-key (its features and its children's keys), so no tree depends on the order
-in which nodes grow. The whole forest therefore grows one depth level per
-step, with the nodes of a level scored together in split searches of at most
-KEY_CAP keys, and a fixed master seed reproduces identical reports.
+about sqrt(p) of the p features. Copies of a training row and class are
+grown as one row drawn as often as all of them, which gives the same trees.
+Every random number of a fit is a keyed draw, a hash of the fit seed and a
+counter (bootstrap rows) or of a node's key (its features and its children's
+keys), so no tree depends on the order in which nodes grow. The whole forest
+therefore grows one depth level per step, with the nodes of a level scored
+together in split searches of at most KEY_CAP keys, and a fixed master seed
+reproduces identical reports.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .ingest import PHISHING_LABEL
 TRAIN_FRACTION = 0.9
 
 # Most keys one split search sorts and scores. A level sorts one key per
-# (node, drawn feature, distinct bootstrap row); a level with more is
+# (node, drawn feature, distinct row drawn into the node); a level with more is
 # scored in runs of whole nodes, so the cap, not the number of trees, bounds
 # the working memory of a search. predict routes as many (tree, row) cells at
 # once.
@@ -125,7 +127,10 @@ class RandomForest:
         self.classes_ = classes
         code = {c: i for i, c in enumerate(classes)}
         y = np.fromiter((code[v] for v in labels), dtype=np.int64, count=len(labels))
-        data = _RankedRows(x, y, len(classes))
+        # one row per (row, class) pair, compared by bytes: -0.0 is not 0.0
+        bits = np.column_stack((x.view(np.int64), y))
+        _, first, group = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+        data = _RankedRows(x[first], y[first], len(classes), group)
         self._forest, self._roots = _grow_forest(self.config.n_trees, self.config.seed, data)
         return self
 
@@ -165,18 +170,22 @@ class RandomForest:
 
 
 class _RankedRows:
-    """The training rows of one fit, ranked and keyed for the split search.
+    """The distinct (row, class) pairs of one fit's training rows, ranked and
+    keyed for the split search; ``group`` maps every training row to its pair.
 
-    Every feature's distinct values are ranked once. Ranks order like the
-    values, so nodes are searched and split on ranks. ``best_splits`` scores
-    the impure nodes of a level together: one int64 key per (node,
-    drawn feature, distinct bootstrap row) packs, from the high bits down, the
+    Copies share every rank and class, so no split separates them, and their
+    class counts stay whole numbers: scores and ties are those of the copies
+    apart. Every feature's distinct values are ranked once. Ranks order like
+    the values, so nodes are searched and split on ranks. ``best_splits``
+    scores the impure nodes of a level together: one int64 key per (node,
+    drawn feature, distinct row drawn) packs, from the high bits down, the
     segment ``node * k + draw``, the row's value rank, its class and its
     bootstrap count, and one sort orders every segment by value.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, n_classes: int):
+    def __init__(self, x: np.ndarray, y: np.ndarray, n_classes: int, group: np.ndarray):
         n, self.n_features = x.shape
+        self.group = group
         self.k = max(1, int(math.sqrt(self.n_features)))
         self.y = y
         self.n_classes = n_classes
@@ -188,7 +197,7 @@ class _RankedRows:
         # feature f's distinct values, ascending, from value_start[f] on
         self.values = np.concatenate(values)
         self.value_start = np.cumsum([0] + [len(v) for v in values[:-1]], dtype=np.int64)
-        self.count_bits = n.bit_length()  # a bootstrap count is at most n
+        self.count_bits = len(group).bit_length()  # a count is at most every draw
         self.class_bits = max(1, (n_classes - 1).bit_length())
         self.rank_bits = max(1, (n - 1).bit_length())
         self.segment_shift = self.rank_bits + self.class_bits + self.count_bits
@@ -349,28 +358,31 @@ def _grow_forest(n_trees: int, seed: int, data: _RankedRows) -> tuple[_Tree, np.
     """Grow the ``n_trees`` trees of a fit one depth level at a time.
 
     Every random number is a keyed draw, so no tree depends on the order in
-    which nodes grow. Tree ``t`` bootstraps rows from draws ``t * n + 1`` to
-    ``t * n + n`` of the fit's bootstrap stream, and its root's key is draw
-    ``t + 1`` of the fit's root stream. A node with ``p`` features draws the
-    ``k`` smallest of draws 1 to ``p`` of its key's stream, in ascending
-    order, and its children's keys are draws ``p + 1`` and ``p + 2``.
+    which nodes grow. Tree ``t`` bootstraps the ``n`` training rows from
+    draws ``t * n + 1`` to ``t * n + n`` of the fit's bootstrap stream, each
+    draw counted for its row's pair in ``data.group``, and its root's key is
+    draw ``t + 1`` of the fit's root stream. A node with ``p`` features
+    draws the ``k`` smallest of draws 1 to ``p`` of its key's stream, in
+    ascending order, and its children's keys are draws ``p + 1`` and ``p + 2``.
 
     Nodes are numbered across the forest in the order they are made, so node
     ``t`` is the root of tree ``t`` and each level is one range of numbers.
     The rows of a level's nodes are held as int32 cells sorted by node:
-    ``node``, the distinct bootstrap ``rows`` and their ``weight``, the times
+    ``node``, the distinct ``rows`` drawn and their ``weight``, the times
     drawn. Returns the forest's node table and its roots.
     """
-    n_classes, n, p = data.n_classes, data.ranks.shape[1], data.n_features
+    n_classes, n, p = data.n_classes, len(data.group), data.n_features
+    d = data.ranks.shape[1]  # distinct rows
     boot_key, root_key = np.random.SeedSequence(seed).generate_state(2, np.uint64)[:, None]
     boot = (_draws(boot_key, n_trees * n)[0] % np.uint64(n)).astype(np.intp)
-    boot += np.arange(n_trees * n) // n * n  # the (tree, row) cell of each draw
-    drawn = np.bincount(boot, minlength=n_trees * n)
+    boot = data.group.take(boot)
+    boot += np.arange(n_trees * n) // n * d  # the (tree, distinct row) cell of each draw
+    drawn = np.bincount(boot, minlength=n_trees * d)
     del boot
     cell = np.flatnonzero(drawn)
     weight = drawn[cell].astype(np.int32)
     del drawn
-    node, rows = (a.astype(np.int32) for a in np.divmod(cell, n))
+    node, rows = (a.astype(np.int32) for a in np.divmod(cell, d))
     del cell
     keys = _draws(root_key, n_trees)[0]
     first = 0  # number of the level's first node
@@ -400,7 +412,7 @@ def _grow_forest(n_trees: int, seed: int, data: _RankedRows) -> tuple[_Tree, np.
         cut[at] = split_rank
         moving = cut[owner] >= 0
         owner, rows, weight = owner[moving], rows[moving], weight[moving]
-        node = left[owner] + (data.ranks.take(feature[owner] * n + rows) > cut[owner])
+        node = left[owner] + (data.ranks.take(feature[owner] * d + rows) > cut[owner])
         order = np.argsort(node, kind="stable")
         node, rows, weight = node[order], rows[order], weight[order]
         del owner, order

@@ -491,6 +491,22 @@ def test_transform_names_outputs_by_dataset_id(tmp_path):
     ]
 
 
+def test_transform_refuses_the_graph_id_summary_before_any_output(tmp_path, capsys):
+    # the mapped edges of graph summary would be overwritten by summary.csv
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "summary.csv").write_text("src,dst,amount,timestamp\na,b,1,1\nb,c,2,2\n")
+    (ds / "g1.csv").write_text("src,dst,amount,timestamp\nx,y,1,1\n")
+    (ds / "labels.csv").write_text(
+        "graph_id,center_address,label\nsummary,b,phishing\ng1,x,benign\n"
+    )
+    out = tmp_path / "mapped"
+    assert main(["transform", "--dataset", str(ds), "--variant", "dtsgn",
+                 "--out", str(out)]) == 1
+    assert "graph id summary" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("variants", [[], ["--variant", "ttsgn"]])
 def test_evaluate_rejects_dataset_without_phishing_label_before_any_output(
     tmp_path, capsys, monkeypatch, variants

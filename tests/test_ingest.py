@@ -398,7 +398,7 @@ def test_load_of_save_keeps_the_graph_ids(graphs, data):
 
 def test_save_refuses_ids_that_are_not_file_names_before_writing(tmp_path):
     g = generate_synthetic_dataset("etherg1", n_per_class=1, seed=9).graphs
-    for ids in (("../x", "y"), ("x", "x"), ("labels", "y")):
+    for ids in (("../x", "y"), ("x", "x"), ("labels", "y"), ("", "y")):
         manifest = DatasetManifest(g, "net", "multiedge", ids)
         with pytest.raises(ValueError, match="unique file names"):
             save_dataset(manifest, tmp_path / "ds")
@@ -440,6 +440,13 @@ def test_load_dataset_rejects_ids_that_are_not_unique_file_names(tmp_path):
         "g,a,phishing\ng,b,benign\n../g,a,benign\n"
     )
     with pytest.raises(ValueError, match=r"unique file names: \.\./g, g$"):
+        load_dataset(tmp_path)
+    # an empty id would name the hidden file .csv
+    (tmp_path / ".csv").write_text("src,dst,amount,timestamp\na,b,1,1\n")
+    (tmp_path / "labels.csv").write_text(
+        "graph_id,center_address,label\ng,a,phishing\n,a,benign\n"
+    )
+    with pytest.raises(ValueError, match='unique file names: ""$'):
         load_dataset(tmp_path)
 
 

@@ -231,11 +231,76 @@ def test_thirty_trees_grown_in_one_pass_match_reference_forest(n_classes):
     assert forest.predict(probe) == reference.predict(probe)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vectors=st.integers(1, 8),
+    n_rows=st.integers(20, 200),
+    n_features=st.integers(1, 6),
+    case=st.sampled_from(["conflicting labels", "signed zeros", "all but one"]),
+)
+@pytest.mark.parametrize("key_cap", [ml.KEY_CAP, 1])
+def test_forest_on_repeated_rows_matches_reference_forest(
+    seed, n_vectors, n_rows, n_features, case, key_cap
+):
+    # rows drawn from a few vectors, plus one more vector in a single row,
+    # whose class differs from that of vector 0 in row 0. The forest searches
+    # each distinct (row, class) pair once, weighted by its copies.
+    rng = np.random.default_rng(seed)
+    vectors = np.round(rng.normal(scale=2.0, size=(n_vectors + 1, n_features)))
+    if case == "signed zeros":  # the extra vector is vector 0 with -0.0 for 0.0
+        vectors[0, 0] = 0.0
+        vectors[-1] = vectors[0]
+        vectors[-1, 0] = -0.0
+    pick = np.zeros(n_rows, dtype=int)
+    if case != "all but one":
+        pick[1:] = rng.integers(0, n_vectors, size=n_rows - 1)
+    pick[rng.integers(1, n_rows)] = n_vectors
+    classes = rng.integers(0, 3, size=n_vectors + 1)
+    classes[-1] = (classes[0] + 1) % 3
+    y = classes[pick]
+    if case == "conflicting labels":  # some copies of a vector change class
+        flip = rng.random(n_rows) < 0.3
+        flip[0] = False
+        y[flip] = (y[flip] + rng.integers(1, 3, size=flip.sum())) % 3
+    x = vectors[pick]
+    y = [f"c{v}" for v in y]
+    config = ForestConfig(n_trees=4, seed=seed % 1000)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ml, "KEY_CAP", key_cap)
+        forest = RandomForest(config).fit(x, y)
+        probe = np.vstack([vectors, -vectors, x])
+        predicted = forest.predict(probe)
+    reference = ReferenceForest(config).fit(x, y)
+    assert _tree_shapes(forest) == [_reference_shape(root) for root in reference._trees]
+    assert predicted == reference.predict(probe)
+
+
+def test_split_search_scores_each_distinct_row_once(monkeypatch):
+    # 630 rows that are 63 distinct rows of one class each, repeated 10
+    # times: every search sees row numbers of the 63 only
+    rng = np.random.default_rng(8)
+    vectors = rng.normal(size=(63, 10))
+    x = vectors[rng.permutation(np.repeat(np.arange(63), 10))]
+    y = ["phishing" if v > 0 else "benign" for v in x[:, 0] + x[:, 1]]
+    searched = []
+    search = ml._RankedRows.best_splits
+
+    def spy(self, features, rows, *args):
+        searched.append(rows)
+        return search(self, features, rows, *args)
+
+    monkeypatch.setattr(ml._RankedRows, "best_splits", spy)
+    RandomForest(ForestConfig(n_trees=20, seed=2)).fit(x, y)
+    assert searched
+    assert max(rows.max() for rows in searched) < 63
+
+
 def test_forest_memory_is_bounded_by_the_key_cap():
     # 630 rows of about 315 distinct ones, like the fused etherg1 training
     # rows. A fit holds every tree's rows at once, but each split search
-    # sorts at most KEY_CAP keys: here the fit peaks near 2.2 MB, and one
-    # search over all 100 roots at once would peak near 10 MB. predict routes
+    # sorts at most KEY_CAP keys: here the fit peaks near 2.7 MB, and one
+    # search over all 100 roots at once would peak near 9.3 MB. predict routes
     # at most KEY_CAP (tree, row) cells at once: all 10,080 rows through all
     # trees at once would take near 67 MB.
     rng = np.random.default_rng(5)
