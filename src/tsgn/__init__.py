@@ -11,7 +11,6 @@ from .features import (
     handcrafted_features,
 )
 from .graphs import (
-    EdgeRecord,
     TransactionGraph,
     at_tier,
     undirected_projection,
@@ -48,7 +47,6 @@ from .transforms import (
 __all__ = [
     "DatasetManifest",
     "DatasetStats",
-    "EdgeRecord",
     "EvalReport",
     "FEATURE_NAMES",
     "FeatureMatrix",

@@ -119,7 +119,7 @@ def _write_mapped(path: Path, t: TsgnGraph) -> None:
     line template repeated once per edge, fed the fields edge by edge.
     """
     fields = np.empty((t.edge_count, 3), dtype=object)
-    fields[:, :2] = np.array(list(map(str, t.nodes.tolist())), dtype=object)[t.edges]
+    fields[:, :2] = np.array(list(map(str, range(t.node_count))), dtype=object)[t.edges]
     fields[:, 2] = t.weights.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("from_tx,to_tx,weight\n" + "%s,%s,%.12g\n" * t.edge_count % tuple(fields.flat))

@@ -62,13 +62,13 @@ def simple_adjacency(graphs: Sequence[TransactionGraph | TsgnGraph]) -> np.ndarr
 
     A (G, n, n) stack of symmetric 0/1 float64 matrices with zero diagonals,
     one per graph, over indices 0..n-1. Transaction graphs index their sorted
-    address list; TsgnGraphs index their nodes in edge_id order. Parallel,
+    address list; a TsgnGraph's node ids are edge ids already. Parallel,
     anti-parallel, and self edges collapse away here, so multi-edge inputs
     featurize exactly like their simple view.
     """
     heads = [g.src if isinstance(g, TransactionGraph) else g.edges[:, 0] for g in graphs]
     tails = [g.dst if isinstance(g, TransactionGraph) else g.edges[:, 1] for g in graphs]
-    n = len(graphs[0].nodes)
+    n = graphs[0].node_count
     a = np.zeros((len(graphs), n, n))
     which = np.repeat(np.arange(len(graphs)), [len(h) for h in heads])
     u, v = np.concatenate(heads), np.concatenate(tails)
@@ -84,7 +84,7 @@ def handcrafted_features(graph: TransactionGraph | TsgnGraph) -> np.ndarray:
     feature_matrix runs on every stack. Raises ValueError on an empty
     (zero-node) graph.
     """
-    if len(graph.nodes) == 0:
+    if graph.node_count == 0:
         raise ValueError("cannot featurize an empty graph")
     return _stack_features(simple_adjacency([graph]))[0]
 
@@ -255,7 +255,7 @@ def _stacks(graphs: Sequence[TransactionGraph | TsgnGraph]):
     """
     by_size: dict[int, list[int]] = {}
     for i, graph in enumerate(graphs):
-        by_size.setdefault(len(graph.nodes), []).append(i)
+        by_size.setdefault(graph.node_count, []).append(i)
     if 0 in by_size:
         raise ValueError(f"cannot featurize empty graphs at positions {by_size[0]}")
     for n, members in sorted(by_size.items()):

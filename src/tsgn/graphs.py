@@ -7,14 +7,16 @@ record, whose row is its edge id: ``src`` and ``dst`` as positions into the
 sorted ``nodes``, float64 ``amounts``, the exact ``decimals`` read, their
 ``ranks`` (each amount's place among the sorted distinct decimals of the
 records the graph was built from, a whole file for a loaded one) and int64
-``stamps`` with a ``timed`` mask. Graphs are immutable so they can be shared
+``stamps`` with a ``timed`` mask. The columns are the only form of a record:
+no per-record object is built, and the library reads, compares and writes
+records a column at a time. Graphs are immutable so they can be shared
 across worker threads; every operation in this module is a pure function of
 its input graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from itertools import chain, repeat
 from operator import is_not
@@ -34,26 +36,6 @@ def _as_amount(value) -> Decimal:
     return Decimal(value)
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
-    """One raw transaction: ``src`` transfers ``amount`` to ``dst``.
-
-    Amounts are kept as Decimal (bit-exact w.r.t. the source export). ``amount``
-    may be 0 for a contract invocation. ``edge_id`` is the ordinal of the
-    record within its graph and is what the subgraph mappings use as node
-    identity.
-    """
-
-    src: str
-    dst: str
-    amount: Decimal
-    timestamp: int | None = None
-    edge_id: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "amount", _as_amount(self.amount))
-
-
 _COLUMNS = ("src", "dst", "amounts", "ranks", "stamps", "timed", "decimals")
 
 
@@ -67,8 +49,11 @@ class TransactionGraph:
     meaningful: direction, timestamps, and whether parallel records are
     allowed. The constructor takes the columns as they are and marks them
     read-only; ``build`` makes them from records. Graphs are immutable, and
-    equal (with equal hashes) when their nodes, records, center, flags and
-    label are.
+    equal (with equal hashes) when their nodes, ``src``, ``dst``,
+    ``decimals``, ``timed`` mask, the stamps of their timed rows, center,
+    flags and label are. An untimed row's stored stamp is ignored, as are the
+    floats, which follow from the decimals, and the ranks, which depend on the
+    records a graph was cut from.
     """
 
     def __init__(
@@ -93,24 +78,20 @@ class TransactionGraph:
 
     @classmethod
     def build(
-        cls, edges: Iterable[EdgeRecord | tuple], center: str | None, *,
+        cls, records: Iterable[tuple], center: str | None, *,
         directed: bool = True, temporal: bool = False, multiedge: bool = False,
         label: str | None = None,
     ) -> "TransactionGraph":
-        """Assemble a graph from records or (src, dst, amount[, timestamp]) tuples.
+        """Assemble a graph from (src, dst, amount[, timestamp]) records.
 
-        Edge ids are (re)assigned sequentially in input order and the node set
-        is collected from the edge endpoints plus the center. An amount's rank
+        Edge ids number the records in input order and the node set is
+        collected from the record endpoints plus the center. An amount's rank
         is its place among the sorted distinct decimals of these records, so
         equal decimals spelled apart (1.5 and 1.50) share one and decimals
         that round to one float (0.1 and 0.1000000000000000000001) do not;
         its float is that of its distinct decimal.
         """
-        rows = [
-            (e.src, e.dst, e.amount, e.timestamp) if isinstance(e, EdgeRecord)
-            else e if len(e) == 4 else (*e, None)
-            for e in edges
-        ]
+        rows = [r if len(r) == 4 else (*r, None) for r in records]
         m = len(rows)
         srcs, dsts, amounts, stamps = zip(*rows) if rows else ((), (), (), ())
         decimals = list(map(_as_amount, amounts))
@@ -135,17 +116,6 @@ class TransactionGraph:
         )
 
     @property
-    def edges(self) -> tuple[EdgeRecord, ...]:
-        """The records as EdgeRecord objects, in edge-id order."""
-        nodes = self.nodes
-        rows = zip(self.src.tolist(), self.dst.tolist(), self.decimals.tolist(),
-                   self.stamps.tolist(), self.timed.tolist())
-        return tuple(
-            EdgeRecord(nodes[s], nodes[d], amount, stamp if timed else None, i)
-            for i, (s, d, amount, stamp, timed) in enumerate(rows)
-        )
-
-    @property
     def node_count(self) -> int:
         return len(self.nodes)
 
@@ -154,8 +124,9 @@ class TransactionGraph:
         return len(self.src)
 
     def _key(self) -> tuple:
-        return (self.nodes, self.edges, self.center, self.directed, self.temporal,
-                self.multiedge, self.label)
+        columns = (self.src, self.dst, self.decimals, self.stamps[self.timed], self.timed)
+        return (self.nodes, *(tuple(c.tolist()) for c in columns), self.center,
+                self.directed, self.temporal, self.multiedge, self.label)
 
     def __eq__(self, other):
         if not isinstance(other, TransactionGraph):

@@ -460,10 +460,12 @@ def save_dataset(manifest: DatasetManifest, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     named = list(zip(manifest.graph_ids, manifest.graphs))
     for graph_id, g in named:
+        name = g.nodes.__getitem__
+        stamps = [t if timed else None for t, timed in zip(g.stamps.tolist(), g.timed.tolist())]
         write_csv(
             out / f"{graph_id}.csv",
             ("src", "dst", "amount", "timestamp"),
-            ((r.src, r.dst, r.amount, r.timestamp) for r in g.edges),
+            zip(map(name, g.src.tolist()), map(name, g.dst.tolist()), g.decimals.tolist(), stamps),
         )
     write_csv(out / "labels.csv", LABELS_HEADER, ((i, g.center, g.label) for i, g in named))
     return out

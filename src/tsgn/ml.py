@@ -413,6 +413,11 @@ def _grow_forest(n_trees: int, seed: int, data: _RankedRows) -> tuple[_Tree, np.
         moving = cut[owner] >= 0
         owner, rows, weight = owner[moving], rows[moving], weight[moving]
         node = left[owner] + (data.ranks.take(feature[owner] * d + rows) > cut[owner])
+        # a split that keeps every row on one side would repeat at every
+        # level without end
+        if not np.bincount(node - first - width, minlength=2 * len(at)).all():
+            level = len(levels) - 1
+            raise RuntimeError(f"forest level {level}: a split sends all its rows one way")
         order = np.argsort(node, kind="stable")
         node, rows, weight = node[order], rows[order], weight[order]
         del owner, order

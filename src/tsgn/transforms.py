@@ -14,10 +14,11 @@ the variant:
          transactions each get their own node
 
 Every builder is a pure function of an immutable input graph, safe to run
-concurrently across graphs. A mapped graph keeps its edges as numpy arrays of
-positions into its node array, built by a few vectorized passes per graph;
-only the log of each mapped weight runs per value, through math.log, so every
-weight equals map_weight of its pair bit for bit.
+concurrently across graphs. A mapped graph's nodes are the edge ids of the
+records it read, so it keeps their count and its edges as numpy arrays of
+edge ids, built by a few vectorized passes per graph; only the log of each
+mapped weight runs per value, through math.log, so every weight equals
+map_weight of its pair bit for bit.
 """
 
 from __future__ import annotations
@@ -45,33 +46,29 @@ VARIANT_REQUIREMENTS = {
 class TsgnGraph:
     """A mapped subgraph network.
 
-    ``variant`` is the VARIANTS key of the mapping that built it. ``nodes``
-    holds the edge ids of the source graph's transactions in ascending order.
-    ``edges`` is an ``(m, 2)`` int32 array of (from, to) positions into
-    ``nodes`` and ``weights`` the ``m`` float64 mapped weights; all three are
-    read-only. For ``tsgn`` edges are undirected and stored with from < to;
-    the other variants are directed. Edges are sorted by (from, to) so
-    repeated builds emit identical arrays.
+    ``variant`` is the VARIANTS key of the mapping that built it. Node ``i``
+    of the ``node_count`` nodes is record ``i`` of the graph the mapping
+    read: the input graph, or for ``tsgn`` its undirected projection.
+    ``edges`` is an ``(m, 2)`` int32 array of (from, to) node ids, that is
+    edge ids of those records, and ``weights`` the ``m`` float64 mapped
+    weights; both are read-only. For ``tsgn`` edges are undirected and
+    stored with from < to; the other variants are directed. Edges are sorted
+    by (from, to) so repeated builds emit identical arrays.
     """
 
     variant: str
-    nodes: np.ndarray
+    node_count: int
     edges: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=np.intp).reshape(-1)
         edges = np.asarray(self.edges, dtype=np.int32).reshape(-1, 2)
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if len(edges) != len(weights):
             raise ValueError(f"{len(edges)} edges but {len(weights)} weights")
-        for name, column in (("nodes", nodes), ("edges", edges), ("weights", weights)):
+        for name, column in (("edges", edges), ("weights", weights)):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
 
     @property
     def edge_count(self) -> int:
@@ -129,7 +126,7 @@ def _mapped(variant: str, g: TransactionGraph, heads: np.ndarray, tails: np.ndar
     # np.log is not bit-equal to math.log, so the log runs per value
     means[(w_heads == 0) & (w_tails == 0)] = 1.0
     weights = np.fromiter(map(math.log, means.tolist()), dtype=np.float64, count=len(means))
-    return TsgnGraph(variant, np.arange(g.edge_count), np.stack([heads, tails], axis=1), weights)
+    return TsgnGraph(variant, g.edge_count, np.stack([heads, tails], axis=1), weights)
 
 
 def build_tsgn(g: TransactionGraph) -> TsgnGraph:

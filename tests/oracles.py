@@ -9,11 +9,37 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from decimal import Decimal
+from typing import NamedTuple
 
 import numpy as np
 
 from tsgn import RandomForest, TransactionGraph, TsgnGraph
 from tsgn.ingest import _amt, _with_timestamps
+
+
+# ----------------------------------------------------------------- records
+
+class Row(NamedTuple):
+    """One record of a TransactionGraph, read back from its columns."""
+
+    src: str
+    dst: str
+    amount: Decimal
+    timestamp: int | None
+    edge_id: int
+
+
+def rows_of(g: TransactionGraph) -> tuple[Row, ...]:
+    """The records of ``g`` in edge-id order, an untimed one with timestamp None."""
+    nodes = g.nodes
+    columns = zip(
+        g.src.tolist(), g.dst.tolist(), g.decimals.tolist(), g.stamps.tolist(), g.timed.tolist()
+    )
+    return tuple(
+        Row(nodes[s], nodes[d], amount, stamp if timed else None, i)
+        for i, (s, d, amount, stamp, timed) in enumerate(columns)
+    )
 
 
 # ---------------------------------------------------------------- mappings
@@ -56,30 +82,18 @@ def time_ordered_pairs(records):
 
 def edge_pairs(t: TsgnGraph) -> frozenset[tuple[int, int]]:
     """A mapped graph's (from_edge_id, to_edge_id) set, weights projected away."""
-    ids = t.nodes.tolist()
-    return frozenset((ids[a], ids[b]) for a, b in t.edges.tolist())
+    return frozenset(map(tuple, t.edges.tolist()))
 
 
 def edge_tuples(t: TsgnGraph) -> tuple[tuple[int, int, float], ...]:
     """A mapped graph's edges as (from_edge_id, to_edge_id, weight), in stored order."""
-    ids = t.nodes.tolist()
-    return tuple(
-        (ids[a], ids[b], w) for (a, b), w in zip(t.edges.tolist(), t.weights.tolist())
-    )
+    return tuple((a, b, w) for (a, b), w in zip(t.edges.tolist(), t.weights.tolist()))
 
 
 def same_mapping(t1: TsgnGraph, t2: TsgnGraph) -> bool:
-    """Whether two mapped graphs hold the same variant, nodes and weighted edges."""
-    return (t1.variant, t1.nodes.tolist(), edge_tuples(t1)) == (
-        t2.variant, t2.nodes.tolist(), edge_tuples(t2)
-    )
-
-
-def tsgn_graph(variant, nodes, edges) -> TsgnGraph:
-    """A TsgnGraph from edge ids and (from_edge_id, to_edge_id, weight) tuples."""
-    pos = {edge_id: i for i, edge_id in enumerate(nodes)}
-    return TsgnGraph(
-        variant, list(nodes), [(pos[a], pos[b]) for a, b, _ in edges], [w for _, _, w in edges]
+    """Whether two mapped graphs hold the same variant, node count and weighted edges."""
+    return (t1.variant, t1.node_count, edge_tuples(t1)) == (
+        t2.variant, t2.node_count, edge_tuples(t2)
     )
 
 
@@ -131,7 +145,7 @@ def validate(g: TransactionGraph) -> list[str]:
     if loose:
         return problems + loose
     seen_pairs: set[tuple[str, str]] = set()
-    for r in g.edges:
+    for r in rows_of(g):
         tag = f"edge {r.edge_id} ({r.src}->{r.dst})"
         if r.amount < 0:
             problems.append(f"{tag}: negative amount {r.amount}")
@@ -158,7 +172,7 @@ def collapse_reference(g: TransactionGraph, *, directed: bool) -> TransactionGra
     kept record has a timestamp.
     """
     groups: dict[tuple[str, str], list] = {}
-    for r in g.edges:
+    for r in rows_of(g):
         key = (r.src, r.dst) if directed or r.src <= r.dst else (r.dst, r.src)
         groups.setdefault(key, []).append(r)
     records = []
@@ -179,11 +193,11 @@ def collapse_reference(g: TransactionGraph, *, directed: bool) -> TransactionGra
 def oracle_adjacency(graph):
     """Simple undirected adjacency, built independently of tsgn.features."""
     if isinstance(graph, TsgnGraph):
-        names = graph.nodes.tolist()
-        raw = [(a, b) for a, b, _ in edge_tuples(graph)]
+        names = range(graph.node_count)
+        raw = edge_pairs(graph)
     else:
-        names = list(graph.nodes)
-        raw = [(r.src, r.dst) for r in graph.edges]
+        names = graph.nodes
+        raw = [(r.src, r.dst) for r in rows_of(graph)]
     pos = {name: i for i, name in enumerate(names)}
     adj = [set() for _ in names]
     for u, v in raw:
@@ -475,8 +489,8 @@ def random_digraph(rnd: random.Random, max_nodes: int = 8, temporal: bool = Fals
 
 def random_multigraph(rnd: random.Random, max_nodes: int = 8) -> TransactionGraph:
     base = random_digraph(rnd, max_nodes, temporal=True)
-    edges = [(r.src, r.dst, r.amount, r.timestamp) for r in base.edges]
-    for r in list(base.edges):
+    edges = [(r.src, r.dst, r.amount, r.timestamp) for r in rows_of(base)]
+    for r in rows_of(base):
         if rnd.random() < 0.4:  # parallel duplicate with its own timestamp
             edges.append((r.src, r.dst, rnd.randint(0, 6), rnd.randint(0, 20)))
     return TransactionGraph.build(

@@ -43,6 +43,7 @@ from oracles import (
     random_digraph,
     random_multigraph,
     random_undirected_graph,
+    rows_of,
     shared_endpoint_pairs,
     time_ordered_pairs,
 )
@@ -62,19 +63,19 @@ def test_mapping_oracle_suite():
     mismatches = 0
     for _ in range(1000):
         g = random_undirected_graph(rnd)
-        if edge_pairs(build_tsgn(g)) != frozenset(shared_endpoint_pairs(g.edges)):
+        if edge_pairs(build_tsgn(g)) != frozenset(shared_endpoint_pairs(rows_of(g))):
             mismatches += 1
     for _ in range(1000):
         g = random_digraph(rnd)
-        if edge_pairs(build_directed_tsgn(g)) != frozenset(head_to_tail_pairs(g.edges)):
+        if edge_pairs(build_directed_tsgn(g)) != frozenset(head_to_tail_pairs(rows_of(g))):
             mismatches += 1
     for _ in range(1000):
         g = random_digraph(rnd, temporal=True)
-        if edge_pairs(build_temporal_tsgn(g)) != frozenset(time_ordered_pairs(g.edges)):
+        if edge_pairs(build_temporal_tsgn(g)) != frozenset(time_ordered_pairs(rows_of(g))):
             mismatches += 1
     for _ in range(1000):
         g = random_multigraph(rnd)
-        if edge_pairs(build_multiple_tsgn(g)) != frozenset(time_ordered_pairs(g.edges)):
+        if edge_pairs(build_multiple_tsgn(g)) != frozenset(time_ordered_pairs(rows_of(g))):
             mismatches += 1
     elapsed = time.perf_counter() - started
     _criterion(
@@ -112,15 +113,15 @@ def test_structural_invariants():
         temporal = build_temporal_tsgn(g)
         if not edge_pairs(temporal) <= edge_pairs(directed):
             violations += 1
-        if not is_dag(temporal.nodes.tolist(), edge_pairs(temporal)):
+        if not is_dag(range(temporal.node_count), edge_pairs(temporal)):
             violations += 1
         multi = build_multiple_tsgn(g)  # simple input is the degenerate multi case
-        if not is_dag(multi.nodes.tolist(), edge_pairs(multi)):
+        if not is_dag(range(multi.node_count), edge_pairs(multi)):
             violations += 1
     for _ in range(2_000):
         g = random_multigraph(rnd, max_nodes=7)
         multi = build_multiple_tsgn(g)
-        if not is_dag(multi.nodes.tolist(), edge_pairs(multi)):
+        if not is_dag(range(multi.node_count), edge_pairs(multi)):
             violations += 1
     _criterion(
         "structural invariants (DAG + containment on 10,000 temporal graphs)",

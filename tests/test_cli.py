@@ -1,3 +1,5 @@
+import ast
+import builtins
 import hashlib
 import os
 import random
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsgn
 from tsgn import DatasetManifest, TransactionGraph, save_dataset
 from tsgn import cli, graphs, ingest, transforms
 from tsgn.graphs import TIERS
@@ -287,18 +290,13 @@ _WEIGHTS = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(
-    ids=st.lists(st.integers(0, 10**9), min_size=1, max_size=12, unique=True),
-    edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), _WEIGHTS), max_size=40),
+    n=st.integers(1, 10**4),
+    edges=st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 10**4), _WEIGHTS), max_size=40),
 )
-def test_edge_writer_text_equals_per_row_format(ids, edges):
-    nodes = sorted(ids)
-    edges = [(a % len(nodes), b % len(nodes), w) for a, b, w in edges]
-    t = transforms.TsgnGraph(
-        "dtsgn", nodes, [(a, b) for a, b, _ in edges], [w for _, _, w in edges]
-    )
-    expected = "from_tx,to_tx,weight\n" + "".join(
-        f"{nodes[a]},{nodes[b]},{w:.12g}\n" for a, b, w in edges
-    )
+def test_edge_writer_text_equals_per_row_format(n, edges):
+    edges = [(a % n, b % n, w) for a, b, w in edges]
+    t = transforms.TsgnGraph("dtsgn", n, [(a, b) for a, b, _ in edges], [w for _, _, w in edges])
+    expected = "from_tx,to_tx,weight\n" + "".join(f"{a},{b},{w:.12g}\n" for a, b, w in edges)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edges.csv"
         cli._write_mapped(path, t)
@@ -674,3 +672,21 @@ def test_cli_imports_only_numpy_and_the_standard_library():
     added = result.stdout.split()
     assert "tsgn" in added
     assert [m for m in added if m != "tsgn" and m not in sys.stdlib_module_names] == []
+
+
+def test_readme_sketch_uses_only_exported_names():
+    missing = [name for name in tsgn.__all__ if not hasattr(tsgn, name)]
+    assert missing == []
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library sketch", 1)[1]
+    sketch = section.split("```python\n", 1)[1].split("```", 1)[0]
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(sketch))
+        if isinstance(node, ast.ImportFrom) and node.module == "tsgn"
+        for alias in node.names
+    }
+    assert imported and sorted(imported - set(tsgn.__all__)) == []
+    # class names, in code or comments, that are not tsgn's are stale
+    classes = set(re.findall(r"\b[A-Z][a-z]+[A-Z]\w*", sketch)) - set(dir(builtins))
+    assert sorted(classes - set(tsgn.__all__)) == []

@@ -11,6 +11,7 @@ from tsgn import (
     PCA,
     FeatureMatrix,
     TransactionGraph,
+    TsgnGraph,
     build_multiple_tsgn,
     concat_features,
     feature_matrix,
@@ -30,8 +31,8 @@ from oracles import (
     random_digraph,
     random_multigraph,
     random_undirected_graph,
+    rows_of,
     svd_pca_components,
-    tsgn_graph,
 )
 
 
@@ -183,7 +184,7 @@ def test_permutation_invariance():
         rnd.shuffle(shuffled)
         relabel = dict(zip(names, shuffled))
         permuted = TransactionGraph.build(
-            [(relabel[r.src], relabel[r.dst], r.amount) for r in g.edges],
+            [(relabel[r.src], relabel[r.dst], r.amount) for r in rows_of(g)],
             relabel[g.center],
             directed=False,
         )
@@ -206,7 +207,7 @@ def test_multiedge_input_is_collapsed_for_features():
 
 def test_empty_graph_raises():
     with pytest.raises(ValueError, match="empty"):
-        handcrafted_features(tsgn_graph("tsgn", (), ()))
+        handcrafted_features(TsgnGraph("tsgn", 0, (), ()))
 
 
 def test_oracle_adjacency_agrees_with_simple_adjacency():
@@ -387,6 +388,6 @@ def test_permuting_the_graphs_permutes_the_rows(monkeypatch, cap):
 
 
 def test_feature_matrix_names_every_empty_graph():
-    empty = tsgn_graph("tsgn", (), ())
+    empty = TsgnGraph("tsgn", 0, (), ())
     with pytest.raises(ValueError, match=r"empty graphs at positions \[1, 3\]"):
         feature_matrix([_star(2), empty, _star(3), empty], ["a"] * 4)

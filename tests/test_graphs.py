@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsgn import EdgeRecord, TransactionGraph, at_tier, extract_ego_network, undirected_projection
+from tsgn import TransactionGraph, at_tier, extract_ego_network, undirected_projection
 from tsgn.ingest import FORMS, DatasetManifest
 
 from oracles import (
     collapse_reference,
     random_digraph,
     random_multigraph,
+    rows_of,
     star_with_neighbor_trades,
     validate,
 )
@@ -22,7 +23,7 @@ def test_projection_collapses_antiparallel_to_max_amount():
     g = TransactionGraph.build([("a", "b", 2), ("b", "a", 5)], "a")
     p = undirected_projection(g)
     assert p.edge_count == 1
-    edge = p.edges[0]
+    edge = rows_of(p)[0]
     assert (edge.src, edge.dst) == ("a", "b")
     assert edge.amount == Decimal(5)
 
@@ -54,7 +55,7 @@ def test_projection_properties_on_random_graphs():
         assert p.edge_count <= g.edge_count
         assert undirected_projection(p) == p  # idempotent
         seen = set()
-        for r in p.edges:
+        for r in rows_of(p):
             assert r.src <= r.dst
             assert (r.src, r.dst) not in seen
             seen.add((r.src, r.dst))
@@ -66,10 +67,10 @@ def test_projection_keeps_max_amount_per_pair():
         g = random_multigraph(rnd)
         p = undirected_projection(g)
         best = {}
-        for r in g.edges:
+        for r in rows_of(g):
             key = tuple(sorted((r.src, r.dst)))
             best[key] = max(best.get(key, Decimal(-1)), r.amount)
-        for r in p.edges:
+        for r in rows_of(p):
             assert r.amount == best[(r.src, r.dst)]
 
 
@@ -124,6 +125,18 @@ def test_graphs_are_immutable_and_hash_as_they_compare():
     same = TransactionGraph.build([("a", "b", Decimal("1.0"), 5)], "a", temporal=True)
     assert same == g and hash(same) == hash(g)
     hash(DatasetManifest((g.with_label("x"),), "net", "directed"))  # TypeError if unhashable
+    # amounts compare as decimals, so one amount spelled two ways is one graph
+    spelled = [TransactionGraph.build([("a", "b", amount)], "a") for amount in (1.5, "1.50")]
+    assert spelled[0] == spelled[1] and hash(spelled[0]) == hash(spelled[1])
+    # one amount, one timestamp or the label alone tells graphs apart
+    assert TransactionGraph.build([("a", "b", 2, 5)], "a", temporal=True) != g
+    assert TransactionGraph.build([("a", "b", 1, 6)], "a", temporal=True) != g
+    assert g.with_label("x") != g
+    # an untimed row's stored stamp is not part of the graph
+    untimed = TransactionGraph.build([("a", "b", 1, 5), ("b", "a", 1)], "a")
+    restamped = untimed.replace(stamps=np.array([5, 7]))
+    assert restamped == untimed and hash(restamped) == hash(untimed)
+    assert untimed.replace(stamps=np.array([6, 0])) != untimed
 
 
 def test_at_tier_plain_drops_direction_and_time():
@@ -142,7 +155,7 @@ def test_at_tier_directed_collapses_parallel_records():
     )
     d = at_tier(g, "directed")
     assert d.edge_count == 2  # one per ordered pair
-    amounts = {(r.src, r.dst): r.amount for r in d.edges}
+    amounts = {(r.src, r.dst): r.amount for r in rows_of(d)}
     assert amounts[("a", "b")] == Decimal(4)
     assert d.temporal
 
@@ -155,16 +168,15 @@ def test_at_tier_rejects_direction_recovery():
         at_tier(g, "bogus")
 
 
-def test_edge_record_amounts_are_decimal():
-    r = EdgeRecord("a", "b", 0.05)
-    assert r.amount == Decimal("0.05")
-    assert EdgeRecord("a", "b", "1.23").amount == Decimal("1.23")
+def test_build_takes_amounts_as_decimals():
+    g = TransactionGraph.build([("a", "b", 0.05), ("a", "c", "1.23"), ("b", "c", 2)], "a")
+    assert g.decimals.tolist() == [Decimal("0.05"), Decimal("1.23"), Decimal(2)]
 
 
 def test_build_assigns_sequential_edge_ids():
     rnd = random.Random(9)
     g = random_digraph(rnd)
-    assert [r.edge_id for r in g.edges] == list(range(g.edge_count))
+    assert [r.edge_id for r in rows_of(g)] == list(range(g.edge_count))
     assert g.nodes == tuple(sorted(set(g.nodes)))
 
 
@@ -181,7 +193,7 @@ def test_collapse_keeps_each_tiers_temporal_flag():
     assert not plain.temporal
     assert directed.temporal
     # heaviest record per pair; the tie at amount 3 goes to edge 0, not edge 1
-    fields = lambda graph: [(r.src, r.dst, r.amount, r.timestamp, r.edge_id) for r in graph.edges]
+    fields = lambda graph: [tuple(r) for r in rows_of(graph)]
     assert fields(plain) == [("a", "b", Decimal(3), 5, 0)]
     assert fields(directed) == [("a", "b", Decimal(3), 5, 0), ("b", "a", Decimal(1), 9, 1)]
 
@@ -209,7 +221,7 @@ def _ego_networks(draw):
 
 def _fields(g):
     """Flags, nodes and records, with amounts as their text."""
-    records = [(r.src, r.dst, str(r.amount), r.timestamp, r.edge_id) for r in g.edges]
+    records = [(r.src, r.dst, str(r.amount), r.timestamp, r.edge_id) for r in rows_of(g)]
     return (g.directed, g.temporal, g.multiedge, g.nodes, records)
 
 
@@ -223,5 +235,5 @@ def test_tiers_and_projection_equal_the_record_level_collapse(g):
     assert _fields(undirected_projection(g)) == _fields(
         plain.replace(temporal=plain.temporal and g.temporal)
     )
-    timed = all(r.timestamp is not None for r in g.edges)
+    timed = all(r.timestamp is not None for r in rows_of(g))
     assert _fields(at_tier(g, "multiedge")) == _fields(g.replace(temporal=timed))

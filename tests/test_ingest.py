@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from tsgn import (
     DatasetManifest,
-    EdgeRecord,
     dataset_stats,
     extract_ego_network,
     generate_synthetic_dataset,
@@ -21,7 +20,7 @@ from tsgn import (
 )
 from tsgn.ingest import stats_table
 
-from oracles import generate_dense_star_graphs, validate
+from oracles import generate_dense_star_graphs, rows_of, validate
 
 
 def _write(tmp_path, text, name="records.csv"):
@@ -40,7 +39,7 @@ def test_load_wellformed_csv(tmp_path):
         "0xB,0xC,0,11\n"
         "0xC,0xA,2.25,12\n",
     )
-    records = load_edge_list(path).edges
+    records = rows_of(load_edge_list(path))
     assert len(records) == 3
     assert records[0].src == "0xa"  # lowercased
     assert records[0].amount == Decimal("1.5")
@@ -81,7 +80,7 @@ def test_load_rejects_amounts_whose_mean_has_no_log(tmp_path, amount, reason):
 )
 def test_load_accepts_amounts_at_the_bounds(tmp_path, amount):
     path = _write(tmp_path, f"src,dst,amount,timestamp\na,b,{amount},1\n")
-    assert load_edge_list(path).edges[0].amount == Decimal(amount)
+    assert rows_of(load_edge_list(path))[0].amount == Decimal(amount)
 
 
 @pytest.mark.parametrize(
@@ -91,7 +90,7 @@ def test_load_accepts_amounts_at_the_bounds(tmp_path, amount):
 def test_load_keeps_timestamps_to_int64(tmp_path, stamp, accepted):
     path = _write(tmp_path, f"src,dst,amount,timestamp\na,b,1,1\nb,c,1,{stamp}\n")
     if accepted:
-        assert load_edge_list(path).edges[1].timestamp == int(stamp)
+        assert rows_of(load_edge_list(path))[1].timestamp == int(stamp)
     else:
         with pytest.raises(ValueError, match=f"line 3: timestamp {stamp} outside int64$"):
             load_edge_list(path)
@@ -103,7 +102,7 @@ def test_load_drops_self_loops_with_warning(tmp_path, caplog):
         "src,dst,amount,timestamp\na,a,1,1\na,b,2,2\n",
     )
     with caplog.at_level(logging.WARNING, logger="tsgn.ingest"):
-        records = load_edge_list(path).edges
+        records = rows_of(load_edge_list(path))
     assert len(records) == 1
     assert "dropped 1 self-loop" in caplog.text
 
@@ -129,14 +128,14 @@ def test_load_requires_mandatory_columns(tmp_path):
 
 def test_load_without_timestamp_column(tmp_path):
     path = _write(tmp_path, "src,dst,amount\na,b,3\n")
-    records = load_edge_list(path).edges
+    records = rows_of(load_edge_list(path))
     assert records[0].timestamp is None
     assert records[0].amount == Decimal(3)
 
 
 def test_load_keeps_amounts_bit_exact(tmp_path):
     path = _write(tmp_path, "src,dst,amount,timestamp\na,b,0.1,\n")
-    records = load_edge_list(path).edges
+    records = rows_of(load_edge_list(path))
     assert str(records[0].amount) == "0.1"
     assert records[0].timestamp is None
 
@@ -169,9 +168,9 @@ def test_load_reports_rows_shorter_than_the_header(tmp_path):
 # ------------------------------------------------------------- ego extraction
 
 TRIANGLE = [
-    EdgeRecord("a", "b", 1, 1, 0),
-    EdgeRecord("a", "c", 2, 2, 1),
-    EdgeRecord("b", "c", 3, 3, 2),
+    ("a", "b", 1, 1),
+    ("a", "c", 2, 2),
+    ("b", "c", 3, 3),
 ]
 
 
@@ -183,7 +182,7 @@ def _file(records):
 def test_star_extraction_keeps_incident_edges_only():
     g = extract_ego_network(_file(TRIANGLE), "a", form="star", tier="directed")
     assert g.edge_count == 2
-    assert {(r.src, r.dst) for r in g.edges} == {("a", "b"), ("a", "c")}
+    assert {(r.src, r.dst) for r in rows_of(g)} == {("a", "b"), ("a", "c")}
 
 
 def test_net_extraction_adds_neighbor_edges():
@@ -193,8 +192,8 @@ def test_net_extraction_adds_neighbor_edges():
 
 def test_multiedge_tier_keeps_parallel_records():
     records = [
-        EdgeRecord("a", "b", 1, 1, 0),
-        EdgeRecord("a", "b", 2, 5, 1),
+        ("a", "b", 1, 1),
+        ("a", "b", 2, 5),
     ]
     g = extract_ego_network(_file(records), "a", form="net", tier="multiedge")
     assert g.edge_count == 2
@@ -211,19 +210,16 @@ def test_extract_errors_on_absent_target():
 def test_star_edges_subset_of_net_edges():
     rnd = random.Random(3)
     names = [f"v{i}" for i in range(10)]
-    records = [
-        EdgeRecord(rnd.choice(names), rnd.choice(names), rnd.randint(0, 5), t, i)
-        for i, t in enumerate(range(60))
-    ]
-    records = [r for r in records if r.src != r.dst]
+    records = [(rnd.choice(names), rnd.choice(names), rnd.randint(0, 5), t) for t in range(60)]
+    records = [r for r in records if r[0] != r[1]]
     for tier in ("plain", "directed", "multiedge"):
         star = extract_ego_network(_file(records), "v0", form="star", tier=tier)
         net = extract_ego_network(_file(records), "v0", form="net", tier=tier)
-        star_pairs = {(r.src, r.dst) for r in star.edges}
-        net_pairs = {(r.src, r.dst) for r in net.edges}
+        star_pairs = {(r.src, r.dst) for r in rows_of(star)}
+        net_pairs = {(r.src, r.dst) for r in rows_of(net)}
         assert star_pairs <= net_pairs
         # every node is the target or one of its 1-hop neighbors
-        neighbors = {r.src for r in star.edges} | {r.dst for r in star.edges}
+        neighbors = {r.src for r in rows_of(star)} | {r.dst for r in rows_of(star)}
         assert set(net.nodes) <= neighbors | {"v0"}
 
 
@@ -265,9 +261,9 @@ def test_generated_graphs_are_wellformed_and_exercise_all_attributes():
     for g in manifest.graphs:
         assert validate(g) == []
         assert g.directed and g.temporal and g.multiedge
-        stamps = [r.timestamp for r in g.edges]
+        stamps = [r.timestamp for r in rows_of(g)]
         assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
-        if len({(r.src, r.dst) for r in g.edges}) < g.edge_count:
+        if len({(r.src, r.dst) for r in rows_of(g)}) < g.edge_count:
             saw_parallel = True
     assert saw_parallel  # parallel records occur, so every variant is exercised
 
@@ -279,7 +275,7 @@ def test_dense_star_generator_shapes():
         assert g.node_count == 60
         assert g.edge_count == 59
         assert not g.multiedge and g.temporal
-        inbound = sum(1 for r in g.edges if r.dst == g.center)
+        inbound = sum(1 for r in rows_of(g) if r.dst == g.center)
         assert 25 <= inbound <= 35  # roughly half in, half out
 
 
@@ -287,7 +283,8 @@ def test_dense_star_generator_shapes():
 
 def test_dataset_stats_means_and_maxima():
     g1 = extract_ego_network(_file(TRIANGLE), "a", form="star", tier="directed")
-    g2 = extract_ego_network(_file(TRIANGLE + [EdgeRecord("a", "d", 1, 4, 3), EdgeRecord("a", "e", 1, 5, 4)]), "a", form="net", tier="directed")
+    wider = _file(TRIANGLE + [("a", "d", 1, 4), ("a", "e", 1, 5)])
+    g2 = extract_ego_network(wider, "a", form="net", tier="directed")
     manifest = DatasetManifest(
         (g1.with_label("x"), g2.with_label("y")), "net", "directed"
     )
@@ -325,8 +322,22 @@ def test_save_load_roundtrip(tmp_path):
         assert reloaded.center == original.center
         assert reloaded.nodes == original.nodes
         assert [
-            (r.src, r.dst, r.amount, r.timestamp) for r in reloaded.edges
-        ] == [(r.src, r.dst, r.amount, r.timestamp) for r in original.edges]
+            (r.src, r.dst, r.amount, r.timestamp) for r in rows_of(reloaded)
+        ] == [(r.src, r.dst, r.amount, r.timestamp) for r in rows_of(original)]
+
+
+def test_untimed_records_save_with_empty_timestamps_and_load_back_untimed(tmp_path):
+    g = TransactionGraph.build(
+        [("a", "b", 1, 5), ("b", "a", "2.50"), ("a", "c", 3, 7)], "a", multiedge=True,
+        label="phishing",
+    )
+    out = save_dataset(DatasetManifest((g,), "net", "multiedge"), tmp_path / "ds")
+    assert (out / "graph_0000.csv").read_text().splitlines() == [
+        "src,dst,amount,timestamp", "a,b,1,5", "b,a,2.50,", "a,c,3,7",
+    ]
+    loaded = load_dataset(out, tier="multiedge", form="net").graphs[0]
+    assert loaded == g
+    assert loaded.timed.tolist() == [True, False, True] and not loaded.temporal
 
 
 def test_saved_address_with_comma_is_quoted_and_loads_back(tmp_path):
@@ -372,7 +383,7 @@ def test_load_of_save_gives_back_the_records(graphs):
         loaded = load_dataset(save_dataset(manifest, tmp), tier="multiedge", form="net")
     assert loaded.graphs == manifest.graphs
     # Decimal equality ignores trailing zeros; the text must survive too
-    amounts = lambda m: [str(r.amount) for g in m.graphs for r in g.edges]
+    amounts = lambda m: [str(r.amount) for g in m.graphs for r in rows_of(g)]
     assert amounts(loaded) == amounts(manifest)
 
 

@@ -296,6 +296,19 @@ def test_split_search_scores_each_distinct_row_once(monkeypatch):
     assert max(rows.max() for rows in searched) < 63
 
 
+def test_a_one_sided_split_raises_instead_of_growing_forever(monkeypatch):
+    search = ml._RankedRows.best_splits
+
+    def one_sided(self, *args):
+        at, feature, rank, threshold = search(self, *args)
+        return at, feature, np.full_like(rank, np.iinfo(np.int32).max), threshold
+
+    monkeypatch.setattr(ml._RankedRows, "best_splits", one_sided)
+    x, y = _separable(20, seed=4)
+    with pytest.raises(RuntimeError, match="forest level 0: a split sends all its rows one way"):
+        RandomForest(ForestConfig(n_trees=3, seed=1)).fit(x, y)
+
+
 def test_forest_memory_is_bounded_by_the_key_cap():
     # 630 rows of about 315 distinct ones, like the fused etherg1 training
     # rows. A fit holds every tree's rows at once, but each split search

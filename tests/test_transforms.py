@@ -31,6 +31,7 @@ from oracles import (
     random_digraph,
     random_multigraph,
     random_undirected_graph,
+    rows_of,
     shared_endpoint_pairs,
     time_ordered_pairs,
 )
@@ -87,7 +88,7 @@ def test_triangle_maps_to_triangle():
         [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)], "a", directed=False
     )
     t = build_tsgn(g)
-    assert edge_pairs(t) == frozenset(shared_endpoint_pairs(g.edges))
+    assert edge_pairs(t) == frozenset(shared_endpoint_pairs(rows_of(g)))
     assert t.edge_count == 3
 
 
@@ -102,7 +103,7 @@ def test_plain_mapping_matches_brute_force_on_random_graphs():
     for _ in range(300):
         g = random_undirected_graph(rnd)
         t = build_tsgn(g)
-        assert edge_pairs(t) == frozenset(shared_endpoint_pairs(g.edges))
+        assert edge_pairs(t) == frozenset(shared_endpoint_pairs(rows_of(g)))
         assert t.node_count == g.edge_count
 
 
@@ -113,7 +114,7 @@ def test_plain_mapping_projects_directed_input_first():
         t = build_tsgn(g)
         plain = undirected_projection(g)
         assert t.node_count == plain.edge_count
-        assert edge_pairs(t) == frozenset(shared_endpoint_pairs(plain.edges))
+        assert edge_pairs(t) == frozenset(shared_endpoint_pairs(rows_of(plain)))
 
 
 def test_plain_edge_weights_use_map_weight():
@@ -129,7 +130,7 @@ def _check_weights(t, source):
     """Every mapped weight equals map_weight of its pair's amounts, bit for bit;
     ``source`` is the graph whose records are the nodes of ``t``."""
     edges = edge_tuples(t)
-    amounts = {r.edge_id: float(r.amount) for r in source.edges}
+    amounts = {r.edge_id: float(r.amount) for r in rows_of(source)}
     assert [w for _, _, w in edges] == [map_weight(amounts[a], amounts[b]) for a, b, _ in edges]
 
 
@@ -186,7 +187,7 @@ def test_directed_mapping_matches_brute_force_on_random_graphs():
     for _ in range(300):
         g = random_digraph(rnd)
         t = build_directed_tsgn(g)
-        assert edge_pairs(t) == frozenset(head_to_tail_pairs(g.edges))
+        assert edge_pairs(t) == frozenset(head_to_tail_pairs(rows_of(g)))
         assert t.node_count == g.edge_count
 
 
@@ -250,9 +251,8 @@ def test_temporal_subset_of_directed_and_acyclic():
         temporal = build_temporal_tsgn(g)
         assert edge_pairs(temporal) <= edge_pairs(directed)
         assert temporal.edge_count <= directed.edge_count
-        ids = temporal.nodes.tolist()
-        assert is_dag(ids, edge_pairs(temporal))
-        assert edge_pairs(temporal) == frozenset(time_ordered_pairs(g.edges))
+        assert is_dag(range(temporal.node_count), edge_pairs(temporal))
+        assert edge_pairs(temporal) == frozenset(time_ordered_pairs(rows_of(g)))
 
 
 # --------------------------------------------------------------- multiple map
@@ -290,8 +290,8 @@ def test_multiple_mapping_matches_brute_force_and_is_acyclic():
         g = random_multigraph(rnd)
         t = build_multiple_tsgn(g)
         assert t.node_count == g.edge_count
-        assert edge_pairs(t) == frozenset(time_ordered_pairs(g.edges))
-        assert is_dag(t.nodes.tolist(), edge_pairs(t))
+        assert edge_pairs(t) == frozenset(time_ordered_pairs(rows_of(g)))
+        assert is_dag(range(t.node_count), edge_pairs(t))
 
 
 def test_mapped_outputs_are_deterministically_ordered():
@@ -302,8 +302,6 @@ def test_mapped_outputs_are_deterministically_ordered():
         t2 = build_multiple_tsgn(g)
         assert same_mapping(t1, t2)
         assert list(edge_tuples(t1)) == sorted(edge_tuples(t1))
-        ids = t1.nodes.tolist()
-        assert ids == sorted(ids)
 
 
 # ------------------------------------------------------------------ data model
@@ -361,11 +359,11 @@ def test_multigraph_mappings_match_brute_force(g):
     plain = undirected_projection(g)
     t = build_tsgn(g)
     assert t.node_count == plain.edge_count
-    _check_edges(t, plain, shared_endpoint_pairs(plain.edges))
+    _check_edges(t, plain, shared_endpoint_pairs(rows_of(plain)))
     multi = build_multiple_tsgn(g)
     assert multi.node_count == g.edge_count
-    _check_edges(multi, g, time_ordered_pairs(g.edges))
-    assert is_dag(multi.nodes.tolist(), edge_pairs(multi))
+    _check_edges(multi, g, time_ordered_pairs(rows_of(g)))
+    assert is_dag(range(multi.node_count), edge_pairs(multi))
 
 
 @settings(max_examples=200, deadline=None)
@@ -374,8 +372,8 @@ def test_simple_graph_mappings_match_brute_force(g):
     simple = at_tier(g, "directed")
     directed = build_directed_tsgn(simple)
     temporal = build_temporal_tsgn(simple)
-    _check_edges(directed, simple, head_to_tail_pairs(simple.edges))
-    _check_edges(temporal, simple, time_ordered_pairs(simple.edges))
+    _check_edges(directed, simple, head_to_tail_pairs(rows_of(simple)))
+    _check_edges(temporal, simple, time_ordered_pairs(rows_of(simple)))
     assert edge_pairs(temporal) <= edge_pairs(directed)
-    assert is_dag(temporal.nodes.tolist(), edge_pairs(temporal))
+    assert is_dag(range(temporal.node_count), edge_pairs(temporal))
     assert edge_tuples(build_multiple_tsgn(simple)) == edge_tuples(temporal)
