@@ -69,8 +69,7 @@ def cmd_stats(args) -> int:
     per_tier = {}
     for tier in TIERS:
         graphs = tuple(at_tier(g, tier) for g in loaded.graphs)
-        manifest = DatasetManifest(graphs, loaded.form, tier, loaded.graph_ids)
-        per_tier[tier] = dataset_stats(manifest)
+        per_tier[tier] = dataset_stats(DatasetManifest(graphs, loaded.graph_ids))
     print(stats_table(name, args.form, per_tier))
     return 0
 

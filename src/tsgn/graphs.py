@@ -9,7 +9,11 @@ sorted ``nodes``, float64 ``amounts``, the exact ``decimals`` read, their
 records the graph was built from, a whole file for a loaded one) and int64
 ``stamps`` with a ``timed`` mask. The columns are the only form of a record:
 no per-record object is built, and the library reads, compares and writes
-records a column at a time. Graphs are immutable so they can be shared
+records a column at a time. A graph's ``tier`` says which attributes its
+records have: weight only (``plain``: undirected, one record per pair),
+direction (``directed``: one record per ordered pair) or direction and
+parallel records (``multiedge``); a graph has time when it has direction and
+every record is timed. Graphs are immutable so they can be shared
 across worker threads; every operation in this module is a pure function of
 its input graph.
 """
@@ -25,6 +29,12 @@ from typing import Iterable
 import numpy as np
 
 TIERS = ("plain", "directed", "multiedge")
+
+
+def check_choice(kind: str, value: str, choices: tuple[str, ...]) -> None:
+    """Raise ValueError unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"unknown {kind} {value!r}; expected one of {choices}")
 
 
 def _as_amount(value) -> Decimal:
@@ -45,30 +55,30 @@ class TransactionGraph:
 
     ``nodes`` is sorted and duplicate-free, and every column has one row per
     record in edge-id order; both orderings exist to make downstream output
-    deterministic. The three attribute flags say which edge attributes are
-    meaningful: direction, timestamps, and whether parallel records are
-    allowed. The constructor takes the columns as they are and marks them
-    read-only; ``build`` makes them from records. Graphs are immutable, and
-    equal (with equal hashes) when their nodes, ``src``, ``dst``,
-    ``decimals``, ``timed`` mask, the stamps of their timed rows, center,
-    flags and label are. An untimed row's stored stamp is ignored, as are the
-    floats, which follow from the decimals, and the ranks, which depend on the
-    records a graph was cut from.
+    deterministic. ``tier``, one of TIERS, says which edge attributes are
+    meaningful, and ``temporal`` follows from it and the records. The
+    constructor takes the columns as they are and marks them read-only;
+    ``build`` makes them from records. Graphs are immutable, and equal (with
+    equal hashes) when their nodes, ``src``, ``dst``, ``decimals``, ``timed``
+    mask, the stamps of their timed rows, center, tier and label are. An
+    untimed row's stored stamp is ignored, as are the floats, which follow
+    from the decimals, and the ranks, which depend on the records a graph was
+    cut from.
     """
 
     def __init__(
         self, nodes: tuple[str, ...], src: np.ndarray, dst: np.ndarray,
         amounts: np.ndarray, ranks: np.ndarray, stamps: np.ndarray, timed: np.ndarray,
-        decimals: np.ndarray, center: str | None, *, directed: bool = True,
-        temporal: bool = False, multiedge: bool = False, label: str | None = None,
+        decimals: np.ndarray, center: str | None, *, tier: str = "directed",
+        label: str | None = None,
     ):
+        check_choice("tier", tier, TIERS)
         columns = (src, dst, amounts, ranks, stamps, timed, decimals)
         for column in columns:
             if column.flags.writeable:  # a replace passes on read-only columns
                 column.setflags(write=False)
         vars(self).update(
-            zip(_COLUMNS, columns), nodes=nodes, center=center, directed=directed,
-            temporal=temporal, multiedge=multiedge, label=label,
+            zip(_COLUMNS, columns), nodes=nodes, center=center, tier=tier, label=label
         )
 
     def _immutable(self, name, *value):
@@ -79,8 +89,7 @@ class TransactionGraph:
     @classmethod
     def build(
         cls, records: Iterable[tuple], center: str | None, *,
-        directed: bool = True, temporal: bool = False, multiedge: bool = False,
-        label: str | None = None,
+        tier: str = "directed", label: str | None = None,
     ) -> "TransactionGraph":
         """Assemble a graph from (src, dst, amount[, timestamp]) records.
 
@@ -112,8 +121,14 @@ class TransactionGraph:
             nodes, ends[:m], ends[m:],
             np.array(values, dtype=np.float64)[ranks],
             ranks, np.fromiter(stamps, np.int64, m), timed, np.fromiter(decimals, object, m),
-            center, directed=directed, temporal=temporal, multiedge=multiedge, label=label,
+            center, tier=tier, label=label,
         )
+
+    @property
+    def temporal(self) -> bool:
+        """Whether the records carry time: the graph has direction and every
+        record is timed."""
+        return self.tier != "plain" and bool(self.timed.all())
 
     @property
     def node_count(self) -> int:
@@ -126,7 +141,7 @@ class TransactionGraph:
     def _key(self) -> tuple:
         columns = (self.src, self.dst, self.decimals, self.stamps[self.timed], self.timed)
         return (self.nodes, *(tuple(c.tolist()) for c in columns), self.center,
-                self.directed, self.temporal, self.multiedge, self.label)
+                self.tier, self.label)
 
     def __eq__(self, other):
         if not isinstance(other, TransactionGraph):
@@ -153,18 +168,18 @@ class TransactionGraph:
         return self.replace(label=label)
 
 
-def _collapse(g: TransactionGraph, *, directed: bool) -> TransactionGraph:
-    """One record per address pair, the heaviest of the pair's records.
+def _collapse(g: TransactionGraph, tier: str) -> TransactionGraph:
+    """The graph at ``tier``, directed or plain: one record per address pair,
+    the heaviest of the pair's records.
 
-    Pairs are ordered when ``directed`` and sorted otherwise, so anti-parallel
-    records share an undirected pair. Records are ordered by pair, then by
+    Pairs are ordered at the directed tier and sorted at the plain one, so
+    anti-parallel records share a plain pair. Records are ordered by pair, then by
     exact amount rank, heaviest first, then by edge id (lexsort is stable), and
     the first record of each pair wins: equal decimals go to the earliest
-    record. Edge ids are renumbered in pair order, the node set is kept, and
-    the result is temporal when every kept record has a timestamp.
+    record. Edge ids are renumbered in pair order and the node set is kept.
     """
     a, b = g.src, g.dst
-    if not directed:
+    if tier == "plain":
         a, b = np.minimum(a, b), np.maximum(a, b)
     pair = a * len(g.nodes) + b
     order = np.lexsort((-g.ranks, pair))
@@ -172,14 +187,7 @@ def _collapse(g: TransactionGraph, *, directed: bool) -> TransactionGraph:
     first = np.ones(len(pair), dtype=bool)
     first[1:] = pair[1:] != pair[:-1]
     won = order[first]
-    return g.take(
-        won,
-        src=a[won],
-        dst=b[won],
-        directed=directed,
-        temporal=bool(g.timed[won].all()),
-        multiedge=False,
-    )
+    return g.take(won, src=a[won], dst=b[won], tier=tier)
 
 
 def undirected_projection(g: TransactionGraph) -> TransactionGraph:
@@ -187,32 +195,27 @@ def undirected_projection(g: TransactionGraph) -> TransactionGraph:
 
     Parallel and anti-parallel records collapse to the record with the largest
     amount. Endpoints are stored in sorted order, edge ids are renumbered in
-    sorted-pair order, and the node set is preserved. The result is temporal
-    only if the input was. Projecting an already plain graph returns it
-    unchanged, so the operation is idempotent.
+    sorted-pair order, and the node set is preserved. Projecting an already
+    plain graph returns it unchanged, so the operation is idempotent.
     """
-    if not g.directed and not g.multiedge:
-        return g
-    plain = _collapse(g, directed=False)
-    return plain if g.temporal else plain.replace(temporal=False)
+    return g if g.tier == "plain" else _collapse(g, "plain")
 
 
 def at_tier(g: TransactionGraph, tier: str) -> TransactionGraph:
     """Re-express a graph at an attribute tier.
 
-    plain     -> weight only (undirected simple projection, temporal flag off)
+    plain     -> weight only (undirected simple projection, never temporal)
     directed  -> weight + direction (parallel same-direction records collapsed)
     multiedge -> weight + direction + timestamp, parallel records kept
 
     Direction cannot be recovered once dropped, so plain input only supports
     the plain tier.
     """
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
+    check_choice("tier", tier, TIERS)
     if tier == "plain":
-        return undirected_projection(g).replace(temporal=False)
-    if not g.directed:
+        return undirected_projection(g)
+    if g.tier == "plain":
         raise ValueError(f"tier {tier!r} needs directed data but the graph is undirected")
     if tier == "directed":
-        return _collapse(g, directed=True) if g.multiedge else g
-    return g.replace(multiedge=True, temporal=bool(g.timed.all()))
+        return _collapse(g, "directed") if g.tier == "multiedge" else g
+    return g.replace(tier="multiedge")

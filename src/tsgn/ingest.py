@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import TransactionGraph, at_tier
+from .graphs import TIERS, TransactionGraph, at_tier, check_choice
 
 logger = logging.getLogger(__name__)
 
@@ -133,9 +133,7 @@ def load_edge_list(path) -> TransactionGraph:
         srcs, dsts, amounts, stamps = (
             list(compress(c, kept)) for c in (srcs, dsts, amounts, stamps)
         )
-    return TransactionGraph.build(
-        zip(srcs, dsts, amounts, stamps), None, temporal=None not in stamps, multiedge=True
-    )
+    return TransactionGraph.build(zip(srcs, dsts, amounts, stamps), None, tier="multiedge")
 
 
 def extract_ego_network(
@@ -148,13 +146,13 @@ def extract_ego_network(
 
     Star form keeps only transactions incident to the target; net form also
     keeps transactions between the target's 1-hop neighbors. Both cuts are
-    masks over the record columns, and the kept records keep their order. The
-    tier decides how much edge structure survives: plain collapses to an
-    undirected simple graph, directed keeps one record per ordered pair,
-    multiedge keeps every parallel record with its timestamp.
+    masks over the record columns, and the kept records keep their order and
+    the tier of ``records``. The tier then decides how much edge structure
+    survives, as in at_tier: plain collapses to an undirected simple graph,
+    directed keeps one record per ordered pair, multiedge keeps every
+    parallel record with its timestamp.
     """
-    if form not in FORMS:
-        raise ValueError(f"unknown form {form!r}; expected one of {FORMS}")
+    check_choice("form", form, FORMS)
     target = target.strip().lower()
     nodes, src, dst = records.nodes, records.src, records.dst
     at = bisect_left(nodes, target)
@@ -173,20 +171,16 @@ def extract_ego_network(
         src=position[src[keep]],
         dst=position[dst[keep]],
         center=target,
-        directed=True,
-        temporal=bool(records.timed[keep].all()),
-        multiedge=True,
     )
     return at_tier(base, tier)
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """A labeled collection of transaction graphs at one attribute tier."""
+    """A collection of labeled transaction graphs, each carrying its tier,
+    and their ids."""
 
     graphs: tuple[TransactionGraph, ...]
-    form: str
-    tier: str
     # one id per graph, as in labels.csv; empty means numbered_graph_ids
     graph_ids: tuple[str, ...] = ()
 
@@ -197,9 +191,9 @@ class DatasetManifest:
             raise ValueError(
                 f"got {len(self.graph_ids)} graph ids for {len(self.graphs)} graphs"
             )
-        for g in self.graphs:
-            if g.label is None:
-                raise ValueError("every graph in a manifest must be labeled")
+        unlabeled = [i for i, g in zip(self.graph_ids, self.graphs) if g.label is None]
+        if unlabeled:
+            raise ValueError(f"every graph in a manifest must be labeled: {', '.join(unlabeled)}")
 
     @property
     def labels(self) -> list[str]:
@@ -336,15 +330,12 @@ def generate_synthetic_dataset(
     for gid in range(n_per_class):
         center, rows = _benign_rows(rng, _draw_size(rng, size), f"b{gid}")
         graphs.append(_rows_to_graph(rng, rows, center, tier, BENIGN_LABEL))
-    return DatasetManifest(tuple(graphs), "net", tier)
+    return DatasetManifest(tuple(graphs))
 
 
 def _rows_to_graph(rng, rows, center, tier, label) -> TransactionGraph:
     stamped = _with_timestamps(rng, rows)
-    base = TransactionGraph.build(
-        stamped, center, directed=True, temporal=True, multiedge=True, label=label
-    )
-    return at_tier(base, tier).with_label(label)
+    return at_tier(TransactionGraph.build(stamped, center, tier="multiedge", label=label), tier)
 
 
 @dataclass(frozen=True)
@@ -376,7 +367,7 @@ class DatasetStats:
 
 
 def dataset_stats(manifest: DatasetManifest) -> DatasetStats:
-    """Per-manifest statistics; edge counts are for the manifest's tier."""
+    """Per-manifest statistics; edge counts are for the graphs' tiers."""
     if not manifest.graphs:
         raise ValueError("empty manifest")
     node_counts = [g.node_count for g in manifest.graphs]
@@ -474,12 +465,15 @@ def save_dataset(manifest: DatasetManifest, out_dir) -> Path:
 def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetManifest:
     """Load a dataset directory at the requested attribute tier and form.
 
-    A labels.csv row shorter than its header fails before any record file
-    is read, with one ValueError naming every such row by its file line. A
-    graph whose record file is missing or malformed, or whose center is in
-    none of its records, does not stop the load: one ValueError then names
-    every such graph with its reason.
+    An unknown tier or form fails before labels.csv is read. A labels.csv
+    row shorter than its header fails before any record file is read, with
+    one ValueError naming every such row by its file line. A graph whose
+    record file is missing or malformed, or whose center is in none of its
+    records, does not stop the load: one ValueError then names every such
+    graph with its reason.
     """
+    check_choice("tier", tier, TIERS)
+    check_choice("form", form, FORMS)
     root = Path(path)
     labels_path = root / "labels.csv"
     if not labels_path.is_file():
@@ -519,6 +513,4 @@ def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetMan
         raise ValueError(
             f"{root}: {len(failures)} graph(s) failed to load: " + "; ".join(failures)
         )
-    return DatasetManifest(
-        tuple(graphs), form, tier, tuple(graph_id for graph_id, _, _ in entries)
-    )
+    return DatasetManifest(tuple(graphs), tuple(graph_id for graph_id, _, _ in entries))

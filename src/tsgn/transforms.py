@@ -93,13 +93,13 @@ def require_attributes(g: TransactionGraph, variant: str) -> None:
     """Raise ValueError when ``g`` lacks an attribute the variant depends on."""
     needed, simple = VARIANT_REQUIREMENTS[variant]
     missing = []
-    if "direction" in needed and not g.directed:
+    if "direction" in needed and g.tier == "plain":
         missing.append("direction")
     if "temporal" in needed and not g.temporal:
         missing.append("temporal")
     if missing:
         raise ValueError(f"{variant}: {' and '.join(missing)} attribute required")
-    if simple and g.multiedge:
+    if simple and g.tier == "multiedge":
         raise ValueError(
             f"{variant}: simple graph required (parallel records present); "
             "use the mtsgn variant or the directed tier"
@@ -189,11 +189,6 @@ def _build_flow(g: TransactionGraph, variant: str) -> TsgnGraph:
     """Head-to-tail mapping of ``g``; a variant that needs time keeps only the
     pairs whose timestamps strictly increase."""
     require_attributes(g, variant)
-    time_ordered = "temporal" in VARIANT_REQUIREMENTS[variant][0]
-    if time_ordered and not g.timed.all():
-        i = int(np.argmin(g.timed))
-        src, dst = g.nodes[g.src[i]], g.nodes[g.dst[i]]
-        raise ValueError(f"edge {i} ({src}->{dst}) has no timestamp")
     src, dst = g.src, g.dst
     # join each record's destination to the records grouped by source
     by_src = np.argsort(src, kind="stable")
@@ -202,7 +197,7 @@ def _build_flow(g: TransactionGraph, variant: str) -> TsgnGraph:
     heads, offsets = _expand(counts[dst])
     tails = by_src[starts[dst[heads]] + offsets]
     keep = tails != heads
-    if time_ordered:
+    if "temporal" in VARIANT_REQUIREMENTS[variant][0]:
         keep &= g.stamps[tails] > g.stamps[heads]
     return _mapped(variant, g, heads[keep], tails[keep])
 

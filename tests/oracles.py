@@ -151,11 +151,9 @@ def validate(g: TransactionGraph) -> list[str]:
             problems.append(f"{tag}: negative amount {r.amount}")
         if r.src == r.dst:
             problems.append(f"{tag}: self-loop")
-        if g.temporal and r.timestamp is None:
-            problems.append(f"{tag}: temporal graph but timestamp missing")
-        if not g.multiedge:
+        if g.tier != "multiedge":
             key = (r.src, r.dst)
-            if not g.directed and r.dst < r.src:
+            if g.tier == "plain" and r.dst < r.src:
                 key = (r.dst, r.src)
             if key in seen_pairs:
                 problems.append(f"{tag}: parallel edge in a simple graph")
@@ -168,8 +166,7 @@ def collapse_reference(g: TransactionGraph, *, directed: bool) -> TransactionGra
     ties to the earliest edge id.
 
     Pairs are ordered when ``directed`` and sorted otherwise; the kept records
-    are renumbered in sorted-pair order and the result is temporal when every
-    kept record has a timestamp.
+    are renumbered in sorted-pair order, at the directed or the plain tier.
     """
     groups: dict[tuple[str, str], list] = {}
     for r in rows_of(g):
@@ -179,13 +176,8 @@ def collapse_reference(g: TransactionGraph, *, directed: bool) -> TransactionGra
     for key in sorted(groups):
         winner = max(groups[key], key=lambda r: (r.amount, -r.edge_id))
         records.append((key[0], key[1], winner.amount, winner.timestamp))
-    return TransactionGraph.build(
-        records,
-        g.center,
-        directed=directed,
-        temporal=all(ts is not None for *_, ts in records),
-        label=g.label,
-    )
+    tier = "directed" if directed else "plain"
+    return TransactionGraph.build(records, g.center, tier=tier, label=g.label)
 
 
 # ---------------------------------------------------------------- features
@@ -471,7 +463,7 @@ def random_undirected_graph(rnd: random.Random, max_nodes: int = 8) -> Transacti
         for j in range(i + 1, n):
             if rnd.random() < p:
                 edges.append((names[i], names[j], rnd.randint(0, 6)))
-    return TransactionGraph.build(edges, names[0], directed=False)
+    return TransactionGraph.build(edges, names[0], tier="plain")
 
 
 def random_digraph(rnd: random.Random, max_nodes: int = 8, temporal: bool = False) -> TransactionGraph:
@@ -484,7 +476,7 @@ def random_digraph(rnd: random.Random, max_nodes: int = 8, temporal: bool = Fals
             if i != j and rnd.random() < p:
                 ts = rnd.randint(0, 20) if temporal else None  # ties on purpose
                 edges.append((names[i], names[j], rnd.randint(0, 6), ts))
-    return TransactionGraph.build(edges, names[0], directed=True, temporal=temporal)
+    return TransactionGraph.build(edges, names[0])
 
 
 def random_multigraph(rnd: random.Random, max_nodes: int = 8) -> TransactionGraph:
@@ -493,9 +485,7 @@ def random_multigraph(rnd: random.Random, max_nodes: int = 8) -> TransactionGrap
     for r in rows_of(base):
         if rnd.random() < 0.4:  # parallel duplicate with its own timestamp
             edges.append((r.src, r.dst, rnd.randint(0, 6), rnd.randint(0, 20)))
-    return TransactionGraph.build(
-        edges, base.center, directed=True, temporal=True, multiedge=True
-    )
+    return TransactionGraph.build(edges, base.center, tier="multiedge")
 
 
 def generate_dense_star_graphs(
@@ -521,11 +511,7 @@ def generate_dense_star_graphs(
                 rows.append((center, v, amount))
         order = rng.permutation(len(rows))
         stamped = _with_timestamps(rng, [rows[i] for i in order])
-        graphs.append(
-            TransactionGraph.build(
-                stamped, center, directed=True, temporal=True, multiedge=False
-            )
-        )
+        graphs.append(TransactionGraph.build(stamped, center))
     return graphs
 
 
@@ -547,7 +533,7 @@ def star_with_neighbor_trades() -> TransactionGraph:
         ("v1", "v2", 1),
         ("v4", "v5", 5),
     ]
-    return TransactionGraph.build(edges, "c", directed=True)
+    return TransactionGraph.build(edges, "c")
 
 
 def star_with_neighbor_trades_pairs():
@@ -571,7 +557,7 @@ def time_filtered_flow_graph() -> TransactionGraph:
         ("f", "a", 1, 6),  # t6
         ("g", "b", 1, 7),  # t7
     ]
-    return TransactionGraph.build(edges, "c", directed=True, temporal=True)
+    return TransactionGraph.build(edges, "c")
 
 
 TIME_VIOLATING_PAIRS = {(2, 1), (6, 2), (5, 0)}  # (t3,t2), (t7,t3), (t6,t1)
@@ -586,6 +572,6 @@ def two_transaction_chains():
         "d": [("v2", "v1", 1, 4), ("v2", "v3", 1, 7)],
     }
     return {
-        key: TransactionGraph.build(edges, "v2", directed=True, temporal=True)
+        key: TransactionGraph.build(edges, "v2")
         for key, edges in cases.items()
     }

@@ -37,10 +37,8 @@ def _dir_bytes(path: Path) -> dict:
 def _star_dataset(tmp_path) -> Path:
     g = star_with_neighbor_trades().with_label("phishing")
     # a second labeled graph so the directory is a valid two-class dataset
-    other = TransactionGraph.build(
-        [("x", "y", 1, 1), ("y", "z", 2, 2)], "y", temporal=True
-    ).with_label("benign")
-    manifest = DatasetManifest((g, other), "net", "directed")
+    other = TransactionGraph.build([("x", "y", 1, 1), ("y", "z", 2, 2)], "y").with_label("benign")
+    manifest = DatasetManifest((g, other))
     return save_dataset(manifest, tmp_path / "stards")
 
 
@@ -365,11 +363,9 @@ def _dataset_missing_timestamps(tmp_path, untimed) -> Path:
         if i in untimed:
             records = [(src, dst, amount) for src, dst, amount, _ in records]
         graphs.append(
-            TransactionGraph.build(
-                records, "b", directed=True, temporal=i not in untimed
-            ).with_label(label)
+            TransactionGraph.build(records, "b").with_label(label)
         )
-    manifest = DatasetManifest(tuple(graphs), "net", "directed")
+    manifest = DatasetManifest(tuple(graphs))
     return save_dataset(manifest, tmp_path / "untimed")
 
 
@@ -532,10 +528,10 @@ def test_evaluate_with_zero_baseline_f1_reports_no_percent_increase(tmp_path):
     # majority class, benign, and the phishing F1 is 0 for tn and the fusion
     records = [("v1", "c", 1, 1), ("v2", "c", 2, 2), ("v3", "c", 1, 3), ("c", "w", 3, 4)]
     graphs = tuple(
-        TransactionGraph.build(records, "c", temporal=True).with_label(label)
+        TransactionGraph.build(records, "c").with_label(label)
         for label in ["phishing"] * 5 + ["benign"] * 20
     )
-    ds = save_dataset(DatasetManifest(graphs, "net", "directed"), tmp_path / "ds")
+    ds = save_dataset(DatasetManifest(graphs), tmp_path / "ds")
     out = tmp_path / "out"
     assert main(["evaluate", "--dataset", str(ds), "--variant", "ttsgn",
                  "--repeats", "3", "--trees", "5", "--out", str(out)]) == 0

@@ -38,7 +38,7 @@ from oracles import (
 
 def _star(n_leaves):
     edges = [("c", f"v{i}", 1) for i in range(n_leaves)]
-    return TransactionGraph.build(edges, "c", directed=False)
+    return TransactionGraph.build(edges, "c", tier="plain")
 
 
 def _complete(n):
@@ -46,7 +46,7 @@ def _complete(n):
     edges = [
         (names[i], names[j], 1) for i in range(n) for j in range(i + 1, n)
     ]
-    return TransactionGraph.build(edges, names[0], directed=False)
+    return TransactionGraph.build(edges, names[0], tier="plain")
 
 
 # Frozen by direct evaluation of all ten definitions on K_{1,4}: betweenness
@@ -87,7 +87,7 @@ def test_eigenvalue_on_stars_and_completes():
 def test_eigenvalue_handles_bipartite_paths():
     # 3-node path: spectrum is {sqrt(2), 0, -sqrt(2)} — the hard case for a
     # plain unshifted iteration.
-    path = TransactionGraph.build([("a", "b", 1), ("b", "c", 1)], "b", directed=False)
+    path = TransactionGraph.build([("a", "b", 1), ("b", "c", 1)], "b", tier="plain")
     assert handcrafted_features(path)[7] == pytest.approx(math.sqrt(2), abs=1e-6)
 
 
@@ -95,7 +95,7 @@ def test_eigenvalue_of_edgeless_graphs_is_positive_zero():
     for n in (0, 1, 4):
         value = largest_eigenvalue(np.zeros((n, n)))
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
-    lone = TransactionGraph.build([], "a", directed=False)
+    lone = TransactionGraph.build([], "a", tier="plain")
     assert format(handcrafted_features(lone)[7], ".12g") == "0"
     # in a stack, too: one edgeless graph next to a single edge
     stack = np.zeros((2, 3, 3))
@@ -118,7 +118,7 @@ def test_centralities_match_exhaustive_oracle():
 def _path(n):
     names = [f"v{i:02d}" for i in range(n)]
     edges = [(names[i], names[i + 1], 1) for i in range(n - 1)]
-    return TransactionGraph.build(edges, names[0], directed=False)
+    return TransactionGraph.build(edges, names[0], tier="plain")
 
 
 def test_centralities_match_oracle_across_source_blocks(monkeypatch):
@@ -186,7 +186,7 @@ def test_permutation_invariance():
         permuted = TransactionGraph.build(
             [(relabel[r.src], relabel[r.dst], r.amount) for r in rows_of(g)],
             relabel[g.center],
-            directed=False,
+            tier="plain",
         )
         np.testing.assert_allclose(
             handcrafted_features(g), handcrafted_features(permuted), atol=1e-6
@@ -197,8 +197,7 @@ def test_multiedge_input_is_collapsed_for_features():
     g = TransactionGraph.build(
         [("a", "b", 1, 1), ("a", "b", 2, 5), ("b", "a", 3, 7)],
         "a",
-        temporal=True,
-        multiedge=True,
+        tier="multiedge",
     )
     values = handcrafted_features(g)
     assert values[1] == 1  # one simple edge
@@ -335,7 +334,7 @@ def test_written_feature_matrix_loads_back_bit_for_bit(tmp_path):
 def _mixed_graphs(rnd, count):
     """Transaction graphs and mapped graphs of every variant, 1-node and
     edgeless ones among them, in shuffled order."""
-    graphs = [TransactionGraph.build([], "lone", directed=False)]
+    graphs = [TransactionGraph.build([], "lone", tier="plain")]
     while len(graphs) < count:
         kind = rnd.randrange(3)
         if kind == 0:

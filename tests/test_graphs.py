@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgn import TransactionGraph, at_tier, extract_ego_network, undirected_projection
+from tsgn.graphs import TIERS
 from tsgn.ingest import FORMS, DatasetManifest
 
 from oracles import (
@@ -35,7 +36,7 @@ def test_projection_collapse_is_order_independent():
 
 
 def test_projection_of_undirected_graph_is_identical():
-    g = TransactionGraph.build([("a", "b", 1), ("b", "c", 2)], "a", directed=False)
+    g = TransactionGraph.build([("a", "b", 1), ("b", "c", 2)], "a", tier="plain")
     assert undirected_projection(g) == g
 
 
@@ -43,7 +44,7 @@ def test_projection_of_star_keeps_all_edges():
     g = TransactionGraph.build([("a", "b", 1), ("a", "c", 1), ("a", "d", 1)], "a")
     p = undirected_projection(g)
     assert p.edge_count == 3
-    assert not p.directed
+    assert p.tier == "plain"
 
 
 def test_projection_properties_on_random_graphs():
@@ -81,11 +82,10 @@ def test_validate_flags_negative_amount():
     assert "negative amount" in problems[0]
 
 
-def test_validate_flags_missing_timestamp_on_temporal_graph():
-    g = TransactionGraph.build([("a", "b", 1, 5), ("b", "c", 1)], "a", temporal=True)
-    problems = validate(g)
-    assert len(problems) == 1
-    assert "timestamp missing" in problems[0]
+def test_an_untimed_record_leaves_a_graph_without_time():
+    g = TransactionGraph.build([("a", "b", 1, 5), ("b", "c", 1)], "a", tier="multiedge")
+    assert validate(g) == [] and not g.temporal
+    assert g.take([0]).temporal and not g.take([0], tier="plain").temporal
 
 
 def test_validate_accepts_wellformed_star():
@@ -113,7 +113,7 @@ def test_validate_flags_structural_problems():
 
 
 def test_graphs_are_immutable_and_hash_as_they_compare():
-    g = TransactionGraph.build([("a", "b", 1, 5)], "a", temporal=True)
+    g = TransactionGraph.build([("a", "b", 1, 5)], "a")
     with pytest.raises(TypeError, match="multi_edge"):
         TransactionGraph.build([("a", "b", 1)], "a", multi_edge=True)
     with pytest.raises(TypeError, match="multi_edge"):
@@ -122,15 +122,16 @@ def test_graphs_are_immutable_and_hash_as_they_compare():
         g.temporal = False
     with pytest.raises(ValueError, match="read-only"):
         g.replace(dst=np.array([0])).dst[0] = 1
-    same = TransactionGraph.build([("a", "b", Decimal("1.0"), 5)], "a", temporal=True)
+    same = TransactionGraph.build([("a", "b", Decimal("1.0"), 5)], "a")
     assert same == g and hash(same) == hash(g)
-    hash(DatasetManifest((g.with_label("x"),), "net", "directed"))  # TypeError if unhashable
+    assert g.replace(tier="multiedge") != g
+    hash(DatasetManifest((g.with_label("x"),)))  # TypeError if unhashable
     # amounts compare as decimals, so one amount spelled two ways is one graph
     spelled = [TransactionGraph.build([("a", "b", amount)], "a") for amount in (1.5, "1.50")]
     assert spelled[0] == spelled[1] and hash(spelled[0]) == hash(spelled[1])
     # one amount, one timestamp or the label alone tells graphs apart
-    assert TransactionGraph.build([("a", "b", 2, 5)], "a", temporal=True) != g
-    assert TransactionGraph.build([("a", "b", 1, 6)], "a", temporal=True) != g
+    assert TransactionGraph.build([("a", "b", 2, 5)], "a") != g
+    assert TransactionGraph.build([("a", "b", 1, 6)], "a") != g
     assert g.with_label("x") != g
     # an untimed row's stored stamp is not part of the graph
     untimed = TransactionGraph.build([("a", "b", 1, 5), ("b", "a", 1)], "a")
@@ -142,7 +143,7 @@ def test_graphs_are_immutable_and_hash_as_they_compare():
 def test_at_tier_plain_drops_direction_and_time():
     g = random_multigraph(random.Random(5))
     plain = at_tier(g, "plain")
-    assert not plain.directed and not plain.multiedge and not plain.temporal
+    assert plain.tier == "plain" and not plain.temporal
     assert validate(plain) == []
 
 
@@ -150,8 +151,7 @@ def test_at_tier_directed_collapses_parallel_records():
     g = TransactionGraph.build(
         [("a", "b", 1, 1), ("a", "b", 4, 2), ("b", "a", 2, 3)],
         "a",
-        temporal=True,
-        multiedge=True,
+        tier="multiedge",
     )
     d = at_tier(g, "directed")
     assert d.edge_count == 2  # one per ordered pair
@@ -161,11 +161,13 @@ def test_at_tier_directed_collapses_parallel_records():
 
 
 def test_at_tier_rejects_direction_recovery():
-    g = TransactionGraph.build([("a", "b", 1)], "a", directed=False)
+    g = TransactionGraph.build([("a", "b", 1)], "a", tier="plain")
     with pytest.raises(ValueError, match="undirected"):
         at_tier(g, "directed")
     with pytest.raises(ValueError, match="unknown tier"):
         at_tier(g, "bogus")
+    with pytest.raises(ValueError, match="unknown tier 'bogus'"):
+        TransactionGraph.build([("a", "b", 1)], "a", tier="bogus")
 
 
 def test_build_takes_amounts_as_decimals():
@@ -181,16 +183,15 @@ def test_build_assigns_sequential_edge_ids():
 
 
 def test_collapse_keeps_each_tiers_temporal_flag():
-    # every record carries a timestamp, but the graph does not claim them
+    # every record carries a timestamp; the plain tier has no time
     g = TransactionGraph.build(
         [("a", "b", 3, 5), ("a", "b", 3, 2), ("b", "a", 1, 9), ("a", "b", 2, 7)],
         "a",
-        temporal=False,
-        multiedge=True,
+        tier="multiedge",
     )
     plain = undirected_projection(g)
     directed = at_tier(g, "directed")
-    assert not plain.temporal
+    assert g.temporal and not plain.temporal
     assert directed.temporal
     # heaviest record per pair; the tie at amount 3 goes to edge 0, not edge 1
     fields = lambda graph: [tuple(r) for r in rows_of(graph)]
@@ -215,25 +216,24 @@ def _ego_networks(draw):
         amount = draw(st.one_of(st.sampled_from(_TIE_AMOUNTS), st.decimals(0, 10, places=3)))
         stamp = draw(st.one_of(st.none(), st.integers(0, 4)))
         rows.append((f"v{src}", f"v{dst}", amount, stamp))
-    records = TransactionGraph.build(rows, None, multiedge=True)
+    records = TransactionGraph.build(rows, None, tier="multiedge")
     return extract_ego_network(records, "v0", draw(st.sampled_from(FORMS)), "multiedge")
 
 
 def _fields(g):
-    """Flags, nodes and records, with amounts as their text."""
+    """Tier, time, nodes and records, with amounts as their text."""
     records = [(r.src, r.dst, str(r.amount), r.timestamp, r.edge_id) for r in rows_of(g)]
-    return (g.directed, g.temporal, g.multiedge, g.nodes, records)
+    return (g.tier, g.temporal, g.nodes, records)
 
 
 @settings(max_examples=200, deadline=None)
 @given(g=_ego_networks())
 def test_tiers_and_projection_equal_the_record_level_collapse(g):
-    directed = collapse_reference(g, directed=True)
-    plain = collapse_reference(g, directed=False)
-    assert _fields(at_tier(g, "directed")) == _fields(directed)
-    assert _fields(at_tier(g, "plain")) == _fields(plain.replace(temporal=False))
-    assert _fields(undirected_projection(g)) == _fields(
-        plain.replace(temporal=plain.temporal and g.temporal)
-    )
-    timed = all(r.timestamp is not None for r in rows_of(g))
-    assert _fields(at_tier(g, "multiedge")) == _fields(g.replace(temporal=timed))
+    plain = _fields(collapse_reference(g, directed=False))
+    assert _fields(at_tier(g, "directed")) == _fields(collapse_reference(g, directed=True))
+    assert _fields(at_tier(g, "plain")) == plain == _fields(undirected_projection(g))
+    assert _fields(at_tier(g, "multiedge")) == _fields(g)
+    for tier in TIERS:
+        t = at_tier(g, tier)
+        timed = all(r.timestamp is not None for r in rows_of(t))
+        assert t.tier == tier and t.temporal == (tier != "plain" and timed)

@@ -176,7 +176,7 @@ TRIANGLE = [
 
 def _file(records):
     """Records as load_edge_list returns a file's: one multiedge graph, no center."""
-    return TransactionGraph.build(records, None, multiedge=True)
+    return TransactionGraph.build(records, None, tier="multiedge")
 
 
 def test_star_extraction_keeps_incident_edges_only():
@@ -197,7 +197,7 @@ def test_multiedge_tier_keeps_parallel_records():
     ]
     g = extract_ego_network(_file(records), "a", form="net", tier="multiedge")
     assert g.edge_count == 2
-    assert g.multiedge and g.temporal
+    assert g.tier == "multiedge" and g.temporal
 
 
 def test_extract_errors_on_absent_target():
@@ -205,6 +205,13 @@ def test_extract_errors_on_absent_target():
         extract_ego_network(_file(TRIANGLE), "zz", form="star", tier="plain")
     with pytest.raises(ValueError, match="unknown form"):
         extract_ego_network(_file(TRIANGLE), "a", form="ring", tier="plain")
+
+
+def test_ego_cut_keeps_the_tier_of_its_records():
+    undirected = TransactionGraph.build([("a", "b", 1), ("b", "c", 2)], None, tier="plain")
+    with pytest.raises(ValueError, match="needs directed data"):
+        extract_ego_network(undirected, "a", "net", "directed")
+    assert extract_ego_network(undirected, "a", "net", "plain").tier == "plain"
 
 
 def test_star_edges_subset_of_net_edges():
@@ -260,7 +267,7 @@ def test_generated_graphs_are_wellformed_and_exercise_all_attributes():
     saw_parallel = False
     for g in manifest.graphs:
         assert validate(g) == []
-        assert g.directed and g.temporal and g.multiedge
+        assert g.tier == "multiedge" and g.temporal
         stamps = [r.timestamp for r in rows_of(g)]
         assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
         if len({(r.src, r.dst) for r in rows_of(g)}) < g.edge_count:
@@ -274,7 +281,7 @@ def test_dense_star_generator_shapes():
     for g in graphs:
         assert g.node_count == 60
         assert g.edge_count == 59
-        assert not g.multiedge and g.temporal
+        assert g.tier == "directed" and g.temporal
         inbound = sum(1 for r in rows_of(g) if r.dst == g.center)
         assert 25 <= inbound <= 35  # roughly half in, half out
 
@@ -286,7 +293,7 @@ def test_dataset_stats_means_and_maxima():
     wider = _file(TRIANGLE + [("a", "d", 1, 4), ("a", "e", 1, 5)])
     g2 = extract_ego_network(wider, "a", form="net", tier="directed")
     manifest = DatasetManifest(
-        (g1.with_label("x"), g2.with_label("y")), "net", "directed"
+        (g1.with_label("x"), g2.with_label("y"))
     )
     stats = dataset_stats(manifest)
     assert stats.mean_nodes == Fraction(3 + 5, 2)
@@ -295,16 +302,23 @@ def test_dataset_stats_means_and_maxima():
     assert stats.n_largest_class == 1
 
     with pytest.raises(ValueError, match="empty manifest"):
-        dataset_stats(DatasetManifest((), "net", "directed"))
+        dataset_stats(DatasetManifest(()))
+
+
+def test_manifest_names_every_unlabeled_graph():
+    g = TransactionGraph.build([("a", "b", 1)], "a")
+    with pytest.raises(ValueError, match=r"must be labeled: x, z$"):
+        DatasetManifest((g, g.with_label("phishing"), g), ("x", "y", "z"))
+    with pytest.raises(ValueError, match=r"must be labeled: graph_0001$"):
+        DatasetManifest((g.with_label("phishing"), g))
 
 
 def test_stats_table_layout():
-    manifest = generate_synthetic_dataset("etherg1", n_per_class=10, seed=5)
     per_tier = {
         tier: dataset_stats(generate_synthetic_dataset("etherg1", 10, 5, tier=tier))
         for tier in ("plain", "directed", "multiedge")
     }
-    table = stats_table("etherg1-synth", manifest.form, per_tier)
+    table = stats_table("etherg1-synth", "net", per_tier)
     head, row = table.splitlines()
     assert "#C_max" in head and "#E(multiedge)" in head
     assert row.split()[2] == "20"  # N_G sits in the third column
@@ -328,10 +342,10 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_untimed_records_save_with_empty_timestamps_and_load_back_untimed(tmp_path):
     g = TransactionGraph.build(
-        [("a", "b", 1, 5), ("b", "a", "2.50"), ("a", "c", 3, 7)], "a", multiedge=True,
+        [("a", "b", 1, 5), ("b", "a", "2.50"), ("a", "c", 3, 7)], "a", tier="multiedge",
         label="phishing",
     )
-    out = save_dataset(DatasetManifest((g,), "net", "multiedge"), tmp_path / "ds")
+    out = save_dataset(DatasetManifest((g,)), tmp_path / "ds")
     assert (out / "graph_0000.csv").read_text().splitlines() == [
         "src,dst,amount,timestamp", "a,b,1,5", "b,a,2.50,", "a,c,3,7",
     ]
@@ -343,7 +357,7 @@ def test_untimed_records_save_with_empty_timestamps_and_load_back_untimed(tmp_pa
 def test_saved_address_with_comma_is_quoted_and_loads_back(tmp_path):
     path = _write(tmp_path, 'src,dst,amount,timestamp\n"a,b",c,1.5,1\n')
     g = extract_ego_network(load_edge_list(path), "c", tier="multiedge")
-    manifest = DatasetManifest((g.with_label("phishing"),), "net", "multiedge")
+    manifest = DatasetManifest((g.with_label("phishing"),))
     out = save_dataset(manifest, tmp_path / "ds")
     assert (out / "graph_0000.csv").read_text().splitlines()[1] == '"a,b",c,1.5,1'
     assert load_dataset(out).graphs == manifest.graphs
@@ -369,8 +383,7 @@ def _star_egonets(draw):
     return TransactionGraph.build(
         rows,
         center,
-        temporal=all(ts is not None for *_, ts in rows),
-        multiedge=True,
+        tier="multiedge",
         label=draw(st.sampled_from(["phishing", "benign"])),
     )
 
@@ -378,7 +391,7 @@ def _star_egonets(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_star_egonets(), min_size=1, max_size=4))
 def test_load_of_save_gives_back_the_records(graphs):
-    manifest = DatasetManifest(tuple(graphs), "net", "multiedge")
+    manifest = DatasetManifest(tuple(graphs))
     with tempfile.TemporaryDirectory() as tmp:
         loaded = load_dataset(save_dataset(manifest, tmp), tier="multiedge", form="net")
     assert loaded.graphs == manifest.graphs
@@ -400,7 +413,7 @@ _GRAPH_IDS = st.text(
 @given(st.lists(_star_egonets(), min_size=1, max_size=4), st.data())
 def test_load_of_save_keeps_the_graph_ids(graphs, data):
     ids = data.draw(st.lists(_GRAPH_IDS, min_size=len(graphs), max_size=len(graphs), unique=True))
-    manifest = DatasetManifest(tuple(graphs), "net", "multiedge", tuple(ids))
+    manifest = DatasetManifest(tuple(graphs), tuple(ids))
     with tempfile.TemporaryDirectory() as tmp:
         loaded = load_dataset(save_dataset(manifest, tmp), tier="multiedge", form="net")
     # load_dataset sorts by id, so compare id -> graph
@@ -410,7 +423,7 @@ def test_load_of_save_keeps_the_graph_ids(graphs, data):
 def test_save_refuses_ids_that_are_not_file_names_before_writing(tmp_path):
     g = generate_synthetic_dataset("etherg1", n_per_class=1, seed=9).graphs
     for ids in (("../x", "y"), ("x", "x"), ("labels", "y"), ("", "y")):
-        manifest = DatasetManifest(g, "net", "multiedge", ids)
+        manifest = DatasetManifest(g, ids)
         with pytest.raises(ValueError, match="unique file names"):
             save_dataset(manifest, tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
@@ -423,6 +436,15 @@ def test_save_is_byte_identical_on_rerun(tmp_path):
     second = save_dataset(manifest, tmp_path / "b")
     for f1 in sorted(first.iterdir()):
         assert (second / f1.name).read_bytes() == f1.read_bytes()
+
+
+def test_load_dataset_names_a_bad_tier_or_form_once_before_reading(tmp_path):
+    out = save_dataset(generate_synthetic_dataset("etherg1", n_per_class=5, seed=8), tmp_path)
+    for kind, bad in (("tier", "bogus"), ("form", "ring")):
+        for path in (out, tmp_path / "absent"):  # refused before labels.csv is read
+            with pytest.raises(ValueError, match=f"^unknown {kind} '{bad}'") as err:
+                load_dataset(path, **{kind: bad})
+            assert str(err.value).count(bad) == 1
 
 
 def test_load_dataset_rejects_non_dataset_dirs(tmp_path):
@@ -439,9 +461,9 @@ def test_load_dataset_at_lower_tiers(tmp_path):
     directed = load_dataset(out, tier="directed")
     plain = load_dataset(out, tier="plain")
     for g in directed.graphs:
-        assert g.directed and not g.multiedge and g.temporal
+        assert g.tier == "directed" and g.temporal
     for g in plain.graphs:
-        assert not g.directed and not g.temporal
+        assert g.tier == "plain" and not g.temporal
 
 
 def test_load_dataset_rejects_ids_that_are_not_unique_file_names(tmp_path):

@@ -77,7 +77,7 @@ def test_star_with_neighbor_trades_adjacency():
 
 
 def test_single_edge_maps_to_single_isolated_node():
-    g = TransactionGraph.build([("a", "b", 1)], "a", directed=False)
+    g = TransactionGraph.build([("a", "b", 1)], "a", tier="plain")
     t = build_tsgn(g)
     assert t.node_count == 1
     assert t.edge_count == 0
@@ -85,7 +85,7 @@ def test_single_edge_maps_to_single_isolated_node():
 
 def test_triangle_maps_to_triangle():
     g = TransactionGraph.build(
-        [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)], "a", directed=False
+        [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)], "a", tier="plain"
     )
     t = build_tsgn(g)
     assert edge_pairs(t) == frozenset(shared_endpoint_pairs(rows_of(g)))
@@ -93,7 +93,7 @@ def test_triangle_maps_to_triangle():
 
 
 def test_edgeless_graph_maps_to_empty_tsgn():
-    g = TransactionGraph.build([], "a", directed=False)
+    g = TransactionGraph.build([], "a", tier="plain")
     t = build_tsgn(g)
     assert t.node_count == 0 and t.edge_count == 0
 
@@ -119,7 +119,7 @@ def test_plain_mapping_projects_directed_input_first():
 
 def test_plain_edge_weights_use_map_weight():
     g = TransactionGraph.build(
-        [("a", "b", 2), ("b", "c", 6)], "b", directed=False
+        [("a", "b", 2), ("b", "c", 6)], "b", tier="plain"
     )
     t = build_tsgn(g)
     assert t.edge_count == 1
@@ -169,14 +169,14 @@ def test_antiparallel_pair_yields_two_cycle():
 
 
 def test_directed_mapping_rejects_undirected_input():
-    g = TransactionGraph.build([("a", "b", 1)], "a", directed=False)
+    g = TransactionGraph.build([("a", "b", 1)], "a", tier="plain")
     with pytest.raises(ValueError, match="direction attribute required"):
         build_directed_tsgn(g)
 
 
 def test_directed_mapping_rejects_multiedge_input():
     g = TransactionGraph.build(
-        [("a", "b", 1, 1), ("a", "b", 1, 2)], "a", temporal=True, multiedge=True
+        [("a", "b", 1, 1), ("a", "b", 1, 2)], "a", tier="multiedge"
     )
     with pytest.raises(ValueError, match="simple graph required"):
         build_directed_tsgn(g)
@@ -195,21 +195,21 @@ def test_directed_mapping_matches_brute_force_on_random_graphs():
 
 def test_time_ordered_chain_is_kept():
     g = TransactionGraph.build(
-        [("v1", "v2", 1, 4), ("v2", "v3", 1, 7)], "v2", temporal=True
+        [("v1", "v2", 1, 4), ("v2", "v3", 1, 7)], "v2"
     )
     assert edge_pairs(build_temporal_tsgn(g)) == frozenset({(0, 1)})
 
 
 def test_time_reversed_chain_is_dropped():
     g = TransactionGraph.build(
-        [("v1", "v2", 1, 7), ("v2", "v3", 1, 4)], "v2", temporal=True
+        [("v1", "v2", 1, 7), ("v2", "v3", 1, 4)], "v2"
     )
     assert build_temporal_tsgn(g).edge_count == 0
 
 
 def test_equal_timestamps_yield_no_edge():
     g = TransactionGraph.build(
-        [("v1", "v2", 1, 4), ("v2", "v3", 1, 4)], "v2", temporal=True
+        [("v1", "v2", 1, 4), ("v2", "v3", 1, 4)], "v2"
     )
     assert build_temporal_tsgn(g).edge_count == 0
 
@@ -230,10 +230,9 @@ def test_two_transaction_chains():
 
 
 def test_temporal_mapping_requires_timestamps():
-    g = TransactionGraph.build(
-        [("a", "b", 1, 4), ("b", "c", 1)], "a", temporal=True
-    )
-    with pytest.raises(ValueError, match=r"edge 1 \(b->c\) has no timestamp"):
+    # one untimed record, so the graph is not temporal
+    g = TransactionGraph.build([("a", "b", 1, 4), ("b", "c", 1)], "a")
+    with pytest.raises(ValueError, match="ttsgn: temporal attribute required"):
         build_temporal_tsgn(g)
 
 
@@ -261,8 +260,7 @@ def test_parallel_edges_each_get_a_node():
     g = TransactionGraph.build(
         [("a", "b", 1, 1), ("a", "b", 1, 5), ("b", "c", 1, 9)],
         "a",
-        temporal=True,
-        multiedge=True,
+        tier="multiedge",
     )
     t = build_multiple_tsgn(g)
     assert t.node_count == 3
@@ -271,7 +269,7 @@ def test_parallel_edges_each_get_a_node():
 
 def test_antiparallel_loop_is_broken_by_timestamps():
     g = TransactionGraph.build(
-        [("a", "b", 1, 1), ("b", "a", 1, 3)], "a", temporal=True, multiedge=True
+        [("a", "b", 1, 1), ("b", "a", 1, 3)], "a", tier="multiedge"
     )
     t = build_multiple_tsgn(g)
     assert edge_pairs(t) == frozenset({(0, 1)})
@@ -308,7 +306,7 @@ def test_mapped_outputs_are_deterministically_ordered():
 
 def test_mapped_edges_are_read_only_position_arrays():
     g = TransactionGraph.build(
-        [("a", "b", 2, 1), ("b", "c", 6, 2), ("c", "a", 0, 3)], "a", temporal=True
+        [("a", "b", 2, 1), ("b", "c", 6, 2), ("c", "a", 0, 3)], "a"
     )
     for build in (build_tsgn, build_directed_tsgn, build_temporal_tsgn, build_multiple_tsgn):
         t = build(g)
@@ -340,7 +338,7 @@ def temporal_multigraphs(draw):
         src = draw(st.integers(0, k - 1))
         dst = (src + draw(st.integers(1, k - 1))) % k
         records.append((f"v{src}", f"v{dst}", draw(AMOUNTS), draw(st.integers(0, 5))))
-    return TransactionGraph.build(records, "v0", temporal=True, multiedge=True)
+    return TransactionGraph.build(records, "v0", tier="multiedge")
 
 
 def _check_edges(t, source, expected_pairs):
