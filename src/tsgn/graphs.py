@@ -4,9 +4,7 @@ A transaction graph is an ego-network around a target account: nodes are
 addresses, edges are individual transfers carrying an amount and an optional
 integer timestamp. Its records are read-only numpy columns, one row per
 record, whose row is its edge id: ``src`` and ``dst`` as positions into the
-sorted ``nodes``, float64 ``amounts``, the exact ``decimals`` read, their
-``ranks`` (each amount's place among the sorted distinct decimals of the
-records the graph was built from, a whole file for a loaded one) and int64
+sorted ``nodes``, float64 ``amounts``, the exact ``decimals`` read and int64
 ``stamps`` with a ``timed`` mask. The columns are the only form of a record:
 no per-record object is built, and the library reads, compares and writes
 records a column at a time. A graph's ``tier`` says which attributes its
@@ -38,15 +36,15 @@ def check_choice(kind: str, value: str, choices: tuple[str, ...]) -> None:
 
 
 def _as_amount(value) -> Decimal:
-    """Normalize an amount to Decimal; floats go through str() so 0.05 stays 0.05."""
-    if isinstance(value, Decimal):
-        return value
-    if isinstance(value, float):
-        return Decimal(str(value))
-    return Decimal(value)
+    """An amount as a finite Decimal; floats go through str() so 0.05 stays 0.05."""
+    if not isinstance(value, Decimal):
+        value = Decimal(str(value) if isinstance(value, float) else value)
+    if not value.is_finite():
+        raise ValueError(f"non-finite amount {value}")
+    return value
 
 
-_COLUMNS = ("src", "dst", "amounts", "ranks", "stamps", "timed", "decimals")
+_COLUMNS = ("src", "dst", "amounts", "stamps", "timed", "decimals")
 
 
 class TransactionGraph:
@@ -62,18 +60,16 @@ class TransactionGraph:
     equal hashes) when their nodes, ``src``, ``dst``, ``decimals``, ``timed``
     mask, the stamps of their timed rows, center, tier and label are. An
     untimed row's stored stamp is ignored, as are the floats, which follow
-    from the decimals, and the ranks, which depend on the records a graph was
-    cut from.
+    from the decimals.
     """
 
     def __init__(
         self, nodes: tuple[str, ...], src: np.ndarray, dst: np.ndarray,
-        amounts: np.ndarray, ranks: np.ndarray, stamps: np.ndarray, timed: np.ndarray,
-        decimals: np.ndarray, center: str | None, *, tier: str = "directed",
-        label: str | None = None,
+        amounts: np.ndarray, stamps: np.ndarray, timed: np.ndarray, decimals: np.ndarray,
+        center: str | None, *, tier: str = "directed", label: str | None = None,
     ):
         check_choice("tier", tier, TIERS)
-        columns = (src, dst, amounts, ranks, stamps, timed, decimals)
+        columns = (src, dst, amounts, stamps, timed, decimals)
         for column in columns:
             if column.flags.writeable:  # a replace passes on read-only columns
                 column.setflags(write=False)
@@ -94,35 +90,29 @@ class TransactionGraph:
         """Assemble a graph from (src, dst, amount[, timestamp]) records.
 
         Edge ids number the records in input order and the node set is
-        collected from the record endpoints plus the center. An amount's rank
-        is its place among the sorted distinct decimals of these records, so
-        equal decimals spelled apart (1.5 and 1.50) share one and decimals
-        that round to one float (0.1 and 0.1000000000000000000001) do not;
-        its float is that of its distinct decimal.
+        collected from the record endpoints plus the center; an amount's
+        float is that of its decimal. Raises ValueError on a non-finite
+        amount and, at the directed and plain tiers, on two records that the
+        tier holds once: build those at multiedge and then call at_tier.
         """
         rows = [r if len(r) == 4 else (*r, None) for r in records]
         m = len(rows)
         srcs, dsts, amounts, stamps = zip(*rows) if rows else ((), (), (), ())
         decimals = list(map(_as_amount, amounts))
-        ranks, values, last = [0] * m, [], None
-        for i in sorted(range(m), key=decimals.__getitem__):
-            if decimals[i] != last:  # a new distinct decimal and its float
-                last = decimals[i]
-                values.append(float(last))
-            ranks[i] = len(values) - 1
-        ranks = np.array(ranks, dtype=np.intp)
         nodes = tuple(sorted({*srcs, *dsts} if center is None else {*srcs, *dsts, center}))
         index = dict(zip(nodes, range(len(nodes))))
         ends = np.fromiter(map(index.__getitem__, chain(srcs, dsts)), np.intp, 2 * m)
         timed = np.fromiter(map(is_not, stamps, repeat(None)), bool, m)
         if None in stamps:
             stamps = [0 if t is None else t for t in stamps]
-        return cls(
-            nodes, ends[:m], ends[m:],
-            np.array(values, dtype=np.float64)[ranks],
-            ranks, np.fromiter(stamps, np.int64, m), timed, np.fromiter(decimals, object, m),
+        g = cls(
+            nodes, ends[:m], ends[m:], np.fromiter(map(float, decimals), np.float64, m),
+            np.fromiter(stamps, np.int64, m), timed, np.fromiter(decimals, object, m),
             center, tier=tier, label=label,
         )
+        if tier != "multiedge" and _collapse(g, tier).edge_count < m:
+            raise ValueError(f"the {tier} tier holds one record per pair: build at multiedge")
+        return g
 
     @property
     def temporal(self) -> bool:
@@ -173,16 +163,21 @@ def _collapse(g: TransactionGraph, tier: str) -> TransactionGraph:
     the heaviest of the pair's records.
 
     Pairs are ordered at the directed tier and sorted at the plain one, so
-    anti-parallel records share a plain pair. Records are ordered by pair, then by
-    exact amount rank, heaviest first, then by edge id (lexsort is stable), and
-    the first record of each pair wins: equal decimals go to the earliest
-    record. Edge ids are renumbered in pair order and the node set is kept.
+    anti-parallel records share a plain pair. Records are ordered by pair, then
+    by exact decimal, heaviest first, then by edge id, and the first record of
+    each pair wins: equal decimals spelled apart (1.5 and 1.50) go to the
+    earliest record, while decimals that round to one float (0.1 and
+    0.1000000000000000000001) stay apart. Edge ids are renumbered in pair
+    order and the node set is kept.
     """
     a, b = g.src, g.dst
     if tier == "plain":
         a, b = np.minimum(a, b), np.maximum(a, b)
     pair = a * len(g.nodes) + b
-    order = np.lexsort((-g.ranks, pair))
+    decimals = g.decimals.tolist()
+    rank = {d: r for r, d in enumerate(sorted(set(decimals)))}
+    ranks = np.fromiter(map(rank.__getitem__, decimals), np.intp, len(decimals))
+    order = np.lexsort((-ranks, pair))
     pair = pair[order]
     first = np.ones(len(pair), dtype=bool)
     first[1:] = pair[1:] != pair[:-1]

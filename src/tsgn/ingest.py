@@ -6,11 +6,10 @@ per graph plus a ``labels.csv`` (graph_id, center_address, label). Record
 files carry the columns src, dst, amount (decimal string: 0, or from
 MIN_AMOUNT to MAX_AMOUNT) and timestamp (integer seconds within int64; the
 field may be empty and the column absent). load_edge_list reads a file into
-the columns of one TransactionGraph, checking each field a column at a time,
-parsing each distinct amount once and ranking the file's distinct decimals
-exactly; extract_ego_network cuts an ego-net out of those columns with
-boolean masks, so no record object is built on the way to the mappings.
-Edge ids are record positions.
+the columns of one TransactionGraph, checking each field a column at a time
+and parsing each distinct amount once; extract_ego_network cuts an ego-net
+out of those columns with boolean masks, so no record object is built on the
+way to the mappings. Edge ids are record positions.
 """
 
 from __future__ import annotations
@@ -340,11 +339,7 @@ def _rows_to_graph(rng, rows, center, tier, label) -> TransactionGraph:
 
 @dataclass(frozen=True)
 class DatasetStats:
-    """Table-row statistics for one manifest at one attribute tier.
-
-    Means are exact rationals; ``rounded()`` gives the display convention of
-    nearest-integer means.
-    """
+    """Table-row statistics for one manifest at one tier; means are exact."""
 
     n_graphs: int
     n_largest_class: int
@@ -354,17 +349,6 @@ class DatasetStats:
     mean_edges: Fraction
     max_edges: int
 
-    def rounded(self) -> dict[str, int]:
-        return {
-            "n_graphs": self.n_graphs,
-            "n_largest_class": self.n_largest_class,
-            "n_classes": self.n_classes,
-            "mean_nodes": round(self.mean_nodes),
-            "max_nodes": self.max_nodes,
-            "mean_edges": round(self.mean_edges),
-            "max_edges": self.max_edges,
-        }
-
 
 def dataset_stats(manifest: DatasetManifest) -> DatasetStats:
     """Per-manifest statistics; edge counts are for the graphs' tiers."""
@@ -372,9 +356,7 @@ def dataset_stats(manifest: DatasetManifest) -> DatasetStats:
         raise ValueError("empty manifest")
     node_counts = [g.node_count for g in manifest.graphs]
     edge_counts = [g.edge_count for g in manifest.graphs]
-    class_sizes: dict[str, int] = {}
-    for g in manifest.graphs:
-        class_sizes[g.label] = class_sizes.get(g.label, 0) + 1
+    class_sizes = Counter(manifest.labels)
     return DatasetStats(
         n_graphs=len(manifest.graphs),
         n_largest_class=max(class_sizes.values()),
@@ -388,23 +370,21 @@ def dataset_stats(manifest: DatasetManifest) -> DatasetStats:
 
 def stats_table(name: str, form: str, per_tier: dict[str, DatasetStats]) -> str:
     """Aligned text table, one row per dataset with per-tier edge columns in
-    ``per_tier`` order."""
+    ``per_tier`` order; means are rounded to the nearest integer."""
     headers = ["Dataset", "Form", "N_G", "#C_max", "N_C", "#N", "max#N"]
-    any_stats = next(iter(per_tier.values()))
-    base = any_stats.rounded()
+    base = next(iter(per_tier.values()))
     row = [
         name,
         form,
-        str(base["n_graphs"]),
-        str(base["n_largest_class"]),
-        str(base["n_classes"]),
-        str(base["mean_nodes"]),
-        str(base["max_nodes"]),
+        str(base.n_graphs),
+        str(base.n_largest_class),
+        str(base.n_classes),
+        str(round(base.mean_nodes)),
+        str(base.max_nodes),
     ]
     for tier, stats in per_tier.items():
-        r = stats.rounded()
         headers += [f"#E({tier})", f"max#E({tier})"]
-        row += [str(r["mean_edges"]), str(r["max_edges"])]
+        row += [str(round(stats.mean_edges)), str(stats.max_edges)]
     widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
     head = "  ".join(h.rjust(w) for h, w in zip(headers, widths))
     body = "  ".join(v.rjust(w) for v, w in zip(row, widths))
@@ -443,13 +423,41 @@ def _check_graph_ids(graph_ids: Sequence[str], where) -> None:
         raise ValueError(f"{where}: graph ids must be unique file names: {names}")
 
 
+def _reload_problem(g: TransactionGraph) -> str | None:
+    """Why the files save_dataset writes for ``g`` would not load back into
+    it, by load_dataset's own rules, or None when they would."""
+    if g.center is None:
+        return "no center address"
+    changed = sorted({a for a in (*g.nodes, g.center) if not a or a != a.strip().lower()})
+    if changed:
+        return f"addresses {', '.join(map(repr, changed))} do not load back as written"
+    parsed = map(_parse_amount, set(map(str, g.decimals)))
+    malformed = sorted(reason for reason in parsed if isinstance(reason, str))
+    if malformed:
+        return ", ".join(malformed)
+    records = g.take(g.src != g.dst, tier="multiedge")  # load drops self-loops
+    try:
+        cut = extract_ego_network(records, g.center, "net", g.tier)
+    except ValueError as exc:
+        return str(exc)
+    if (cut.nodes, cut.edge_count) != (g.nodes, g.edge_count):
+        kept = f"{cut.edge_count} of {g.edge_count} records"
+        return f"loads back with {kept} and {cut.node_count} of {g.node_count} addresses"
+    return None
+
+
 def save_dataset(manifest: DatasetManifest, out_dir) -> Path:
     """Write a manifest as a dataset directory (graph CSVs + labels.csv), each
-    graph's file named by its id; bad ids fail before anything is written."""
+    graph's file named by its id. Bad ids, and graphs that load_dataset at
+    their tier and the net form would refuse or change, fail before anything
+    is written, with one ValueError naming every such graph and its reason."""
     out = Path(out_dir)
     _check_graph_ids(manifest.graph_ids, out)
-    out.mkdir(parents=True, exist_ok=True)
     named = list(zip(manifest.graph_ids, manifest.graphs))
+    bad = [f"{graph_id}: {reason}" for graph_id, g in named if (reason := _reload_problem(g))]
+    if bad:
+        raise ValueError(f"{out}: {len(bad)} graph(s) would not load back: " + "; ".join(bad))
+    out.mkdir(parents=True, exist_ok=True)
     for graph_id, g in named:
         name = g.nodes.__getitem__
         stamps = [t if timed else None for t, timed in zip(g.stamps.tolist(), g.timed.tolist())]

@@ -49,14 +49,8 @@ def f1_score(predictions: Sequence, truth: Sequence, positive_class) -> float:
         )
     if not truth:
         raise ValueError("f1_score needs at least one sample")
-    tp = fp = fn = 0
-    for p, t in zip(predictions, truth):
-        if p == positive_class and t == positive_class:
-            tp += 1
-        elif p == positive_class:
-            fp += 1
-        elif t == positive_class:
-            fn += 1
+    hits = Counter((p == positive_class, t == positive_class) for p, t in zip(predictions, truth))
+    tp, fp, fn = hits[True, True], hits[True, False], hits[False, True]
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     if precision + recall == 0:
@@ -94,14 +88,13 @@ class _Tree(NamedTuple):
     """The nodes of fitted trees as flat arrays; ``feature == -1`` marks a leaf.
 
     Internal node ``i`` sends a row to ``left[i]`` when
-    ``row[feature[i]] <= threshold[i]`` and to ``right[i]`` otherwise; a leaf
-    holds its class distribution in ``probs[i]``.
+    ``row[feature[i]] <= threshold[i]`` and to ``left[i] + 1`` otherwise; a
+    leaf holds its class distribution in ``probs[i]``.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     probs: np.ndarray
 
 
@@ -111,9 +104,8 @@ class RandomForest:
     def __init__(self, config: ForestConfig):
         self.config = config
         self.classes_: tuple | None = None
-        # every tree's nodes in one table; tree t starts at node _roots[t]
+        # every tree's nodes in one table; tree t starts at node t
         self._forest: _Tree | None = None
-        self._roots = np.zeros(0, dtype=np.intp)
 
     def fit(self, x: np.ndarray, labels: Sequence) -> "RandomForest":
         x = np.asarray(x, dtype=float)
@@ -131,7 +123,7 @@ class RandomForest:
         bits = np.column_stack((x.view(np.int64), y))
         _, first, group = np.unique(bits, axis=0, return_index=True, return_inverse=True)
         data = _RankedRows(x[first], y[first], len(classes), group)
-        self._forest, self._roots = _grow_forest(self.config.n_trees, self.config.seed, data)
+        self._forest = _grow_forest(self.config.n_trees, self.config.seed, data)
         return self
 
     def predict(self, x: np.ndarray) -> list:
@@ -139,25 +131,25 @@ class RandomForest:
         if self.classes_ is None:
             raise ValueError("predict called before fit")
         x = np.asarray(x, dtype=float)
-        forest = self._forest
+        forest, n_trees = self._forest, self.config.n_trees
         votes = np.zeros((x.shape[0], len(self.classes_)))
         # at most KEY_CAP (tree, row) cells are routed at once; trees vote one
         # after another, in fit order, so the float sums (and hence argmax
         # ties) do not depend on how the rows are routed
-        block = max(1, KEY_CAP // len(self._roots))
+        block = max(1, KEY_CAP // n_trees)
         for start in range(0, x.shape[0], block):
             rows = slice(start, start + block)
-            for leaf in self._route(forest, self._roots, x[rows]):
+            for leaf in self._route(forest, n_trees, x[rows]):
                 votes[rows] += forest.probs[leaf]
         return [self.classes_[i] for i in votes.argmax(axis=1)]
 
     @staticmethod
-    def _route(tree: _Tree, roots: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Leaf index of every (root, row of ``x``), all moving down together."""
+    def _route(tree: _Tree, n_trees: int, x: np.ndarray) -> np.ndarray:
+        """Leaf index of every (tree t, row of ``x``), all moving down from node t."""
         n_rows, n_features = x.shape
-        leaf = np.repeat(roots, n_rows)
+        leaf = np.repeat(np.arange(n_trees), n_rows)
         cells = np.arange(len(leaf))
-        row_at = np.tile(np.arange(n_rows) * n_features, len(roots))  # in x.flat
+        row_at = np.tile(np.arange(n_rows) * n_features, n_trees)  # in x.flat
         values = x.ravel()
         while cells.size:
             node = leaf[cells]
@@ -165,8 +157,8 @@ class RandomForest:
             inner = feature >= 0
             cells, node, row_at = cells[inner], node[inner], row_at[inner]
             go_left = values[row_at + feature[inner]] <= tree.threshold[node]
-            leaf[cells] = np.where(go_left, tree.left[node], tree.right[node])
-        return leaf.reshape(len(roots), n_rows)
+            leaf[cells] = tree.left[node] + ~go_left
+        return leaf.reshape(n_trees, n_rows)
 
 
 class _RankedRows:
@@ -354,7 +346,7 @@ def _draws(keys: np.ndarray, count: int, first: int = 1) -> np.ndarray:
     return _mix(keys[:, None] + step)
 
 
-def _grow_forest(n_trees: int, seed: int, data: _RankedRows) -> tuple[_Tree, np.ndarray]:
+def _grow_forest(n_trees: int, seed: int, data: _RankedRows) -> _Tree:
     """Grow the ``n_trees`` trees of a fit one depth level at a time.
 
     Every random number is a keyed draw, so no tree depends on the order in
@@ -369,7 +361,7 @@ def _grow_forest(n_trees: int, seed: int, data: _RankedRows) -> tuple[_Tree, np.
     ``t`` is the root of tree ``t`` and each level is one range of numbers.
     The rows of a level's nodes are held as int32 cells sorted by node:
     ``node``, the distinct ``rows`` drawn and their ``weight``, the times
-    drawn. Returns the forest's node table and its roots.
+    drawn. Returns the forest's node table.
     """
     n_classes, n, p = data.n_classes, len(data.group), data.n_features
     d = data.ranks.shape[1]  # distinct rows
@@ -423,9 +415,7 @@ def _grow_forest(n_trees: int, seed: int, data: _RankedRows) -> tuple[_Tree, np.
         del owner, order
         keys = _draws(keys[at], 2, first=p + 1).ravel()
         first += width
-    feature, threshold, left, probs = map(np.concatenate, zip(*levels))
-    right = np.where(left >= 0, left + 1, -1)
-    return _Tree(feature, threshold, left, right, probs), np.arange(n_trees)
+    return _Tree(*map(np.concatenate, zip(*levels)))
 
 
 def _search_in_chunks(

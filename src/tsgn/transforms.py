@@ -62,7 +62,11 @@ class TsgnGraph:
     weights: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int32).reshape(-1, 2)
+        n = self.node_count
+        edges = np.asarray(self.edges).reshape(-1, 2)
+        if n < 0 or (edges.size and not 0 <= edges.min() <= edges.max() < n):
+            raise ValueError(f"a node count of {n} or an edge id outside [0, {n})")
+        edges = edges.astype(np.int32, copy=False)
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if len(edges) != len(weights):
             raise ValueError(f"{len(edges)} edges but {len(weights)} weights")

@@ -108,7 +108,8 @@ def test_validate_flags_structural_problems():
     self_loop = TransactionGraph.build([("a", "a", 1)], "a")
     assert any("self-loop" in p for p in validate(self_loop))
 
-    parallel = TransactionGraph.build([("a", "b", 1), ("a", "b", 2)], "a")
+    parallel = TransactionGraph.build([("a", "b", 1), ("a", "b", 2)], "a", tier="multiedge")
+    parallel = parallel.replace(tier="directed")
     assert any("parallel edge" in p for p in validate(parallel))
 
 
@@ -175,6 +176,21 @@ def test_build_takes_amounts_as_decimals():
     assert g.decimals.tolist() == [Decimal("0.05"), Decimal("1.23"), Decimal(2)]
 
 
+def test_build_refuses_records_its_tier_would_merge_and_non_finite_amounts():
+    parallel = [("a", "b", 1), ("a", "b", 2), ("b", "c", 3)]
+    antiparallel = [("a", "b", 1), ("b", "a", 2)]
+    for tier, rows in (("directed", parallel), ("plain", parallel), ("plain", antiparallel)):
+        with pytest.raises(ValueError, match="build at multiedge"):
+            TransactionGraph.build(rows, "a", tier=tier)
+    assert TransactionGraph.build(antiparallel, "a", tier="directed").edge_count == 2
+    multi = TransactionGraph.build(parallel, "a", tier="multiedge")
+    assert at_tier(multi, "directed").edge_count == 2
+    for amount in ("NaN", "Infinity", "-Infinity", float("nan"), float("inf")):
+        for tier in TIERS:
+            with pytest.raises(ValueError, match="non-finite amount"):
+                TransactionGraph.build([("a", "b", 1), ("b", "c", amount)], "a", tier=tier)
+
+
 def test_build_assigns_sequential_edge_ids():
     rnd = random.Random(9)
     g = random_digraph(rnd)
@@ -207,7 +223,7 @@ _TIE_AMOUNTS = ["0", "0.1", "0.1000000000000000000001", "1.5", "1.50", "2"]
 def _ego_networks(draw):
     """Ego-nets of v0 cut from a file's records: parallel and anti-parallel
     records, amount ties, zero amounts, missing and tied timestamps, and
-    records outside the cut, so amount ranks come from the whole file."""
+    records outside the cut, whose amounts the cut's collapse does not rank."""
     k = draw(st.integers(2, 5))
     rows = []
     for i in range(draw(st.integers(1, 12))):

@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 import tempfile
 from decimal import Decimal
 from fractions import Fraction
@@ -427,6 +428,43 @@ def test_save_refuses_ids_that_are_not_file_names_before_writing(tmp_path):
         with pytest.raises(ValueError, match="unique file names"):
             save_dataset(manifest, tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_refuses_graphs_that_would_not_load_back_before_writing(tmp_path):
+    def graph(rows, center="a", tier="multiedge"):
+        return TransactionGraph.build(rows, center, tier=tier, label="phishing")
+
+    # graph id -> the graph and what the refusal says
+    bad = {
+        "upper": (graph([("A", "b", 1)], "A"), "addresses 'A' do not load back"),
+        "spaced": (graph([(" a", "b", 1)]), "addresses ' a' do not load back"),
+        "loop": (graph([("a", "b", 1), ("a", "a", 2)]), "loads back with 1 of 2 records"),
+        "negative": (graph([("a", "b", "-1.5")]), "negative amount -1.5"),
+        "huge": (graph([("a", "b", "1e400")]), "amount 1E+400 above"),
+        "tiny": (graph([("a", "b", "1e-400")]), "nonzero amount 1E-400 below"),
+        "centerless": (graph([("a", "b", 1)], None), "no center"),
+        "absent": (graph([("a", "b", 1)], "z"), "target 'z' does not appear"),
+        "chain": (
+            graph([("a", "b", 1), ("b", "c", 2), ("c", "d", 3)], tier="directed"),
+            "loads back with 1 of 3 records and 2 of 4 addresses",
+        ),
+        "parallel": (
+            graph([("a", "b", 1), ("a", "b", 2)]).replace(tier="directed"),
+            "loads back with 1 of 2 records and 2 of 2 addresses",
+        ),
+    }
+    good = graph([("a", "b", 1), ("b", "a", 2)])
+    for graph_id, (g, reason) in bad.items():
+        expected = re.escape(f"would not load back: {graph_id}: {reason}")
+        with pytest.raises(ValueError, match=expected):
+            save_dataset(DatasetManifest((good, g), ("good", graph_id)), tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+    manifest = DatasetManifest((good, *(g for g, _ in bad.values())), ("good", *bad))
+    with pytest.raises(ValueError, match=f"{len(bad)} graph\\(s\\)") as err:
+        save_dataset(manifest, tmp_path / "ds")
+    assert all(f"{graph_id}: " in str(err.value) for graph_id in bad)
+    assert "good: " not in str(err.value)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -130,7 +130,7 @@ def test_forest_invariant_under_monotone_feature_transform():
 
 
 def _tree_shapes(forest):
-    return [_tree_shape(forest._forest, root) for root in forest._roots]
+    return [_tree_shape(forest._forest, root) for root in range(forest.config.n_trees)]
 
 
 def _tree_shape(tree, node):
@@ -140,7 +140,7 @@ def _tree_shape(tree, node):
         int(tree.feature[node]),
         float(tree.threshold[node]),
         _tree_shape(tree, tree.left[node]),
-        _tree_shape(tree, tree.right[node]),
+        _tree_shape(tree, tree.left[node] + 1),
     )
 
 
@@ -345,8 +345,7 @@ def test_forest_vote_tie_goes_to_smallest_class_label():
     forest.classes_ = ("neg", "pos")
     leaves = np.array([-1, -1])
     # two trees of one leaf each, one full vote each way
-    forest._forest = _Tree(leaves, np.zeros(2), leaves, leaves, np.eye(2))
-    forest._roots = np.arange(2)
+    forest._forest = _Tree(leaves, np.zeros(2), leaves, np.eye(2))
     assert forest.predict(np.zeros((3, 1))) == ["neg", "neg", "neg"]
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tsgn import (
     TransactionGraph,
+    TsgnGraph,
     at_tier,
     build_directed_tsgn,
     build_multiple_tsgn,
@@ -316,6 +317,16 @@ def test_mapped_edges_are_read_only_position_arrays():
             t.edges[0, 0] = 1
         with pytest.raises(ValueError, match="read-only"):
             t.weights[0] = 1.0
+
+
+def test_mapped_graph_refuses_edge_ids_outside_its_nodes():
+    # 2**32 would wrap to a valid 0 if the ids were cast to int32 unchecked
+    for edges in ([(0, -1)], [(0, 3)], [(5, 1), (0, -2)], np.array([[0, 2**32]])):
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            TsgnGraph("tsgn", 3, edges, [0.0] * len(edges))
+    with pytest.raises(ValueError, match="node count of -1"):
+        TsgnGraph("tsgn", -1, (), ())
+    assert TsgnGraph("tsgn", 3, [(0, 2)], [0.0]).edges.tolist() == [[0, 2]]
 
 
 # ------------------------------------------------------------------ properties
