@@ -443,6 +443,8 @@ def _reload_problem(g: TransactionGraph) -> str | None:
     if (cut.nodes, cut.edge_count) != (g.nodes, g.edge_count):
         kept = f"{cut.edge_count} of {g.edge_count} records"
         return f"loads back with {kept} and {cut.node_count} of {g.node_count} addresses"
+    if not (np.array_equal(cut.src, g.src) and np.array_equal(cut.dst, g.dst)):
+        return "loads back with its records in another order or direction"
     return None
 
 

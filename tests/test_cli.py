@@ -7,10 +7,12 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,7 @@ def _dir_bytes(path: Path) -> dict:
 
 
 def _star_dataset(tmp_path) -> Path:
-    g = star_with_neighbor_trades().with_label("phishing")
+    g = star_with_neighbor_trades().replace(tier="multiedge", label="phishing")
     # a second labeled graph so the directory is a valid two-class dataset
     other = TransactionGraph.build([("x", "y", 1, 1), ("y", "z", 2, 2)], "y").with_label("benign")
     manifest = DatasetManifest((g, other))
@@ -156,9 +158,13 @@ def test_transform_streams_one_mapped_graph_at_a_time(tmp_path, capsys, monkeypa
                  "--variant", "ttsgn", "--threads", "1", "--out", str(out)]) == 0
     assert len(alive_at_call) == 24
     assert max(alive_at_call) <= 1
+    stdout = capsys.readouterr().out
     printed = re.findall(r"^(\w+): graphs=(\d+) nodes=(\d+) edges=(\d+) seconds=",
-                         capsys.readouterr().out, re.MULTILINE)
+                         stdout, re.MULTILINE)
     assert [p[0] for p in printed] == ["tsgn", "ttsgn"]
+    written = re.findall(r" seconds=(\d+\.\d{3}) write_seconds=(\d+\.\d{3})$",
+                         stdout, re.MULTILINE)
+    assert len(written) == 2 and all(float(w) >= 0 for _, w in written)
     for variant, graphs, nodes, edges in printed:
         rows = [r.split(",") for r in (out / variant / "summary.csv").read_text().splitlines()[1:]]
         assert (int(graphs), int(nodes), int(edges)) == (
@@ -278,11 +284,18 @@ def test_edge_case_outputs_match_golden_digest(tmp_path, capsys):
     assert digest.hexdigest() == EDGE_CASE_DIGEST
 
 
+_NEAR_POWERS_OF_TEN = [
+    float(np.nextafter(10.0**e, to)) for e in range(-6, 14) for to in (0, np.inf)
+]
 _WEIGHTS = st.one_of(
     st.floats(),
     st.integers(-(10**6), 10**6).map(float),  # integral
     st.sampled_from([5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
                      -1e300, 0.0, -0.0, 1e16, 123456789012.5]),  # subnormal and huge
+    # exact ties (half-even), 12-digit rounding and fixed/exponent boundaries
+    st.sampled_from([1234567890.125, 999999999999.5, 999999999999.4, 9.99999999999949e-05,
+                     9.9999999999995e-05, 1e-4, 1e-5, 1e11, 1e12, 0.5, 2.5]),
+    st.sampled_from(_NEAR_POWERS_OF_TEN),  # one ulp either side
 )
 
 
@@ -299,6 +312,35 @@ def test_edge_writer_text_equals_per_row_format(n, edges):
         path = Path(tmp) / "edges.csv"
         cli._write_mapped(path, t)
         assert path.read_text(encoding="utf-8") == expected
+
+
+def _per_row_text(edges, weights):
+    rows = zip(edges.tolist(), weights.tolist())
+    return "from_tx,to_tx,weight\n" + "".join(f"{a},{b},{w:.12g}\n" for (a, b), w in rows)
+
+
+def test_edge_writer_matches_per_row_format_on_a_hundred_thousand_rows(tmp_path):
+    rng = np.random.default_rng(19)
+    bits = rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64)  # 1 in 2048 is nan
+    amounts = np.log(np.round(rng.exponential(5.0, 40_000), 6) + 1e-6)
+    # 13 digits ending in 5: ties or near-ties at the 12th, which only Python's % rounds right
+    halfway = (rng.integers(10**11, 10**12, 20_000) * 10 + 5) / 10.0 ** rng.integers(1, 17, 20_000)
+    weights = np.concatenate([bits, amounts, halfway, [np.nan, np.inf, -np.inf]])
+    edges = rng.integers(0, 5000, (len(weights), 2))
+    t = transforms.TsgnGraph("dtsgn", 5000, edges, weights)
+    cli._write_mapped(tmp_path / "edges.csv", t)
+    assert (tmp_path / "edges.csv").read_text(encoding="utf-8") == _per_row_text(edges, weights)
+
+
+def test_edge_writer_formats_ten_digit_ids_without_a_table_over_the_nodes(tmp_path):
+    n = 2**31 - 1
+    edges = np.array([[n - 1, 0], [1234567890, 999999999], [10**9, 10**8], [9999, 10**4]])
+    weights = np.array([1.5, -0.25, 1e-7, 3.0])
+    t = transforms.TsgnGraph("dtsgn", n, edges, weights)
+    started = time.perf_counter()
+    cli._write_mapped(tmp_path / "edges.csv", t)
+    assert time.perf_counter() - started < 1.0
+    assert (tmp_path / "edges.csv").read_text(encoding="utf-8") == _per_row_text(edges, weights)
 
 
 def test_evaluate_writes_reports_and_is_deterministic(tmp_path, capsys):
@@ -528,7 +570,7 @@ def test_evaluate_with_zero_baseline_f1_reports_no_percent_increase(tmp_path):
     # majority class, benign, and the phishing F1 is 0 for tn and the fusion
     records = [("v1", "c", 1, 1), ("v2", "c", 2, 2), ("v3", "c", 1, 3), ("c", "w", 3, 4)]
     graphs = tuple(
-        TransactionGraph.build(records, "c").with_label(label)
+        TransactionGraph.build(records, "c", tier="multiedge").with_label(label)
         for label in ["phishing"] * 5 + ["benign"] * 20
     )
     ds = save_dataset(DatasetManifest(graphs), tmp_path / "ds")

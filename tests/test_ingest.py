@@ -468,6 +468,22 @@ def test_save_refuses_graphs_that_would_not_load_back_before_writing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_save_refuses_graphs_whose_records_load_back_reordered(tmp_path):
+    # load keeps plain endpoints in node order and renumbers collapsed
+    # records in pair order, so either graph would load back unequal
+    swapped = TransactionGraph.build([("b", "a", 1, 1)], "a", tier="plain", label="phishing")
+    unsorted = TransactionGraph.build(
+        [("a", "c", 1, 1), ("a", "b", 2, 2)], "a", tier="directed", label="phishing"
+    )
+    for g in (swapped, unsorted):
+        with pytest.raises(ValueError, match="its records in another order or direction"):
+            save_dataset(DatasetManifest((g,), ("g",)), tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+        same = g.replace(tier="multiedge")
+        saved = save_dataset(DatasetManifest((same,), ("g",)), tmp_path / "ok")
+        assert load_dataset(saved, tier="multiedge").graphs == (same,)
+
+
 def test_save_is_byte_identical_on_rerun(tmp_path):
     manifest = generate_synthetic_dataset("etherg1", n_per_class=5, seed=7)
     first = save_dataset(manifest, tmp_path / "a")
