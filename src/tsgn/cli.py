@@ -2,8 +2,8 @@
 
 All configuration comes from explicit flags (no environment variables), and
 every command overwrites its outputs with identical bytes when rerun with an
-identical config and seed, regardless of --threads. Timings are printed to
-stdout only, never written into output files.
+identical config and seed. Timings are printed to stdout only, never
+written into output files.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import FEATURE_NAMES, PCA, concat_features, feature_matrix, ordered_map
+from .features import FEATURE_NAMES, PCA, concat_features, feature_matrix
 from .graphs import TIERS, at_tier
 from .ingest import (
     FORMS,
@@ -77,31 +77,27 @@ def cmd_stats(args) -> int:
 
 def cmd_transform(args) -> int:
     variants = list(dict.fromkeys(args.variant))  # drop repeats, keep order
-    if not variants:
-        return 0
     manifest = load_dataset(args.dataset, tier=args.tier, form=args.form)
     if "summary" in manifest.graph_ids:
         raise ValueError(f"{args.dataset}: graph id summary would name summary.csv")
     _require_variants(manifest, variants)
     out = Path(args.out)
-    # map, write and drop a window of --threads graphs at a time, so memory
-    # does not grow with the dataset
-    window = max(1, args.threads)
+    # map, write and drop one graph at a time, so memory does not grow with
+    # the dataset
     for variant in variants:
         builder = BUILDERS[variant]
         variant_dir = out / variant
         variant_dir.mkdir(parents=True, exist_ok=True)
         elapsed = written = 0.0
         summary = []
-        for start in range(0, manifest.n_graphs, window):
+        for graph_id, g in zip(manifest.graph_ids, manifest.graphs):
             started = time.perf_counter()
-            mapped = ordered_map(builder, manifest.graphs[start : start + window], args.threads)
+            t = builder(g)
             elapsed += time.perf_counter() - started
-            for graph_id, t in zip(manifest.graph_ids[start : start + window], mapped):
-                started = time.perf_counter()
-                _write_mapped(variant_dir / f"{graph_id}.csv", t)
-                written += time.perf_counter() - started
-                summary.append((graph_id, t.node_count, t.edge_count))
+            started = time.perf_counter()
+            _write_mapped(variant_dir / f"{graph_id}.csv", t)
+            written += time.perf_counter() - started
+            summary.append((graph_id, t.node_count, t.edge_count))
         write_csv(variant_dir / "summary.csv", ("graph_id", "nodes", "edges"), summary)
         total_nodes = sum(nodes for _, nodes, _ in summary)
         total_edges = sum(edges for _, _, edges in summary)
@@ -237,7 +233,7 @@ def cmd_evaluate(args) -> int:
     )
     reports = [tn_report]
     for variant in variants:
-        mapped = ordered_map(BUILDERS[variant], manifest.graphs, args.threads)
+        mapped = [BUILDERS[variant](g) for g in manifest.graphs]
         mapped_matrix = feature_matrix(mapped, labels, variant=variant)
         mapped_matrix.to_csv(out / f"features_{variant}.csv")
         fused = concat_features(tn, mapped_matrix)
@@ -312,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     transform.add_argument("--tier", default="directed", choices=TIERS)
     transform.add_argument("--form", default="net", choices=FORMS)
     transform.add_argument("--out", required=True)
-    transform.add_argument("--threads", type=int, default=1)
+    # the benchmark's command lines still pass --threads; ROADMAP item 2 drops it
+    transform.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     transform.set_defaults(func=cmd_transform)
 
     ev = sub.add_parser("evaluate", help="run the classification protocol")
@@ -327,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--trees", type=int, default=100)
     ev.add_argument("--out", required=True)
-    ev.add_argument("--threads", type=int, default=1)
+    # the benchmark's command lines still pass --threads; ROADMAP item 2 drops it
+    ev.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     ev.set_defaults(func=cmd_evaluate)
     return parser
 

@@ -23,7 +23,6 @@ training rows of each split.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -235,15 +234,6 @@ class FeatureMatrix:
             for row, label in zip(self.values, self.labels)
         )
         write_csv(path, (*self.columns, "label"), rows)
-
-
-def ordered_map(fn, items: Sequence, threads: int = 1) -> list:
-    """``[fn(x) for x in items]``, spread over ``threads`` threads when more
-    than one is asked for; results keep input order for any thread count."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def _stacks(graphs: Sequence[TransactionGraph | TsgnGraph]):

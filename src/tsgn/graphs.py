@@ -4,16 +4,15 @@ A transaction graph is an ego-network around a target account: nodes are
 addresses, edges are individual transfers carrying an amount and an optional
 integer timestamp. Its records are read-only numpy columns, one row per
 record, whose row is its edge id: ``src`` and ``dst`` as positions into the
-sorted ``nodes``, float64 ``amounts``, the exact ``decimals`` read and int64
-``stamps`` with a ``timed`` mask. The columns are the only form of a record:
-no per-record object is built, and the library reads, compares and writes
-records a column at a time. A graph's ``tier`` says which attributes its
-records have: weight only (``plain``: undirected, one record per pair),
-direction (``directed``: one record per ordered pair) or direction and
-parallel records (``multiedge``); a graph has time when it has direction and
-every record is timed. Graphs are immutable so they can be shared
-across worker threads; every operation in this module is a pure function of
-its input graph.
+sorted ``nodes``, the exact ``decimals`` read and int64 ``stamps`` with a
+``timed`` mask. The columns are the only form of a record: no per-record
+object is built, and the library reads, compares and writes records a column
+at a time. A graph's ``tier`` says which attributes its records have: weight
+only (``plain``: undirected, one record per pair), direction (``directed``:
+one record per ordered pair) or direction and parallel records
+(``multiedge``); a graph has time when it has direction and every record is
+timed. Graphs are immutable, and every operation in this module is a pure
+function of its input graph.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ def _as_amount(value) -> Decimal:
     return value
 
 
-_COLUMNS = ("src", "dst", "amounts", "stamps", "timed", "decimals")
+_COLUMNS = ("src", "dst", "stamps", "timed", "decimals")
 
 
 class TransactionGraph:
@@ -59,17 +58,16 @@ class TransactionGraph:
     ``build`` makes them from records. Graphs are immutable, and equal (with
     equal hashes) when their nodes, ``src``, ``dst``, ``decimals``, ``timed``
     mask, the stamps of their timed rows, center, tier and label are. An
-    untimed row's stored stamp is ignored, as are the floats, which follow
-    from the decimals.
+    untimed row's stored stamp is ignored.
     """
 
     def __init__(
         self, nodes: tuple[str, ...], src: np.ndarray, dst: np.ndarray,
-        amounts: np.ndarray, stamps: np.ndarray, timed: np.ndarray, decimals: np.ndarray,
+        stamps: np.ndarray, timed: np.ndarray, decimals: np.ndarray,
         center: str | None, *, tier: str = "directed", label: str | None = None,
     ):
         check_choice("tier", tier, TIERS)
-        columns = (src, dst, amounts, stamps, timed, decimals)
+        columns = (src, dst, stamps, timed, decimals)
         for column in columns:
             if column.flags.writeable:  # a replace passes on read-only columns
                 column.setflags(write=False)
@@ -90,10 +88,10 @@ class TransactionGraph:
         """Assemble a graph from (src, dst, amount[, timestamp]) records.
 
         Edge ids number the records in input order and the node set is
-        collected from the record endpoints plus the center; an amount's
-        float is that of its decimal. Raises ValueError on a non-finite
-        amount and, at the directed and plain tiers, on two records that the
-        tier holds once: build those at multiedge and then call at_tier.
+        collected from the record endpoints plus the center. Raises
+        ValueError on a non-finite amount and, at the directed and plain
+        tiers, on two records that the tier holds once: build those at
+        multiedge and then call at_tier.
         """
         rows = [r if len(r) == 4 else (*r, None) for r in records]
         m = len(rows)
@@ -106,9 +104,8 @@ class TransactionGraph:
         if None in stamps:
             stamps = [0 if t is None else t for t in stamps]
         g = cls(
-            nodes, ends[:m], ends[m:], np.fromiter(map(float, decimals), np.float64, m),
-            np.fromiter(stamps, np.int64, m), timed, np.fromiter(decimals, object, m),
-            center, tier=tier, label=label,
+            nodes, ends[:m], ends[m:], np.fromiter(stamps, np.int64, m), timed,
+            np.fromiter(decimals, object, m), center, tier=tier, label=label,
         )
         if tier != "multiedge" and _collapse(g, tier).edge_count < m:
             raise ValueError(f"the {tier} tier holds one record per pair: build at multiedge")
@@ -174,10 +171,11 @@ def _collapse(g: TransactionGraph, tier: str) -> TransactionGraph:
     if tier == "plain":
         a, b = np.minimum(a, b), np.maximum(a, b)
     pair = a * len(g.nodes) + b
+    # heaviest first, ties by edge id: a reversed sort keeps equal keys in order
     decimals = g.decimals.tolist()
-    rank = {d: r for r, d in enumerate(sorted(set(decimals)))}
-    ranks = np.fromiter(map(rank.__getitem__, decimals), np.intp, len(decimals))
-    order = np.lexsort((-ranks, pair))
+    heavy = np.array(sorted(range(len(decimals)), key=decimals.__getitem__, reverse=True),
+                     dtype=np.intp)
+    order = heavy[np.argsort(pair[heavy], kind="stable")]
     pair = pair[order]
     first = np.ones(len(pair), dtype=bool)
     first[1:] = pair[1:] != pair[:-1]

@@ -13,11 +13,11 @@ the variant:
   mtsgn  the ttsgn rule applied per individual record, so parallel
          transactions each get their own node
 
-Every builder is a pure function of an immutable input graph, safe to run
-concurrently across graphs. A mapped graph's nodes are the edge ids of the
-records it read, so it keeps their count and its edges as numpy arrays of
-edge ids, built by a few vectorized passes per graph; only the log of each
-mapped weight runs per value, through math.log, so every weight equals
+Every builder is a pure function of an immutable input graph. A mapped
+graph's nodes are the edge ids of the records it read, so it keeps their
+count and its edges as numpy arrays of edge ids, built by a few vectorized
+passes per graph; only the float of each amount and the log of each mapped
+weight run per value, through float and math.log, so every weight equals
 map_weight of its pair bit for bit.
 """
 
@@ -124,7 +124,8 @@ def _mapped(variant: str, g: TransactionGraph, heads: np.ndarray, tails: np.ndar
     sorted by (head, tail) and weighted by map_weight of the two amounts."""
     order = np.argsort(heads * g.edge_count + tails, kind="stable")
     heads, tails = heads[order], tails[order]
-    w_heads, w_tails = g.amounts[heads], g.amounts[tails]
+    amounts = g.decimals.astype(np.float64)  # float() of each decimal
+    w_heads, w_tails = amounts[heads], amounts[tails]
     means = (w_heads + w_tails) / 2.0
     # math.log(1.0) is exactly 0.0, map_weight's value for two zero amounts;
     # np.log is not bit-equal to math.log, so the log runs per value

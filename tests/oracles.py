@@ -131,7 +131,7 @@ def validate(g: TransactionGraph) -> list[str]:
             problems.append("empty address in node set")
     if g.center not in node_set:
         problems.append(f"center {g.center!r} not in node set")
-    columns = ("src", "dst", "amounts", "stamps", "timed", "decimals")
+    columns = ("src", "dst", "stamps", "timed", "decimals")
     rows = {name: len(getattr(g, name)) for name in columns}
     if len(set(rows.values())) > 1:
         return problems + [f"columns of unequal length: {rows}"]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import tsgn
 from tsgn import DatasetManifest, TransactionGraph, save_dataset
-from tsgn import cli, graphs, ingest, transforms
+from tsgn import cli, features, graphs, ingest, ml, transforms
 from tsgn.graphs import TIERS
 from tsgn.ingest import FORMS, dataset_stats, load_dataset, stats_table
 from tsgn.transforms import VARIANTS
@@ -111,6 +111,23 @@ def test_transform_star_fixture_yields_seven_nodes(tmp_path, capsys):
 def test_transform_with_no_variants_is_a_noop(tmp_path):
     ds = _star_dataset(tmp_path)
     assert main(["transform", "--dataset", str(ds), "--out", str(tmp_path / "x")]) == 0
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("labels, problem", [
+    (None, "labels.csv missing"),
+    ("graph_id,label\ng,phishing\n", "missing column(s) center_address"),
+    ("graph_id,center_address,label\nsummary,a,phishing\n", "graph id summary"),
+], ids=["missing", "malformed", "summary"])
+def test_transform_with_no_variants_checks_the_dataset(tmp_path, capsys, labels, problem):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "g.csv").write_text("src,dst,amount,timestamp\na,b,1,1\n")
+    (ds / "summary.csv").write_text("src,dst,amount,timestamp\na,b,1,1\n")
+    if labels is not None:
+        (ds / "labels.csv").write_text(labels)
+    assert main(["transform", "--dataset", str(ds), "--out", str(tmp_path / "x")]) == 1
+    assert problem in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -651,13 +668,25 @@ TRACED = {
     transforms: ("build_tsgn", "build_directed_tsgn", "build_temporal_tsgn", "build_multiple_tsgn"),
 }
 
+# the ones evaluate calls. betweenness_centrality and closeness_centrality are
+# left out: tsgn.features has not defined them since the two centralities
+# became one matrix pass, so the tracer finds nothing to wrap and their spans
+# read 0 (ROADMAP item 2).
+TRACED_EVALUATE = {
+    ingest: ("load_dataset", "load_edge_list", "extract_ego_network"),
+    graphs: ("at_tier",),
+    transforms: ("build_temporal_tsgn",),
+    features: ("feature_matrix", "simple_adjacency", "average_neighbor_degree",
+               "average_clustering", "largest_eigenvalue", "FeatureMatrix.to_csv",
+               "PCA.fit", "PCA.transform"),
+    ml: ("evaluate", "stratified_split", "RandomForest.fit", "RandomForest.predict"),
+}
 
-def test_transform_calls_every_traced_entry_point_by_name(tmp_path, monkeypatch):
-    """Rebind each traced name wherever the package holds it, in module globals
-    and module-level dicts, as the tracer does, and count the calls: a span
-    goes dark when the package stops calling through the name."""
-    ds = tmp_path / "ds"
-    assert main(["synth", "--per-class", "3", "--seed", "5", "--out", str(ds)]) == 0
+
+def _count_calls(monkeypatch, traced: dict) -> Counter:
+    """Rebind each traced name as the tracer does, wherever the package holds
+    it (module globals and module-level dicts) or, for ``Class.method``, on its
+    class; returns the counter of calls through the rebound names."""
     calls = Counter()
 
     def counted(name, fn):
@@ -667,8 +696,13 @@ def test_transform_calls_every_traced_entry_point_by_name(tmp_path, monkeypatch)
         return call
 
     modules = [m for n, m in sys.modules.items() if n == "tsgn" or n.startswith("tsgn.")]
-    for module, names in TRACED.items():
+    for module, names in traced.items():
         for name in names:
+            owner_name, _, attr = name.rpartition(".")
+            if owner_name:
+                owner = getattr(module, owner_name)
+                monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+                continue
             original = getattr(module, name)
             wrapped = counted(name, original)
             for loaded in modules:
@@ -679,6 +713,16 @@ def test_transform_calls_every_traced_entry_point_by_name(tmp_path, monkeypatch)
                         for k, v in list(value.items()):
                             if v is original:
                                 monkeypatch.setitem(value, k, wrapped)
+    return calls
+
+
+def test_transform_calls_every_traced_entry_point_by_name(tmp_path, monkeypatch):
+    """Rebind each traced name wherever the package holds it, in module globals
+    and module-level dicts, as the tracer does, and count the calls: a span
+    goes dark when the package stops calling through the name."""
+    ds = tmp_path / "ds"
+    assert main(["synth", "--per-class", "3", "--seed", "5", "--out", str(ds)]) == 0
+    calls = _count_calls(monkeypatch, TRACED)
     out = tmp_path / "out"
     assert main(["transform", "--dataset", str(ds), "--tier", "directed", "--variant", "tsgn",
                  "--variant", "dtsgn", "--variant", "ttsgn", "--out", str(out)]) == 0
@@ -689,6 +733,26 @@ def test_transform_calls_every_traced_entry_point_by_name(tmp_path, monkeypatch)
         "load_edge_list": 12, "extract_ego_network": 12, "at_tier": 12,
         "undirected_projection": 6, "build_tsgn": 6, "build_directed_tsgn": 6,
         "build_temporal_tsgn": 6, "build_multiple_tsgn": 6,
+    }
+
+
+def test_evaluate_calls_every_traced_entry_point_by_name(tmp_path, monkeypatch):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--per-class", "6", "--seed", "5", "--out", str(ds)]) == 0
+    calls = _count_calls(monkeypatch, TRACED_EVALUATE)
+    repeats = 2
+    assert main(["evaluate", "--dataset", str(ds), "--variant", "ttsgn", "--repeats",
+                 str(repeats), "--trees", "5", "--out", str(tmp_path / "out")]) == 0
+    # twelve graphs loaded and mapped once; tn and tn+ttsgn each evaluated
+    # over every repeat, and only the fusion projected by a PCA
+    per_stack = ("simple_adjacency", "average_neighbor_degree", "average_clustering",
+                 "largest_eigenvalue")
+    assert all(calls.pop(name, 0) >= 1 for name in per_stack), calls
+    assert calls == {
+        "load_dataset": 1, "load_edge_list": 12, "extract_ego_network": 12, "at_tier": 12,
+        "build_temporal_tsgn": 12, "feature_matrix": 2, "FeatureMatrix.to_csv": 2,
+        "evaluate": 2, "stratified_split": 2 * repeats, "RandomForest.fit": 2 * repeats,
+        "RandomForest.predict": 2 * repeats, "PCA.fit": repeats, "PCA.transform": 2 * repeats,
     }
 
 
