@@ -231,6 +231,7 @@ def cmd_evaluate(args) -> int:
     tn_report = evaluate(
         tn, config, n_repeats=args.repeats, dataset_name=name, variant="tn"
     )
+    _print_forest(tn_report)
     reports = [tn_report]
     for variant in variants:
         mapped = [BUILDERS[variant](g) for g in manifest.graphs]
@@ -245,6 +246,7 @@ def cmd_evaluate(args) -> int:
             dataset_name=name,
             variant=f"tn+{variant}",
         ).with_baseline(tn_report)
+        _print_forest(report)
         reports.append(report)
     write_csv(
         out / "report.csv",
@@ -259,6 +261,15 @@ def cmd_evaluate(args) -> int:
     (out / "report.txt").write_text(text + "\n", encoding="utf-8")
     print(text)
     return 0
+
+
+def _print_forest(report: EvalReport) -> None:
+    stats = report.forest
+    print(
+        f"{report.variant}: forests={stats.forests} passes={stats.passes} "
+        f"nodes={stats.nodes} leaves={stats.leaves} fit_seconds={stats.fit_seconds:.3f} "
+        f"predict_seconds={stats.predict_seconds:.3f}"
+    )
 
 
 def _render_report(reports: list[EvalReport]) -> str:
@@ -308,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     transform.add_argument("--tier", default="directed", choices=TIERS)
     transform.add_argument("--form", default="net", choices=FORMS)
     transform.add_argument("--out", required=True)
-    # the benchmark's command lines still pass --threads; ROADMAP item 2 drops it
+    # the benchmark's command lines still pass --threads; ROADMAP item 1 drops
+    # it from them, then from here
     transform.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     transform.set_defaults(func=cmd_transform)
 
@@ -324,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--trees", type=int, default=100)
     ev.add_argument("--out", required=True)
-    # the benchmark's command lines still pass --threads; ROADMAP item 2 drops it
+    # the benchmark's command lines still pass --threads; ROADMAP item 1 drops
+    # it from them, then from here
     ev.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     ev.set_defaults(func=cmd_evaluate)
     return parser

@@ -12,13 +12,21 @@ keys), so no tree depends on the order in which nodes grow. The whole forest
 therefore grows one depth level per step, with the nodes of a level scored
 together in split searches of at most KEY_CAP keys, and a fixed master seed
 reproduces identical reports.
+
+One RandomForest can hold a stack of independent forests, one per seed,
+each on its own rows. The forests of a stack grow in passes of at most
+PASS_CELLS (8 * KEY_CAP) root cells, counted as trees times distinct
+training rows, each pass one level loop over all its forests; every forest's
+trees are those it would grow alone. ``evaluate`` fits all its repeats'
+forests as one stack and routes them in one ``predict``.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,6 +43,11 @@ TRAIN_FRACTION = 0.9
 # the working memory of a search. predict routes as many (tree, row) cells at
 # once.
 KEY_CAP = 1 << 14
+
+# Most (tree, distinct training row) cells the roots of one pass of a stacked
+# fit hold. Forests go into passes in stack order, so the working memory of a
+# fit does not grow with the number of forests it stacks.
+PASS_CELLS = 8 * KEY_CAP
 
 
 def f1_score(predictions: Sequence, truth: Sequence, positive_class) -> float:
@@ -99,55 +112,122 @@ class _Tree(NamedTuple):
 
 
 class RandomForest:
-    """Gini-split CART bagging ensemble, deterministic for a fixed seed."""
+    """Gini-split CART bagging ensemble, deterministic for a fixed seed.
+
+    One instance holds a stack of independent forests: ``fit`` on a
+    ``(forests, rows, features)`` array grows one forest per seed, and
+    ``predict`` on a ``(forests, rows, features)`` array returns one
+    prediction list per forest. A 2-D ``x`` is a stack of one, fitted with
+    ``config.seed``.
+    """
 
     def __init__(self, config: ForestConfig):
         self.config = config
         self.classes_: tuple | None = None
-        # every tree's nodes in one table; tree t starts at node t
+        self.passes_ = 0  # level loops the last fit ran
+        # every tree's nodes in one table; tree t of forest f starts at node
+        # _first_root[f] + t
         self._forest: _Tree | None = None
+        self._first_root = np.zeros(1, dtype=np.intp)
 
-    def fit(self, x: np.ndarray, labels: Sequence) -> "RandomForest":
+    def fit(
+        self, x: np.ndarray, labels: Sequence, seeds: Sequence[int] | None = None
+    ) -> "RandomForest":
+        """Grow one forest per seed, each on its own rows and labels.
+
+        The forests go into passes in stack order, each pass holding at most
+        PASS_CELLS (tree, distinct training row) cells at its roots; a
+        forest with more goes alone. Every forest of a stack must see the
+        same classes.
+        """
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[0] != len(labels):
-            raise ValueError("x must be (n_samples, n_features) aligned with labels")
+        if x.ndim == 2:
+            x, labels = x[None], [labels]
+        if x.ndim != 3 or not len(x) or len(labels) != len(x) or any(
+            len(row) != x.shape[1] for row in labels
+        ):
+            raise ValueError(
+                "x must be (n_samples, n_features) aligned with labels, or a "
+                "(forests, n_samples, n_features) stack aligned with a stack of labels"
+            )
+        seeds = [self.config.seed] * len(x) if seeds is None else list(seeds)
+        if len(seeds) != len(x):
+            raise ValueError(f"got {len(seeds)} seeds for {len(x)} forests")
         if x.size and not np.isfinite(x).all():
             raise ValueError("training features contain non-finite values")
-        classes = tuple(sorted(set(labels)))
-        if len(classes) < 2:
+        seen = [set(row) for row in labels]
+        if min(map(len, seen)) < 2:
             raise ValueError("training data contains a single class")
+        if any(s != seen[0] for s in seen):
+            raise ValueError("the forests of a stack see different classes")
+        classes = tuple(sorted(seen[0]))
         self.classes_ = classes
         code = {c: i for i, c in enumerate(classes)}
-        y = np.fromiter((code[v] for v in labels), dtype=np.int64, count=len(labels))
-        # one row per (row, class) pair, compared by bytes: -0.0 is not 0.0
-        bits = np.column_stack((x.view(np.int64), y))
-        _, first, group = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-        data = _RankedRows(x[first], y[first], len(classes), group)
-        self._forest = _grow_forest(self.config.n_trees, self.config.seed, data)
+        n_forests, n = x.shape[:2]
+        y = np.fromiter((code[v] for row in labels for v in row), dtype=np.int64,
+                        count=n_forests * n).reshape(n_forests, n)
+        # every forest's distinct (row, class) pairs, compared as bytes, so
+        # -0.0 is not 0.0. first[f] holds a row of each pair, group[f] the
+        # pair of each row.
+        first, group = zip(*(
+            _distinct_rows(np.column_stack((xf.view(np.int64), yf))) for xf, yf in zip(x, y)
+        ))
+        n_trees = self.config.n_trees
+        tables, first_root, size = [], [], 0
+        for a, b in _passes([n_trees * len(rows) for rows in first]):
+            start = np.cumsum([0] + [len(rows) for rows in first[a:b]])
+            forest = np.repeat(np.arange(a, b), np.diff(start))
+            rows = np.concatenate(first[a:b])
+            data = _RankedRows(
+                x[forest, rows], y[forest, rows], len(classes),
+                np.stack(group[a:b]) + start[:-1, None], start,
+            )
+            table = _grow_forest(n_trees, seeds[a:b], data)
+            tables.append(table._replace(left=np.where(table.left >= 0, table.left + size, -1)))
+            first_root.append(size + n_trees * np.arange(b - a))
+            size += len(table.feature)
+        self._forest = _Tree(*map(np.concatenate, zip(*tables)))
+        self._first_root = np.concatenate(first_root)
+        self.passes_ = len(first_root)
         return self
 
     def predict(self, x: np.ndarray) -> list:
-        """Soft-vote prediction; argmax ties go to the smallest class label."""
+        """Soft-vote prediction; argmax ties go to the smallest class label.
+
+        A 3-D ``x`` holds one ``(rows, features)`` array per forest of the
+        stack, and the result one prediction list per forest.
+        """
         if self.classes_ is None:
             raise ValueError("predict called before fit")
         x = np.asarray(x, dtype=float)
+        stacked = x.ndim == 3
+        if not stacked:
+            x = x[None]
+        if len(x) != len(self._first_root):
+            raise ValueError(f"got rows for {len(x)} forests, fitted {len(self._first_root)}")
+        n_forests, m, p = x.shape
+        x = x.reshape(n_forests * m, p)
+        first_root = np.repeat(self._first_root, m)
         forest, n_trees = self._forest, self.config.n_trees
-        votes = np.zeros((x.shape[0], len(self.classes_)))
+        votes = np.zeros((len(x), len(self.classes_)))
         # at most KEY_CAP (tree, row) cells are routed at once; trees vote one
         # after another, in fit order, so the float sums (and hence argmax
         # ties) do not depend on how the rows are routed
         block = max(1, KEY_CAP // n_trees)
-        for start in range(0, x.shape[0], block):
+        for start in range(0, len(x), block):
             rows = slice(start, start + block)
-            for leaf in self._route(forest, n_trees, x[rows]):
+            for leaf in self._route(forest, n_trees, first_root[rows], x[rows]):
                 votes[rows] += forest.probs[leaf]
-        return [self.classes_[i] for i in votes.argmax(axis=1)]
+        predicted = [self.classes_[i] for i in votes.argmax(axis=1)]
+        per_forest = [predicted[f * m : (f + 1) * m] for f in range(n_forests)]
+        return per_forest if stacked else per_forest[0]
 
     @staticmethod
-    def _route(tree: _Tree, n_trees: int, x: np.ndarray) -> np.ndarray:
-        """Leaf index of every (tree t, row of ``x``), all moving down from node t."""
+    def _route(tree: _Tree, n_trees: int, first_root: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Leaf index of every (tree t, row i of ``x``), all moving down from
+        node ``first_root[i] + t``."""
         n_rows, n_features = x.shape
-        leaf = np.repeat(np.arange(n_trees), n_rows)
+        leaf = (np.arange(n_trees)[:, None] + first_root).ravel()
         cells = np.arange(len(leaf))
         row_at = np.tile(np.arange(n_rows) * n_features, n_trees)  # in x.flat
         values = x.ravel()
@@ -161,37 +241,71 @@ class RandomForest:
         return leaf.reshape(n_trees, n_rows)
 
 
-class _RankedRows:
-    """The distinct (row, class) pairs of one fit's training rows, ranked and
-    keyed for the split search; ``group`` maps every training row to its pair.
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row of the C-contiguous 2-D ``a``, and
+    the distinct row of every row, comparing rows as bytes."""
+    rows = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+    return np.unique(rows, return_index=True, return_inverse=True)[1:]
 
-    Copies share every rank and class, so no split separates them, and their
-    class counts stay whole numbers: scores and ties are those of the copies
-    apart. Every feature's distinct values are ranked once. Ranks order like
-    the values, so nodes are searched and split on ranks. ``best_splits``
-    scores the impure nodes of a level together: one int64 key per (node,
-    drawn feature, distinct row drawn) packs, from the high bits down, the
-    segment ``node * k + draw``, the row's value rank, its class and its
-    bootstrap count, and one sort orders every segment by value.
+
+def _passes(cells: list[int]):
+    """(first, stop) ranges of consecutive forests whose root cells sum to at
+    most PASS_CELLS each; a forest with more goes alone."""
+    first, total = 0, 0
+    for f, c in enumerate(cells):
+        if f > first and total + c > PASS_CELLS:
+            yield first, f
+            first, total = f, 0
+        total += c
+    yield first, len(cells)
+
+
+class _RankedRows:
+    """The distinct (row, class) pairs of the training rows of a stack of
+    forests, ranked and keyed for the split search.
+
+    The pairs of forest ``f`` are ``start[f]`` to ``start[f + 1] - 1``, and
+    ``group[f]`` maps each of its training rows to its pair. Copies share
+    every rank and class, so no split separates them, and their class
+    counts stay whole numbers: scores and ties are those of the copies
+    apart. Every feature's distinct values are ranked once per forest, the
+    ranks of forest ``f`` following those of the forests before it, so one
+    value table and one key layout serve the stack and a node, which holds
+    rows of one forest, is searched and split on ranks that order like its
+    values. ``best_splits`` scores the impure nodes of a level together: one
+    int64 key per (node, drawn feature, distinct row drawn) packs, from the
+    high bits down, the segment ``node * k + draw``, the row's value rank,
+    its class and its bootstrap count, and one sort orders every segment by
+    value.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, n_classes: int, group: np.ndarray):
-        n, self.n_features = x.shape
+    def __init__(
+        self, x: np.ndarray, y: np.ndarray, n_classes: int, group: np.ndarray, start: np.ndarray
+    ):
+        d, self.n_features = x.shape
         self.group = group
+        self.start = start
         self.k = max(1, int(math.sqrt(self.n_features)))
         self.y = y
         self.n_classes = n_classes
-        self.ranks = np.empty((self.n_features, n), dtype=np.int64)
+        self.ranks = np.empty((self.n_features, d), dtype=np.int64)
+        forest = np.repeat(np.arange(len(start) - 1), np.diff(start))
         values = []
         for f, column in enumerate(x.T):
-            distinct, self.ranks[f] = np.unique(column, return_inverse=True)
-            values.append(distinct)
-        # feature f's distinct values, ascending, from value_start[f] on
+            order = np.lexsort((column, forest))
+            value = column[order]
+            new = np.ones(d, dtype=bool)
+            new[1:] = (value[1:] != value[:-1]) | (forest[order[1:]] != forest[order[:-1]])
+            self.ranks[f, order] = np.cumsum(new) - 1
+            values.append(value[new])
+        # feature f's distinct values, per forest and ascending, from
+        # value_start[f] on
         self.values = np.concatenate(values)
         self.value_start = np.cumsum([0] + [len(v) for v in values[:-1]], dtype=np.int64)
-        self.count_bits = len(group).bit_length()  # a count is at most every draw
+        # a count is at most every draw of one forest's tree
+        self.count_bits = group.shape[1].bit_length()
         self.class_bits = max(1, (n_classes - 1).bit_length())
-        self.rank_bits = max(1, (n - 1).bit_length())
+        self.rank_bits = max(1, (d - 1).bit_length())
         self.segment_shift = self.rank_bits + self.class_bits + self.count_bits
         # every (feature, row) key without its segment and count
         self.cell_keys = (((self.ranks << self.class_bits) | y) << self.count_bits).ravel()
@@ -277,7 +391,7 @@ class _RankedRows:
         del packed, running, start
 
         node = seg // k
-        right = counts.T.take(node, axis=1) - left
+        right = np.subtract(counts.take(node, axis=0).T, left, order="C")
         total = counts.sum(axis=1)
         m = total.take(node)
         sizes_left = left.sum(axis=0)
@@ -292,8 +406,9 @@ class _RankedRows:
 
         # the first lowest score of every node, kept when it lowers the Gini
         runs = _run_starts(node)
-        lowest = np.minimum.reduceat(score, runs)
-        hits = np.flatnonzero(score == np.repeat(lowest, np.diff(runs, append=len(node))))
+        lowest = np.empty(n_nodes)
+        lowest[node[runs]] = np.minimum.reduceat(score, runs)
+        hits = np.flatnonzero(score == lowest.take(node))
         best = hits[_run_starts(node[hits])]
         nodes = node[best]
         parent_gini = 1.0 - _sum_classes((counts.T[:, nodes] / total[nodes]) ** 2)
@@ -346,37 +461,49 @@ def _draws(keys: np.ndarray, count: int, first: int = 1) -> np.ndarray:
     return _mix(keys[:, None] + step)
 
 
-def _grow_forest(n_trees: int, seed: int, data: _RankedRows) -> _Tree:
-    """Grow the ``n_trees`` trees of a fit one depth level at a time.
+def _grow_forest(n_trees: int, seeds: Sequence[int], data: _RankedRows) -> _Tree:
+    """Grow the ``n_trees`` trees of every forest of a stack, one forest per
+    seed, one depth level at a time.
 
     Every random number is a keyed draw, so no tree depends on the order in
-    which nodes grow. Tree ``t`` bootstraps the ``n`` training rows from
-    draws ``t * n + 1`` to ``t * n + n`` of the fit's bootstrap stream, each
-    draw counted for its row's pair in ``data.group``, and its root's key is
-    draw ``t + 1`` of the fit's root stream. A node with ``p`` features
-    draws the ``k`` smallest of draws 1 to ``p`` of its key's stream, in
-    ascending order, and its children's keys are draws ``p + 1`` and ``p + 2``.
+    which nodes grow or on the other forests of the stack. Tree ``t`` of a
+    forest bootstraps its ``n`` training rows from draws ``t * n + 1`` to
+    ``t * n + n`` of its seed's bootstrap stream, each draw counted for its
+    row's pair in ``data.group``, and its root's key is draw ``t + 1`` of
+    the seed's root stream. A node with ``p`` features draws the ``k``
+    smallest of draws 1 to ``p`` of its key's stream, in ascending order,
+    and its children's keys are draws ``p + 1`` and ``p + 2``.
 
-    Nodes are numbered across the forest in the order they are made, so node
-    ``t`` is the root of tree ``t`` and each level is one range of numbers.
-    The rows of a level's nodes are held as int32 cells sorted by node:
-    ``node``, the distinct ``rows`` drawn and their ``weight``, the times
-    drawn. Returns the forest's node table.
+    Nodes are numbered across the stack in the order they are made, so node
+    ``f * n_trees + t`` is the root of tree ``t`` of forest ``f`` and each
+    level is one range of numbers. The rows of a level's nodes are held as
+    int32 cells sorted by node: ``node``, the distinct ``rows`` drawn and
+    their ``weight``, the times drawn. Returns the stack's node table.
     """
-    n_classes, n, p = data.n_classes, len(data.group), data.n_features
+    n_classes, p, n = data.n_classes, data.n_features, data.group.shape[1]
     d = data.ranks.shape[1]  # distinct rows
-    boot_key, root_key = np.random.SeedSequence(seed).generate_state(2, np.uint64)[:, None]
-    boot = (_draws(boot_key, n_trees * n)[0] % np.uint64(n)).astype(np.intp)
-    boot = data.group.take(boot)
-    boot += np.arange(n_trees * n) // n * d  # the (tree, distinct row) cell of each draw
-    drawn = np.bincount(boot, minlength=n_trees * d)
-    del boot
-    cell = np.flatnonzero(drawn)
-    weight = drawn[cell].astype(np.int32)
-    del drawn
-    node, rows = (a.astype(np.int32) for a in np.divmod(cell, d))
-    del cell
-    keys = _draws(root_key, n_trees)[0]
+    # one forest at a time, so the bootstrap's draws take the memory of one
+    # forest's: its (tree, distinct row) cells, then the forest's node numbers
+    tree_start = np.arange(n_trees)[:, None]
+    node, rows, weight, keys = [], [], [], []
+    for f, seed in enumerate(seeds):
+        start, distinct = data.start[f], data.start[f + 1] - data.start[f]
+        boot_key, root_key = np.random.SeedSequence(seed).generate_state(2, np.uint64)[:, None]
+        boot = _draws(boot_key, n_trees * n)[0]
+        boot %= np.uint64(n)  # row numbers, below n: the same as int64
+        boot = (data.group[f] - start).take(boot.view(np.int64))
+        boot.reshape(n_trees, n)[:] += tree_start * distinct
+        drawn = np.bincount(boot, minlength=n_trees * distinct)
+        del boot
+        cell = np.flatnonzero(drawn)
+        weight.append(drawn[cell].astype(np.int32))
+        del drawn
+        tree, row = np.divmod(cell, distinct)
+        node.append((tree + f * n_trees).astype(np.int32))
+        rows.append((row + start).astype(np.int32))
+        keys.append(_draws(root_key, n_trees)[0])
+    node, rows, weight, keys = map(np.concatenate, (node, rows, weight, keys))
+    del cell, tree, row
     first = 0  # number of the level's first node
     levels = []  # per level: feature, threshold, left child, class shares
     while len(keys):
@@ -434,21 +561,22 @@ def _search_in_chunks(
     to search, in the order of ``features``. Returns the split nodes and,
     for each, its feature, rank and threshold.
     """
-    row_start = np.searchsorted(owner, impure)
-    row_end = np.searchsorted(owner, impure, "right")
-    key_end = np.cumsum(row_end - row_start) * data.k
+    # the rows of the impure nodes, each numbered by its node's place in impure
+    slot = np.full(len(counts), -1)
+    slot[impure] = np.arange(len(impure))
+    node_of = slot[owner]
+    keep = node_of >= 0
+    node_of, rows, weight = node_of[keep], rows[keep], weight[keep]
+    row_end = np.cumsum(np.bincount(node_of, minlength=len(impure)))
+    key_end = row_end * data.k
     parts = []
     first = 0
     while first < len(impure):
         limit = (key_end[first - 1] if first else 0) + KEY_CAP
         stop = max(first + 1, int(np.searchsorted(key_end, limit, "right")))
-        a, b = row_start[first], row_end[stop - 1]
-        slot = np.full(len(counts), -1)
-        slot[impure[first:stop]] = np.arange(stop - first)
-        node_of = slot[owner[a:b]]
-        keep = node_of >= 0
+        a, b = row_end[first - 1] if first else 0, row_end[stop - 1]
         at, *split = data.best_splits(
-            features[first:stop], rows[a:b][keep], weight[a:b][keep], node_of[keep],
+            features[first:stop], rows[a:b], weight[a:b], node_of[a:b] - first,
             counts[impure[first:stop]],
         )
         parts.append((impure[first:stop][at], *split))
@@ -457,6 +585,17 @@ def _search_in_chunks(
         nothing = np.zeros(0, dtype=np.intp)
         return nothing, nothing, nothing, np.zeros(0)
     return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+class ForestStats(NamedTuple):
+    """What the stacked forest of one ``evaluate`` did, and its seconds."""
+
+    forests: int
+    passes: int
+    nodes: int
+    leaves: int
+    fit_seconds: float
+    predict_seconds: float
 
 
 @dataclass(frozen=True)
@@ -471,6 +610,8 @@ class EvalReport:
     seed: int
     baseline_variant: str | None = None
     pct_increase: float | None = None
+    # counts and timings, left out of comparisons: a rerun's differ
+    forest: ForestStats | None = field(default=None, compare=False, repr=False)
 
     def with_baseline(self, baseline: "EvalReport") -> "EvalReport":
         """Tag with the baseline and the percent increase over it; that is
@@ -538,30 +679,44 @@ def evaluate(
 
     Each repeat draws its own seeded split (stream derived from the master
     seed by repeat index, so repeats are order-independent), optionally fits a
-    PCA projection on the training rows only, trains a forest, and scores the
-    F1 of the phishing class on the held-out rows. Reports the mean and the population (ddof=0)
-    standard deviation over repeats.
+    PCA projection on the training rows only, and draws its forest's seed.
+    Every split draws the same number of rows per class, so the repeats'
+    forests grow in one stacked ``RandomForest.fit``, in passes of at most
+    PASS_CELLS root cells, and are routed in one stacked ``predict``; each
+    repeat's trees are those of a forest fitted alone. Scores the F1 of the
+    phishing class on each repeat's held-out rows and reports the mean and
+    the population (ddof=0) standard deviation over repeats, with the
+    forest's ``ForestStats``.
     """
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
     labels = np.array(dataset.labels)
-    scores = np.zeros(n_repeats)
+    n_train = train_rows(labels)
+    width = dataset.values.shape[1] if pca_dim is None else pca_dim
+    x_train = np.empty((n_repeats, n_train, width))
+    x_test = np.empty((n_repeats, len(labels) - n_train, width))
+    train_idx = np.empty((n_repeats, n_train), dtype=np.intp)
+    test_idx = np.empty((n_repeats, len(labels) - n_train), dtype=np.intp)
+    seeds = []
     for i in range(n_repeats):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(i,))
         )
-        train_idx, test_idx = stratified_split(labels, rng)
-        x_train = dataset.values[train_idx]
-        x_test = dataset.values[test_idx]
+        train_idx[i], test_idx[i] = stratified_split(labels, rng)
+        train, test = dataset.values[train_idx[i]], dataset.values[test_idx[i]]
         if pca_dim is not None:
-            projector = PCA(pca_dim).fit(x_train)
-            x_train = projector.transform(x_train)
-            x_test = projector.transform(x_test)
-        forest_seed = int(rng.integers(2**62))
-        forest = RandomForest(replace(config, seed=forest_seed))
-        forest.fit(x_train, list(labels[train_idx]))
-        predictions = forest.predict(x_test)
-        scores[i] = f1_score(predictions, list(labels[test_idx]), PHISHING_LABEL)
+            projector = PCA(pca_dim).fit(train)
+            train, test = projector.transform(train), projector.transform(test)
+        x_train[i], x_test[i] = train, test
+        seeds.append(int(rng.integers(2**62)))
+    started = time.perf_counter()
+    forest = RandomForest(config).fit(x_train, labels[train_idx], seeds)
+    fitted = time.perf_counter()
+    predictions = forest.predict(x_test)
+    predicted = time.perf_counter()
+    scores = np.array([
+        f1_score(p, list(labels[t]), PHISHING_LABEL) for p, t in zip(predictions, test_idx)
+    ])
     return EvalReport(
         dataset=dataset_name,
         variant=variant,
@@ -569,4 +724,12 @@ def evaluate(
         std_f1=float(scores.std()),
         n_repeats=n_repeats,
         seed=config.seed,
+        forest=ForestStats(
+            forests=n_repeats,
+            passes=forest.passes_,
+            nodes=len(forest._forest.feature),
+            leaves=int(np.count_nonzero(forest._forest.feature < 0)),
+            fit_seconds=fitted - started,
+            predict_seconds=predicted - fitted,
+        ),
     )

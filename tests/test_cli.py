@@ -384,6 +384,28 @@ def test_evaluate_writes_reports_and_is_deterministic(tmp_path, capsys):
     assert len(features) == 31  # one row per graph
 
 
+def test_evaluate_prints_each_variants_forest_counts(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--per-class", "10", "--seed", "3", "--out", str(ds)]) == 0
+    capsys.readouterr()
+    repeats, trees = 3, 7
+    assert main(["evaluate", "--dataset", str(ds), "--variant", "ttsgn", "--repeats",
+                 str(repeats), "--trees", str(trees), "--out", str(tmp_path / "out")]) == 0
+    printed = re.findall(
+        r"^(\S+): forests=(\d+) passes=(\d+) nodes=(\d+) leaves=(\d+) "
+        r"fit_seconds=\d+\.\d{3} predict_seconds=\d+\.\d{3}$",
+        capsys.readouterr().out, re.M,
+    )
+    assert [variant for variant, *_ in printed] == ["tn", "tn+ttsgn"]
+    for _, forests, passes, nodes, leaves in printed:
+        forests, passes, nodes, leaves = map(int, (forests, passes, nodes, leaves))
+        assert forests == repeats
+        assert passes >= 1
+        assert nodes >= forests * trees
+        if nodes > forests * trees:  # some root split
+            assert leaves < nodes
+
+
 def test_evaluate_report_shape_with_multiple_variants(tmp_path):
     ds = tmp_path / "ds"
     assert main(["synth", "--per-class", "10", "--seed", "31", "--out", str(ds)]) == 0
@@ -671,7 +693,7 @@ TRACED = {
 # the ones evaluate calls. betweenness_centrality and closeness_centrality are
 # left out: tsgn.features has not defined them since the two centralities
 # became one matrix pass, so the tracer finds nothing to wrap and their spans
-# read 0 (ROADMAP item 2).
+# read 0 (ROADMAP item 1).
 TRACED_EVALUATE = {
     ingest: ("load_dataset", "load_edge_list", "extract_ego_network"),
     graphs: ("at_tier",),
@@ -744,15 +766,16 @@ def test_evaluate_calls_every_traced_entry_point_by_name(tmp_path, monkeypatch):
     assert main(["evaluate", "--dataset", str(ds), "--variant", "ttsgn", "--repeats",
                  str(repeats), "--trees", "5", "--out", str(tmp_path / "out")]) == 0
     # twelve graphs loaded and mapped once; tn and tn+ttsgn each evaluated
-    # over every repeat, and only the fusion projected by a PCA
+    # over every repeat, with one stacked forest fit and predict per
+    # evaluate, and only the fusion projected by a PCA
     per_stack = ("simple_adjacency", "average_neighbor_degree", "average_clustering",
                  "largest_eigenvalue")
     assert all(calls.pop(name, 0) >= 1 for name in per_stack), calls
     assert calls == {
         "load_dataset": 1, "load_edge_list": 12, "extract_ego_network": 12, "at_tier": 12,
         "build_temporal_tsgn": 12, "feature_matrix": 2, "FeatureMatrix.to_csv": 2,
-        "evaluate": 2, "stratified_split": 2 * repeats, "RandomForest.fit": 2 * repeats,
-        "RandomForest.predict": 2 * repeats, "PCA.fit": repeats, "PCA.transform": 2 * repeats,
+        "evaluate": 2, "stratified_split": 2 * repeats, "RandomForest.fit": 2,
+        "RandomForest.predict": 2, "PCA.fit": repeats, "PCA.transform": 2 * repeats,
     }
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,7 +312,7 @@ def test_a_one_sided_split_raises_instead_of_growing_forever(monkeypatch):
 
 def test_forest_memory_is_bounded_by_the_key_cap():
     # 630 rows of about 315 distinct ones, like the fused etherg1 training
-    # rows. A fit holds every tree's rows at once, but each split search
+    # rows. A pass holds all its trees' rows at once, but each split search
     # sorts at most KEY_CAP keys: here the fit peaks near 2.7 MB, and one
     # search over all 100 roots at once would peak near 9.3 MB. predict routes
     # at most KEY_CAP (tree, row) cells at once: all 10,080 rows through all
@@ -332,6 +333,28 @@ def test_forest_memory_is_bounded_by_the_key_cap():
         assert peak <= 4_000_000
 
 
+def test_a_stack_of_eight_forests_stays_within_its_pass_budget():
+    # eight forests on the data above, 291 distinct rows each: 232,800 root
+    # cells, grown in two passes of four. The pass budget, not the stack,
+    # bounds the rows a pass holds: the fit peaks near 5.2 MB, with the node
+    # table of all 800 trees.
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(315, 10))[rng.integers(0, 315, size=630)]
+    y = ["phishing" if v else "benign" for v in (x[:, 0] > 0) ^ (rng.random(630) < 0.02)]
+    xs, ys, seeds = np.stack([x] * 8), [y] * 8, list(range(8))
+    forest = RandomForest(ForestConfig(n_trees=100, seed=5))
+    forest.fit(xs, ys, seeds)  # leave numpy's one-time allocations out of the count
+    assert forest.passes_ == 2
+    for run in (lambda: forest.fit(xs, ys, seeds), lambda: forest.predict(xs)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000
+
+
 @pytest.mark.parametrize("n_classes", range(2, 13))
 def test_class_sums_add_like_row_sums(n_classes):
     # the per-node search sums the Gini terms of an (n, classes) array by row
@@ -347,6 +370,94 @@ def test_forest_vote_tie_goes_to_smallest_class_label():
     # two trees of one leaf each, one full vote each way
     forest._forest = _Tree(leaves, np.zeros(2), leaves, np.eye(2))
     assert forest.predict(np.zeros((3, 1))) == ["neg", "neg", "neg"]
+
+
+def _stack_trees(forest, f):
+    """Every tree of forest ``f`` of a stack as the node arrays reachable from
+    its root, renumbered in preorder: feature, threshold and class-share
+    bytes, and each split node's two children."""
+    table = forest._forest
+    trees = []
+    for t in range(forest.config.n_trees):
+        order, todo = [], [int(forest._first_root[f]) + t]
+        while todo:
+            node = todo.pop()
+            order.append(node)
+            if table.feature[node] >= 0:
+                todo += [int(table.left[node]) + 1, int(table.left[node])]
+        number = {node: i for i, node in enumerate(order)}
+        children = [
+            (number[table.left[v]], number[table.left[v] + 1]) if table.feature[v] >= 0 else None
+            for v in order
+        ]
+        trees.append((
+            table.feature[order].tobytes(),
+            table.threshold[order].tobytes(),
+            table.probs[order].tobytes(),
+            children,
+        ))
+    return trees
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_forests=st.integers(1, 6),
+    n_rows=st.integers(4, 40),
+    n_features=st.integers(1, 5),
+    n_classes=st.integers(2, 4),
+    budget=st.sampled_from(["default", "key cap 1", "one forest per pass"]),
+)
+def test_a_stacked_fit_equals_fitting_each_forest_alone(
+    seed, n_forests, n_rows, n_features, n_classes, budget
+):
+    # each forest's rows are drawn from a few vectors, and its rows 0 and 1
+    # differ only in a 0.0 against a -0.0; the last forest's seed needs more
+    # than 64 bits
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(scale=2.0, size=(n_forests, 6, n_features)))
+    x = np.take_along_axis(x, rng.integers(0, 6, size=(n_forests, n_rows, 1)), axis=1)
+    x[:, 0, 0] = 0.0
+    x[:, 1] = x[:, 0]
+    x[:, 1, 0] = -0.0
+    codes = rng.integers(0, n_classes, size=(n_forests, n_rows))
+    codes[:, -n_classes:] = np.arange(n_classes)
+    labels = [[f"c{v}" for v in row] for row in codes]
+    seeds = [int(v) for v in rng.integers(0, 2**62, size=n_forests)]
+    seeds[-1] += 2**70
+    config = ForestConfig(n_trees=3, seed=1)
+    probe = np.concatenate([x, -x, np.round(rng.normal(size=x.shape))], axis=1)
+    with pytest.MonkeyPatch.context() as patch:
+        if budget == "key cap 1":
+            patch.setattr(ml, "KEY_CAP", 1)
+        elif budget == "one forest per pass":
+            patch.setattr(ml, "PASS_CELLS", 1)
+        stack = RandomForest(config).fit(x, labels, seeds)
+        predicted = stack.predict(probe)
+        alone = [
+            RandomForest(replace(config, seed=s)).fit(x[f], labels[f])
+            for f, s in enumerate(seeds)
+        ]
+        alone_predicted = [forest.predict(probe[f]) for f, forest in enumerate(alone)]
+    if budget == "one forest per pass":
+        assert stack.passes_ == n_forests
+    assert stack.classes_ == alone[0].classes_
+    for f, forest in enumerate(alone):
+        assert _stack_trees(stack, f) == _stack_trees(forest, 0)
+        assert predicted[f] == alone_predicted[f]
+
+
+def test_a_stack_needs_the_same_classes_in_every_forest():
+    x = np.arange(24, dtype=float).reshape(2, 6, 2)
+    with pytest.raises(ValueError, match="different classes"):
+        RandomForest(ForestConfig()).fit(x, [list("aabbaa"), list("aaccaa")], [1, 2])
+    single = list("aaaaaa")
+    with pytest.raises(ValueError, match="single class"):
+        RandomForest(ForestConfig()).fit(x, [list("aabbaa"), single], [1, 2])
+    with pytest.raises(ValueError, match="single class"):
+        RandomForest(ForestConfig(seed=2)).fit(x[1], single)
+    with pytest.raises(ValueError, match="seeds"):
+        RandomForest(ForestConfig()).fit(x, [list("aabbaa")] * 2, [1])
 
 
 # ---------------------------------------------------------------------- splits
