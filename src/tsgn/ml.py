@@ -16,9 +16,9 @@ reproduces identical reports.
 One RandomForest can hold a stack of independent forests, one per seed,
 each on its own rows. The forests of a stack grow in passes of at most
 PASS_CELLS (8 * KEY_CAP) root cells, counted as trees times distinct
-training rows, each pass one level loop over all its forests; every forest's
-trees are those it would grow alone. ``evaluate`` fits all its repeats'
-forests as one stack and routes them in one ``predict``.
+training rows, each pass one level loop and one node table over all its
+forests; every forest's trees are those it would grow alone. ``evaluate``
+fits all its repeats' forests as one stack and routes them in one ``predict``.
 """
 
 from __future__ import annotations
@@ -115,20 +115,18 @@ class RandomForest:
     """Gini-split CART bagging ensemble, deterministic for a fixed seed.
 
     One instance holds a stack of independent forests: ``fit`` on a
-    ``(forests, rows, features)`` array grows one forest per seed, and
-    ``predict`` on a ``(forests, rows, features)`` array returns one
-    prediction list per forest. A 2-D ``x`` is a stack of one, fitted with
-    ``config.seed``.
+    ``(forests, rows, features)`` array grows one forest per seed, in passes
+    of one node table each, and ``predict`` on a ``(forests, rows,
+    features)`` array returns one prediction list per forest. A 2-D ``x`` is
+    a stack of one, fitted with ``config.seed``.
     """
 
     def __init__(self, config: ForestConfig):
         self.config = config
         self.classes_: tuple | None = None
-        self.passes_ = 0  # level loops the last fit ran
-        # every tree's nodes in one table; tree t of forest f starts at node
-        # _first_root[f] + t
-        self._forest: _Tree | None = None
-        self._first_root = np.zeros(1, dtype=np.intp)
+        self.n_features_: int | None = None
+        # (first forest, stop, node table) of every pass, as _grow_forest made it
+        self._tables: list[tuple[int, int, _Tree]] = []
 
     def fit(
         self, x: np.ndarray, labels: Sequence, seeds: Sequence[int] | None = None
@@ -137,8 +135,8 @@ class RandomForest:
 
         The forests go into passes in stack order, each pass holding at most
         PASS_CELLS (tree, distinct training row) cells at its roots; a
-        forest with more goes alone. Every forest of a stack must see the
-        same classes.
+        forest with more goes alone. Each pass keeps its node table as
+        grown. Every forest of a stack must see the same classes.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
@@ -150,6 +148,8 @@ class RandomForest:
                 "x must be (n_samples, n_features) aligned with labels, or a "
                 "(forests, n_samples, n_features) stack aligned with a stack of labels"
             )
+        if not x.shape[2]:
+            raise ValueError("x has no feature columns")
         seeds = [self.config.seed] * len(x) if seeds is None else list(seeds)
         if len(seeds) != len(x):
             raise ValueError(f"got {len(seeds)} seeds for {len(x)} forests")
@@ -162,6 +162,7 @@ class RandomForest:
             raise ValueError("the forests of a stack see different classes")
         classes = tuple(sorted(seen[0]))
         self.classes_ = classes
+        self.n_features_ = x.shape[2]
         code = {c: i for i, c in enumerate(classes)}
         n_forests, n = x.shape[:2]
         y = np.fromiter((code[v] for row in labels for v in row), dtype=np.int64,
@@ -173,7 +174,7 @@ class RandomForest:
             _distinct_rows(np.column_stack((xf.view(np.int64), yf))) for xf, yf in zip(x, y)
         ))
         n_trees = self.config.n_trees
-        tables, first_root, size = [], [], 0
+        tables = []
         for a, b in _passes([n_trees * len(rows) for rows in first]):
             start = np.cumsum([0] + [len(rows) for rows in first[a:b]])
             forest = np.repeat(np.arange(a, b), np.diff(start))
@@ -182,13 +183,8 @@ class RandomForest:
                 x[forest, rows], y[forest, rows], len(classes),
                 np.stack(group[a:b]) + start[:-1, None], start,
             )
-            table = _grow_forest(n_trees, seeds[a:b], data)
-            tables.append(table._replace(left=np.where(table.left >= 0, table.left + size, -1)))
-            first_root.append(size + n_trees * np.arange(b - a))
-            size += len(table.feature)
-        self._forest = _Tree(*map(np.concatenate, zip(*tables)))
-        self._first_root = np.concatenate(first_root)
-        self.passes_ = len(first_root)
+            tables.append((a, b, _grow_forest(n_trees, seeds[a:b], data)))
+        self._tables = tables
         return self
 
     def predict(self, x: np.ndarray) -> list:
@@ -203,21 +199,24 @@ class RandomForest:
         stacked = x.ndim == 3
         if not stacked:
             x = x[None]
-        if len(x) != len(self._first_root):
-            raise ValueError(f"got rows for {len(x)} forests, fitted {len(self._first_root)}")
         n_forests, m, p = x.shape
+        if p != self.n_features_:
+            raise ValueError(f"got rows of {p} features, fitted on {self.n_features_}")
+        if n_forests != self._tables[-1][1]:
+            raise ValueError(f"got rows for {n_forests} forests, fitted {self._tables[-1][1]}")
         x = x.reshape(n_forests * m, p)
-        first_root = np.repeat(self._first_root, m)
-        forest, n_trees = self._forest, self.config.n_trees
+        n_trees = self.config.n_trees
         votes = np.zeros((len(x), len(self.classes_)))
         # at most KEY_CAP (tree, row) cells are routed at once; trees vote one
         # after another, in fit order, so the float sums (and hence argmax
         # ties) do not depend on how the rows are routed
         block = max(1, KEY_CAP // n_trees)
-        for start in range(0, len(x), block):
-            rows = slice(start, start + block)
-            for leaf in self._route(forest, n_trees, first_root[rows], x[rows]):
-                votes[rows] += forest.probs[leaf]
+        for a, b, table in self._tables:
+            for start in range(a * m, b * m, block):
+                rows = slice(start, min(start + block, b * m))
+                first_root = (np.arange(rows.start, rows.stop) // m - a) * n_trees
+                for leaf in self._route(table, n_trees, first_root, x[rows]):
+                    votes[rows] += table.probs[leaf]
         predicted = [self.classes_[i] for i in votes.argmax(axis=1)]
         per_forest = [predicted[f * m : (f + 1) * m] for f in range(n_forests)]
         return per_forest if stacked else per_forest[0]
@@ -726,9 +725,9 @@ def evaluate(
         seed=config.seed,
         forest=ForestStats(
             forests=n_repeats,
-            passes=forest.passes_,
-            nodes=len(forest._forest.feature),
-            leaves=int(np.count_nonzero(forest._forest.feature < 0)),
+            passes=len(forest._tables),
+            nodes=sum(len(t.feature) for *_, t in forest._tables),
+            leaves=sum(int(np.count_nonzero(t.feature < 0)) for *_, t in forest._tables),
             fit_seconds=fitted - started,
             predict_seconds=predicted - fitted,
         ),

@@ -111,6 +111,28 @@ def test_forest_rejects_degenerate_input():
         RandomForest(ForestConfig()).predict(x)
 
 
+def test_forest_refuses_rows_of_another_width():
+    # narrower rows would read past their own row into the next one's values
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(40, 4))
+    y = ["a" if v > 0 else "b" for v in x[:, 0]]
+    forest = RandomForest(ForestConfig(n_trees=10, seed=2)).fit(x, y)
+    stack = RandomForest(ForestConfig(n_trees=10)).fit(np.stack([x, x]), [y, y], [1, 2])
+    for width in (2, 3, 8):
+        message = f"got rows of {width} features, fitted on 4"
+        with pytest.raises(ValueError, match=message):
+            forest.predict(rng.normal(size=(5, width)))
+        with pytest.raises(ValueError, match=message):
+            stack.predict(rng.normal(size=(2, 5, width)))
+
+
+def test_forest_refuses_rows_without_features():
+    with pytest.raises(ValueError, match="no feature columns"):
+        RandomForest(ForestConfig()).fit(np.zeros((4, 0)), list("aabb"))
+    with pytest.raises(ValueError, match="no feature columns"):
+        RandomForest(ForestConfig()).fit(np.zeros((2, 4, 0)), [list("aabb")] * 2, [1, 2])
+
+
 def test_forest_config_validation():
     with pytest.raises(ValueError):
         ForestConfig(n_trees=0)
@@ -131,7 +153,8 @@ def test_forest_invariant_under_monotone_feature_transform():
 
 
 def _tree_shapes(forest):
-    return [_tree_shape(forest._forest, root) for root in range(forest.config.n_trees)]
+    (_, _, table), = forest._tables
+    return [_tree_shape(table, root) for root in range(forest.config.n_trees)]
 
 
 def _tree_shape(tree, node):
@@ -344,7 +367,7 @@ def test_a_stack_of_eight_forests_stays_within_its_pass_budget():
     xs, ys, seeds = np.stack([x] * 8), [y] * 8, list(range(8))
     forest = RandomForest(ForestConfig(n_trees=100, seed=5))
     forest.fit(xs, ys, seeds)  # leave numpy's one-time allocations out of the count
-    assert forest.passes_ == 2
+    assert len(forest._tables) == 2
     for run in (lambda: forest.fit(xs, ys, seeds), lambda: forest.predict(xs)):
         tracemalloc.start()
         try:
@@ -353,6 +376,26 @@ def test_a_stack_of_eight_forests_stays_within_its_pass_budget():
         finally:
             tracemalloc.stop()
         assert peak <= 8_000_000
+
+
+def test_a_stacked_fit_does_not_copy_its_node_tables():
+    # 64 forests on the data above, in 16 passes, keep 11.9 MB of node
+    # tables. The fit peaks near 17.6 MB: what it keeps plus one pass's
+    # working memory, not a second copy of every table (near 25 MB).
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(315, 10))[rng.integers(0, 315, size=630)]
+    y = ["phishing" if v else "benign" for v in (x[:, 0] > 0) ^ (rng.random(630) < 0.02)]
+    xs, ys, seeds = np.stack([x] * 64), [y] * 64, list(range(64))
+    config = ForestConfig(n_trees=100, seed=5)
+    RandomForest(config).fit(xs[:1], ys[:1], seeds[:1])  # numpy's one-time allocations
+    tracemalloc.start()
+    try:
+        forest = RandomForest(config).fit(xs, ys, seeds)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= kept + 8_000_000
+    assert len(forest._tables) == 16
 
 
 @pytest.mark.parametrize("n_classes", range(2, 13))
@@ -368,7 +411,8 @@ def test_forest_vote_tie_goes_to_smallest_class_label():
     forest.classes_ = ("neg", "pos")
     leaves = np.array([-1, -1])
     # two trees of one leaf each, one full vote each way
-    forest._forest = _Tree(leaves, np.zeros(2), leaves, np.eye(2))
+    forest.n_features_ = 1
+    forest._tables = [(0, 1, _Tree(leaves, np.zeros(2), leaves, np.eye(2)))]
     assert forest.predict(np.zeros((3, 1))) == ["neg", "neg", "neg"]
 
 
@@ -376,10 +420,10 @@ def _stack_trees(forest, f):
     """Every tree of forest ``f`` of a stack as the node arrays reachable from
     its root, renumbered in preorder: feature, threshold and class-share
     bytes, and each split node's two children."""
-    table = forest._forest
+    a, _, table = next(entry for entry in forest._tables if entry[0] <= f < entry[1])
     trees = []
     for t in range(forest.config.n_trees):
-        order, todo = [], [int(forest._first_root[f]) + t]
+        order, todo = [], [(f - a) * forest.config.n_trees + t]
         while todo:
             node = todo.pop()
             order.append(node)
@@ -440,7 +484,7 @@ def test_a_stacked_fit_equals_fitting_each_forest_alone(
         ]
         alone_predicted = [forest.predict(probe[f]) for f, forest in enumerate(alone)]
     if budget == "one forest per pass":
-        assert stack.passes_ == n_forests
+        assert len(stack._tables) == n_forests
     assert stack.classes_ == alone[0].classes_
     for f, forest in enumerate(alone):
         assert _stack_trees(stack, f) == _stack_trees(forest, 0)
