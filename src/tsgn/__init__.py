@@ -40,6 +40,7 @@ from .transforms import (
     build_multiple_tsgn,
     build_temporal_tsgn,
     build_tsgn,
+    map_graphs,
     map_weight,
     require_attributes,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "handcrafted_features",
     "load_dataset",
     "load_edge_list",
+    "map_graphs",
     "map_weight",
     "percent_increase",
     "require_attributes",

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import FEATURE_NAMES, PCA, concat_features, feature_matrix
-from .graphs import TIERS, at_tier
+from .graphs import TIERS, GraphBatch, batch_at_tier
 from .ingest import (
     FORMS,
     PHISHING_LABEL,
@@ -31,7 +31,7 @@ from .ingest import (
     write_csv,
 )
 from .ml import EvalReport, ForestConfig, evaluate, train_rows
-from .transforms import BUILDERS, VARIANTS, TsgnGraph, require_attributes
+from .transforms import BUILDERS, VARIANTS, TsgnGraph, map_graphs, require_attributes
 
 
 def _require_variants(manifest: DatasetManifest, variants) -> None:
@@ -67,17 +67,32 @@ def cmd_stats(args) -> int:
     # parse every record file once, at the tier that keeps every record, and
     # derive the other tiers from it as load_dataset would
     loaded = load_dataset(args.dataset, tier="multiedge", form=args.form)
+    records = GraphBatch.of(loaded.graphs)
     per_tier = {}
     for tier in TIERS:
-        graphs = tuple(at_tier(g, tier) for g in loaded.graphs)
+        graphs = tuple(batch_at_tier(records, tier).graphs())
         per_tier[tier] = dataset_stats(DatasetManifest(graphs, loaded.graph_ids))
     print(stats_table(name, args.form, per_tier))
     return 0
 
 
+def _load(args) -> DatasetManifest:
+    """load_dataset with the command's dataset, tier and form, printing what
+    the load did."""
+    started = time.perf_counter()
+    manifest = load_dataset(args.dataset, tier=args.tier, form=args.form)
+    kept = sum(g.edge_count for g in manifest.graphs)
+    print(
+        f"load: graphs={manifest.n_graphs} records={manifest.records} "
+        f"self_loops={manifest.self_loops} kept={kept} "
+        f"seconds={time.perf_counter() - started:.3f}"
+    )
+    return manifest
+
+
 def cmd_transform(args) -> int:
     variants = list(dict.fromkeys(args.variant))  # drop repeats, keep order
-    manifest = load_dataset(args.dataset, tier=args.tier, form=args.form)
+    manifest = _load(args)
     if "summary" in manifest.graph_ids:
         raise ValueError(f"{args.dataset}: graph id summary would name summary.csv")
     _require_variants(manifest, variants)
@@ -207,7 +222,7 @@ def cmd_evaluate(args) -> int:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     variants = list(dict.fromkeys(args.variant))
-    manifest = load_dataset(args.dataset, tier=args.tier, form=args.form)
+    manifest = _load(args)
     name = Path(args.dataset).name
     _require_variants(manifest, variants)
     labels = manifest.labels
@@ -234,7 +249,13 @@ def cmd_evaluate(args) -> int:
     _print_forest(tn_report)
     reports = [tn_report]
     for variant in variants:
-        mapped = [BUILDERS[variant](g) for g in manifest.graphs]
+        started = time.perf_counter()
+        mapped = map_graphs(variant, manifest.graphs)
+        print(
+            f"map: variant={variant} graphs={len(mapped)} "
+            f"edges={sum(t.edge_count for t in mapped)} "
+            f"seconds={time.perf_counter() - started:.3f}"
+        )
         mapped_matrix = feature_matrix(mapped, labels, variant=variant)
         mapped_matrix.to_csv(out / f"features_{variant}.csv")
         fused = concat_features(tn, mapped_matrix)

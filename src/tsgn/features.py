@@ -228,12 +228,28 @@ class FeatureMatrix:
         return self.values.shape[0]
 
     def to_csv(self, path) -> None:
-        """Write header = column names, one row per graph, label last."""
-        rows = (
-            [*(format(v, VALUE_FORMAT) for v in row), label]
-            for row, label in zip(self.values, self.labels)
-        )
-        write_csv(path, (*self.columns, "label"), rows)
+        """Write header = column names, one row per graph, label last.
+
+        The bytes are write_csv's of the values formatted to VALUE_FORMAT,
+        made in one %-format of every value: each row's format is its
+        label's, quoted as write_csv quotes it.
+        """
+        formats = {label: _row_format(len(self.columns), label) for label in set(self.labels)}
+        text = "".join(map(formats.__getitem__, self.labels)) % tuple(self.values.ravel().tolist())
+        write_csv(path, (*self.columns, "label"), ())
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
+def _row_format(width: int, label: str) -> str:
+    """The %-format of a to_csv row of ``width`` values and ``label``. Like
+    csv.writer, write_csv quotes a field that holds a comma, a quote or "\n"
+    and a lone empty field, and quotes every field of a row holding "\r"."""
+    quote_all = "\r" in label
+    if quote_all or any(c in label for c in ',"\n') or not (width or label):
+        label = '"' + label.replace('"', '""') + '"'
+    value = f'"%{VALUE_FORMAT}"' if quote_all else f"%{VALUE_FORMAT}"
+    return ",".join([value] * width + [label.replace("%", "%%")]) + "\n"
 
 
 def _stacks(graphs: Sequence[TransactionGraph | TsgnGraph]):

@@ -13,15 +13,19 @@ one record per ordered pair) or direction and parallel records
 (``multiedge``); a graph has time when it has direction and every record is
 timed. Graphs are immutable, and every operation in this module is a pure
 function of its input graph.
+
+A GraphBatch holds the records of many graphs as one set of columns, so a
+step such as the tier's collapse runs once over a whole dataset; the
+functions on one graph run the same code on a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, dataclass, replace
 from decimal import Decimal
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import is_not
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -107,7 +111,7 @@ class TransactionGraph:
             nodes, ends[:m], ends[m:], np.fromiter(stamps, np.int64, m), timed,
             np.fromiter(decimals, object, m), center, tier=tier, label=label,
         )
-        if tier != "multiedge" and _collapse(g, tier).edge_count < m:
+        if tier != "multiedge" and len(_collapse(GraphBatch.of([g]), tier).src) < m:
             raise ValueError(f"the {tier} tier holds one record per pair: build at multiedge")
         return g
 
@@ -155,8 +159,82 @@ class TransactionGraph:
         return self.replace(label=label)
 
 
-def _collapse(g: TransactionGraph, tier: str) -> TransactionGraph:
-    """The graph at ``tier``, directed or plain: one record per address pair,
+@dataclass(frozen=True, eq=False)
+class GraphBatch:
+    """The records of a sequence of graphs of one tier as one set of columns.
+
+    Graph ``i`` holds the nodes ``names[node_offsets[i]:node_offsets[i + 1]]``,
+    sorted, and the records ``offsets[i]:offsets[i + 1]``. ``src`` and
+    ``dst`` are positions into ``names``, so a record's endpoints lie in its
+    own graph's range, and node and record positions both order by graph
+    first: an operation over the whole batch that sorts on them keeps every
+    graph apart. ``graphs`` slices the batch back into TransactionGraphs.
+    """
+
+    names: list
+    node_offsets: np.ndarray
+    offsets: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    stamps: np.ndarray
+    timed: np.ndarray
+    decimals: np.ndarray
+    tier: str
+    centers: tuple
+    labels: tuple
+
+    @classmethod
+    def of(cls, graphs: Sequence[TransactionGraph]) -> "GraphBatch":
+        """The batch of ``graphs``, which must share one tier."""
+        tiers = {g.tier for g in graphs}
+        if len(tiers) > 1:
+            raise ValueError(f"a batch holds graphs of one tier, not {sorted(tiers)}")
+        counts = [g.edge_count for g in graphs]
+        node_offsets = np.array([0, *accumulate(len(g.nodes) for g in graphs)])
+        shift = np.repeat(node_offsets[:-1], counts)
+        src, dst, stamps, timed, decimals = (
+            np.concatenate([getattr(g, name) for g in graphs]) if graphs else np.empty(0, dtype)
+            for name, dtype in zip(_COLUMNS, (np.intp, np.intp, np.int64, bool, object))
+        )
+        return cls(
+            list(chain.from_iterable(g.nodes for g in graphs)), node_offsets,
+            np.array([0, *accumulate(counts)]), src + shift, dst + shift, stamps, timed,
+            decimals, tiers.pop() if tiers else "multiedge",
+            tuple(g.center for g in graphs), tuple(g.label for g in graphs),
+        )
+
+    @property
+    def graph_of_record(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.offsets) - 1), self.offsets[1:] - self.offsets[:-1])
+
+    def take(self, rows, **changes) -> "GraphBatch":
+        """The batch of the records at ``rows`` (a mask or positions in graph
+        order), renumbered in that order, with ``changes`` to its fields."""
+        graph = self.graph_of_record[rows]
+        offsets = np.searchsorted(graph, np.arange(len(self.offsets)))
+        columns = {name: getattr(self, name)[rows] for name in _COLUMNS}
+        return replace(self, **{**columns, "offsets": offsets, **changes})
+
+    def graphs(self) -> list[TransactionGraph]:
+        """Each graph of the batch, its columns slices of the batch's."""
+        shift = self.node_offsets[self.graph_of_record]
+        src, dst = self.src - shift, self.dst - shift
+        names, tier = self.names, self.tier
+        nodes, rows = self.node_offsets.tolist(), self.offsets.tolist()
+        return [
+            TransactionGraph(
+                tuple(names[nodes[i] : nodes[i + 1]]),
+                *(c[a:b] for c in (src, dst, self.stamps, self.timed, self.decimals)),
+                center, tier=tier, label=label,
+            )
+            for i, (a, b, center, label) in enumerate(
+                zip(rows, rows[1:], self.centers, self.labels)
+            )
+        ]
+
+
+def _collapse(b: GraphBatch, tier: str) -> GraphBatch:
+    """The batch at ``tier``, directed or plain: one record per address pair,
     the heaviest of the pair's records.
 
     Pairs are ordered at the directed tier and sorted at the plain one, so
@@ -164,23 +242,32 @@ def _collapse(g: TransactionGraph, tier: str) -> TransactionGraph:
     by exact decimal, heaviest first, then by edge id, and the first record of
     each pair wins: equal decimals spelled apart (1.5 and 1.50) go to the
     earliest record, while decimals that round to one float (0.1 and
-    0.1000000000000000000001) stay apart. Edge ids are renumbered in pair
-    order and the node set is kept.
+    0.1000000000000000000001) stay apart. One sort over the batch orders by
+    pair, float and edge id; only where a pair's heaviest floats tie does
+    ``Decimal`` order them. Edge ids are renumbered in pair order and the
+    node set is kept.
     """
-    a, b = g.src, g.dst
+    a, c = b.src, b.dst
     if tier == "plain":
-        a, b = np.minimum(a, b), np.maximum(a, b)
-    pair = a * len(g.nodes) + b
-    # heaviest first, ties by edge id: a reversed sort keeps equal keys in order
-    decimals = g.decimals.tolist()
-    heavy = np.array(sorted(range(len(decimals)), key=decimals.__getitem__, reverse=True),
-                     dtype=np.intp)
-    order = heavy[np.argsort(pair[heavy], kind="stable")]
-    pair = pair[order]
-    first = np.ones(len(pair), dtype=bool)
+        a, c = np.minimum(a, c), np.maximum(a, c)
+    pair = a * len(b.names) + c
+    heavy = -b.decimals.astype(np.float64)  # float() of each decimal, negated
+    order = np.lexsort((heavy, pair))  # a stable sort: ties by edge id
+    pair, heavy = pair[order], heavy[order]
+    first = np.ones(len(order), dtype=bool)
     first[1:] = pair[1:] != pair[:-1]
-    won = order[first]
-    return g.take(won, src=a[won], dst=b[won], tier=tier)
+    # tie[i]: sorted record i has the float of record i - 1 in the same pair
+    tie = np.zeros(len(order) + 1, dtype=bool)
+    tie[1:-1] = ~first[1:] & (heavy[1:] == heavy[:-1])
+    starts = np.flatnonzero(first)
+    won = order[starts]
+    for k in np.flatnonzero(tie[starts + 1]).tolist():
+        end = starts[k] + 1
+        while tie[end]:
+            end += 1
+        run = order[starts[k] : end].tolist()
+        won[k] = max(run, key=lambda i: (b.decimals[i], -i))
+    return b.take(won, src=a[won], dst=c[won], tier=tier)
 
 
 def undirected_projection(g: TransactionGraph) -> TransactionGraph:
@@ -191,7 +278,19 @@ def undirected_projection(g: TransactionGraph) -> TransactionGraph:
     sorted-pair order, and the node set is preserved. Projecting an already
     plain graph returns it unchanged, so the operation is idempotent.
     """
-    return g if g.tier == "plain" else _collapse(g, "plain")
+    return g if g.tier == "plain" else _collapse(GraphBatch.of([g]), "plain").graphs()[0]
+
+
+def batch_at_tier(b: GraphBatch, tier: str) -> GraphBatch:
+    """at_tier over every graph of a batch."""
+    check_choice("tier", tier, TIERS)
+    if tier == "plain":
+        return b if b.tier == "plain" else _collapse(b, "plain")
+    if b.tier == "plain":
+        raise ValueError(f"tier {tier!r} needs directed data but the graph is undirected")
+    if tier == "directed":
+        return _collapse(b, "directed") if b.tier == "multiedge" else b
+    return replace(b, tier="multiedge")
 
 
 def at_tier(g: TransactionGraph, tier: str) -> TransactionGraph:
@@ -204,11 +303,4 @@ def at_tier(g: TransactionGraph, tier: str) -> TransactionGraph:
     Direction cannot be recovered once dropped, so plain input only supports
     the plain tier.
     """
-    check_choice("tier", tier, TIERS)
-    if tier == "plain":
-        return undirected_projection(g)
-    if g.tier == "plain":
-        raise ValueError(f"tier {tier!r} needs directed data but the graph is undirected")
-    if tier == "directed":
-        return _collapse(g, "directed") if g.tier == "multiedge" else g
-    return g.replace(tier="multiedge")
+    return batch_at_tier(GraphBatch.of([g]), tier).graphs()[0]

@@ -5,31 +5,37 @@ On-disk dataset layout: one directory per dataset holding one edge-list CSV
 per graph plus a ``labels.csv`` (graph_id, center_address, label). Record
 files carry the columns src, dst, amount (decimal string: 0, or from
 MIN_AMOUNT to MAX_AMOUNT) and timestamp (integer seconds within int64; the
-field may be empty and the column absent). load_edge_list reads a file into
-the columns of one TransactionGraph, checking each field a column at a time
-and parsing each distinct amount once; extract_ego_network cuts an ego-net
-out of those columns with boolean masks, so no record object is built on the
-way to the mappings. Edge ids are record positions.
+field may be empty and the column absent).
+
+load_dataset reads every record file of a dataset into one set of columns,
+a GraphBatch, and runs each step once over all of it: the field checks and
+the self-loop drop, each file's node numbering as one sort on (file,
+address), the ego cut as masks, and the tier's collapse as one sort. Each
+graph is then a slice of those columns. load_edge_list and
+extract_ego_network run the same code on a dataset of one file and a batch
+of one graph. No record object is built on the way to the mappings, and
+edge ids are record positions.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import re
 import sys
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from itertools import compress
-from operator import itemgetter, ne
+from itertools import chain, compress
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import TIERS, TransactionGraph, at_tier, check_choice
+from .graphs import TIERS, GraphBatch, TransactionGraph, batch_at_tier, check_choice
 
 logger = logging.getLogger(__name__)
 
@@ -46,8 +52,14 @@ MAX_AMOUNT = sys.float_info.max / 2
 
 def _parse_amount(raw: str) -> Decimal | str:
     """A stripped amount field -> its Decimal, or the reason it is malformed.
-    The bounds hold for float(raw), which is the float(Decimal(raw)) mapped."""
+
+    The grammar is Decimal's in ASCII without underscores: an optional sign,
+    digits with at most one point, and an optional exponent (``7e-3``).
+    NaN and infinities parse but are refused, as are amounts outside the
+    bounds, which hold for float(raw), the float(Decimal(raw)) mapped."""
     try:
+        if not raw.isascii() or "_" in raw:
+            raise InvalidOperation
         amount = Decimal(raw)
     except InvalidOperation:
         return f"unparseable amount {raw!r}"
@@ -63,31 +75,36 @@ def _parse_amount(raw: str) -> Decimal | str:
     return amount
 
 
+_STAMP = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_stamp(raw: str) -> int | None | str:
     """A stripped timestamp field -> its int, None when empty, or the reason
-    it is malformed."""
+    it is malformed. The grammar is an optional sign and ASCII digits."""
     if not raw:
         return None
-    try:
-        stamp = int(raw)
-    except ValueError:
+    if not _STAMP.fullmatch(raw):
         return f"unparseable timestamp {raw!r}"
+    stamp = int(raw)
     return stamp if -(2**63) <= stamp < 2**63 else f"timestamp {raw} outside int64"
 
 
-def load_edge_list(path) -> TransactionGraph:
-    """Parse a CSV export into the columns of one multiedge graph with no center.
+RECORD_COLUMNS = ("src", "dst", "amount", "timestamp")
 
-    Addresses are lowercased, self-loops are dropped with a logged warning,
-    and malformed rows raise a ValueError listing every offending row by the
-    file line it ends on. Blank lines are skipped. Each field is checked a
-    column at a time, each distinct amount field is parsed once, and
-    timestamps must fit int64. Edge ids number the kept records in file order.
-    """
-    path = Path(path)
-    problems: list[tuple[int, str]] = []
-    lines: list[int] = []
-    rows: list[list[str]] = []
+
+def _refuse_repeats(header: list[str], names: Sequence[str], where) -> None:
+    """Raise ValueError naming every one of ``names`` that ``header`` repeats:
+    its field would be read from one copy and the other ignored."""
+    repeated = [c for c in names if header.count(c) > 1]
+    if repeated:
+        raise ValueError(f"{where}: repeated column(s) {', '.join(repeated)}")
+
+
+def _read_file(path: Path) -> tuple[list[list[str]], list[int], list[tuple[int, str]]]:
+    """One record CSV's stripped fields by column (src and dst lowercased,
+    amount, and timestamp: "" where the file has no timestamp column), the
+    file line each row ends on, and a (line, reason) for each row shorter
+    than the header. Blank lines are skipped."""
     # utf-8-sig: a leading byte-order mark, as spreadsheet programs write,
     # is not part of the first column name
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -95,44 +112,159 @@ def load_edge_list(path) -> TransactionGraph:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        missing = [c for c in ("src", "dst", "amount") if c not in header]
+        missing = [c for c in RECORD_COLUMNS[:3] if c not in header]
         if missing:
             raise ValueError(f"{path}: missing mandatory column(s) {missing}")
+        _refuse_repeats(header, RECORD_COLUMNS, path)
+        rows, lines, short = [], [], []
         for row in reader:
             if len(row) >= len(header):
                 lines.append(reader.line_num)
                 rows.append(row)
             elif row:
-                short = f"{len(row)} field(s) for {len(header)} columns"
-                problems.append((reader.line_num, short))
-    column = {name: i for i, name in enumerate(header)}
-    field = lambda name: list(map(str.strip, map(itemgetter(column[name]), rows)))
-    srcs = list(map(str.lower, field("src")))
-    dsts = list(map(str.lower, field("dst")))
-    raw_amounts = field("amount")
+                short.append((reader.line_num, f"{len(row)} field(s) for {len(header)} columns"))
+    fields = [
+        list(map(str.strip, map(itemgetter(header.index(name)), rows)))
+        if name in header else [""] * len(rows)
+        for name in RECORD_COLUMNS
+    ]
+    # one object per distinct address, not one per field
+    fields[0], fields[1] = (list(map(sys.intern, map(str.lower, f))) for f in fields[:2])
+    return fields, lines, short
+
+
+def _read_records(paths: Sequence[Path]) -> tuple[GraphBatch, dict[int, Exception], int, int]:
+    """Parse record files into one multiedge batch of graphs with no center,
+    graph ``i`` holding the records of ``paths[i]``.
+
+    Returns the batch, the exception that fails each bad file by its
+    position, the count of rows read and the count of self-loops dropped. A
+    bad file's graph has no records. Fields are checked over every file at
+    once: addresses are stripped and lowercased, each distinct amount is
+    parsed once, and timestamps must fit int64; every malformed row of a file
+    is named by the line it ends on. Each file's self-loops are dropped with
+    a logged warning. Nodes are numbered per file in one sort on (file,
+    address), and edge ids number a file's kept records in file order.
+    """
+    failures: dict[int, Exception] = {}
+    columns: list[list[str]] = [[], [], [], []]
+    lines: list[int] = []
+    counts: list[int] = []
+    short: list[list[tuple[int, str]]] = []
+    for i, path in enumerate(paths):
+        try:
+            fields, numbers, problems = _read_file(path)
+        except (ValueError, OSError) as exc:
+            failures[i] = exc
+            fields, numbers, problems = [[]] * 4, [], []
+        for column, values in zip(columns, fields):
+            column.extend(values)
+        lines.extend(numbers)
+        counts.append(len(numbers))
+        short.append(problems)
+    graph = np.repeat(np.arange(len(paths)), counts)
+    srcs, dsts, raw_amounts, raw_stamps = columns
     parsed = {raw: _parse_amount(raw) for raw in set(raw_amounts)}
     amounts = list(map(parsed.__getitem__, raw_amounts))
-    stamps = [None] * len(rows)
-    if "timestamp" in column:
-        stamps = list(map(_parse_stamp, field("timestamp")))
-    reasons = [*parsed.values(), *stamps]
-    if problems or "" in srcs or "" in dsts or str in set(map(type, reasons)):
-        for line, src, dst, amount, stamp in zip(lines, srcs, dsts, amounts, stamps):
+    stamps = list(map(_parse_stamp, raw_stamps))
+    malformed = str in set(map(type, parsed.values())) or str in set(map(type, stamps))
+    del columns, raw_amounts, raw_stamps, parsed  # free the raw fields before numbering
+    if malformed or any(short) or "" in srcs or "" in dsts:
+        for i, line, src, dst, amount, stamp in zip(
+            graph.tolist(), lines, srcs, dsts, amounts, stamps
+        ):
             if not src or not dst:
-                problems.append((line, "missing src or dst address"))
+                short[i].append((line, "missing src or dst address"))
             elif isinstance(amount, str) or isinstance(stamp, str):
-                problems.append((line, amount if isinstance(amount, str) else stamp))
-        problems.sort()
-        raise ValueError(
-            f"{path}: malformed rows: " + "; ".join(f"line {n}: {p}" for n, p in problems)
-        )
-    kept = list(map(ne, srcs, dsts))
-    if not all(kept):
-        logger.warning("%s: dropped %d self-loop transaction(s)", path, kept.count(False))
-        srcs, dsts, amounts, stamps = (
-            list(compress(c, kept)) for c in (srcs, dsts, amounts, stamps)
-        )
-    return TransactionGraph.build(zip(srcs, dsts, amounts, stamps), None, tier="multiedge")
+                short[i].append((line, amount if isinstance(amount, str) else stamp))
+        for i, problems in enumerate(short):
+            if problems:
+                listed = "; ".join(f"line {n}: {p}" for n, p in sorted(problems))
+                failures[i] = ValueError(f"{paths[i]}: malformed rows: {listed}")
+    names = sorted({*srcs, *dsts})
+    width = max(len(names), 1)
+    code = dict(zip(names, range(len(names))))
+    m = len(srcs)
+    ends = np.fromiter(map(code.__getitem__, chain(srcs, dsts)), np.intp, 2 * m).reshape(2, m)
+    good = ~np.isin(graph, list(failures))
+    loops = good & (ends[0] == ends[1])
+    dropped = np.bincount(graph[loops], minlength=len(paths))
+    for i in np.flatnonzero(dropped).tolist():
+        logger.warning("%s: dropped %d self-loop transaction(s)", paths[i], dropped[i])
+    keep = good & ~loops
+    # one sort on (file, address) numbers each file's addresses in order
+    graph = graph[keep]
+    key, position = np.unique((graph * width + ends[:, keep]).ravel(), return_inverse=True)
+    src, dst = position.reshape(2, -1)
+    kept = keep.tolist()
+    stamps = list(compress(stamps, kept))
+    batch = GraphBatch(
+        names=list(map(names.__getitem__, (key % width).tolist())),
+        node_offsets=np.searchsorted(key // width, np.arange(len(paths) + 1)),
+        offsets=np.searchsorted(graph, np.arange(len(paths) + 1)),
+        src=src,
+        dst=dst,
+        stamps=np.array([t or 0 for t in stamps], dtype=np.int64),
+        timed=np.array([t is not None for t in stamps], dtype=bool),
+        decimals=np.fromiter(compress(amounts, kept), object, len(stamps)),
+        tier="multiedge",
+        centers=(None,) * len(paths),
+        labels=(None,) * len(paths),
+    )
+    return batch, failures, m, int(loops.sum())
+
+
+def load_edge_list(path) -> TransactionGraph:
+    """Parse a CSV export into the columns of one multiedge graph with no center.
+
+    Addresses are lowercased, self-loops are dropped with a logged warning,
+    and malformed rows raise a ValueError listing every offending row by the
+    file line it ends on. Blank lines are skipped. A file of a dataset runs
+    the same code as the whole dataset: see _read_records. Edge ids number
+    the kept records in file order.
+    """
+    batch, failures, _, _ = _read_records([Path(path)])
+    if failures:
+        raise failures[0]
+    return batch.graphs()[0]
+
+
+def _cut(
+    b: GraphBatch, targets: Sequence[str], form: str, tier: str
+) -> tuple[GraphBatch, dict[int, str]]:
+    """The ego-net of ``targets[i]`` cut from graph ``i`` of a batch, each at
+    ``tier``, with the reason each graph whose target is in none of its
+    records fails; such a graph keeps no records. See extract_ego_network."""
+    check_choice("form", form, FORMS)
+    targets = tuple(t.strip().lower() for t in targets)
+    names, nodes = b.names, b.node_offsets.tolist()
+    at = np.array([
+        bisect_left(names, t, nodes[i], nodes[i + 1]) for i, t in enumerate(targets)
+    ], dtype=np.intp)
+    found = np.array([
+        j < nodes[i + 1] and names[j] == t for i, (j, t) in enumerate(zip(at.tolist(), targets))
+    ], dtype=bool)
+    target = np.where(found, at, -1)[b.graph_of_record]
+    incident = (b.src == target) | (b.dst == target)
+    # each target and its neighbours: the endpoints of its records
+    near = np.zeros(len(names), dtype=bool)
+    near[b.src[incident]] = near[b.dst[incident]] = True
+    found[found] = near[at[found]]
+    failures = {
+        i: f"target {targets[i]!r} does not appear in any record"
+        for i in np.flatnonzero(~found).tolist()
+    }
+    keep = near[b.src] & near[b.dst] if form == "net" else incident
+    position = np.cumsum(near) - 1
+    cut = b.take(
+        keep,
+        names=list(compress(names, near.tolist())),
+        node_offsets=np.cumsum(np.concatenate([[0], near]))[b.node_offsets],
+        src=position[b.src[keep]],
+        dst=position[b.dst[keep]],
+        centers=targets,
+    )
+    return batch_at_tier(cut, tier), failures
 
 
 def extract_ego_network(
@@ -149,29 +281,13 @@ def extract_ego_network(
     the tier of ``records``. The tier then decides how much edge structure
     survives, as in at_tier: plain collapses to an undirected simple graph,
     directed keeps one record per ordered pair, multiedge keeps every
-    parallel record with its timestamp.
+    parallel record with its timestamp. A graph runs the same code as a
+    whole dataset: see _cut.
     """
-    check_choice("form", form, FORMS)
-    target = target.strip().lower()
-    nodes, src, dst = records.nodes, records.src, records.dst
-    at = bisect_left(nodes, target)
-    found = nodes[at : at + 1] == (target,)
-    incident = (src == at) | (dst == at)
-    # the target and its neighbours: the endpoints of its records
-    near = np.zeros(len(nodes), dtype=bool)
-    near[src[incident]] = near[dst[incident]] = True
-    if not found or not near[at]:
-        raise ValueError(f"target {target!r} does not appear in any record")
-    keep = near[src] & near[dst] if form == "net" else incident
-    position = np.cumsum(near) - 1
-    base = records.take(
-        keep,
-        nodes=tuple(compress(nodes, near.tolist())),
-        src=position[src[keep]],
-        dst=position[dst[keep]],
-        center=target,
-    )
-    return at_tier(base, tier)
+    cut, failures = _cut(GraphBatch.of([records]), [target], form, tier)
+    if failures:
+        raise ValueError(failures[0])
+    return cut.graphs()[0]
 
 
 @dataclass(frozen=True)
@@ -182,6 +298,10 @@ class DatasetManifest:
     graphs: tuple[TransactionGraph, ...]
     # one id per graph, as in labels.csv; empty means numbered_graph_ids
     graph_ids: tuple[str, ...] = ()
+    # what load_dataset read: the rows of the record files and the self-loops
+    # it dropped among them; 0 for a manifest built in memory
+    records: int = field(default=0, compare=False)
+    self_loops: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if not self.graph_ids:
@@ -323,18 +443,13 @@ def generate_synthetic_dataset(
     size = SIZE_PROFILES[profile]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     graphs = []
-    for gid in range(n_per_class):
-        center, rows = _phishing_rows(rng, _draw_size(rng, size), f"p{gid}")
-        graphs.append(_rows_to_graph(rng, rows, center, tier, PHISHING_LABEL))
-    for gid in range(n_per_class):
-        center, rows = _benign_rows(rng, _draw_size(rng, size), f"b{gid}")
-        graphs.append(_rows_to_graph(rng, rows, center, tier, BENIGN_LABEL))
-    return DatasetManifest(tuple(graphs))
-
-
-def _rows_to_graph(rng, rows, center, tier, label) -> TransactionGraph:
-    stamped = _with_timestamps(rng, rows)
-    return at_tier(TransactionGraph.build(stamped, center, tier="multiedge", label=label), tier)
+    for label, archetype, prefix in ((PHISHING_LABEL, _phishing_rows, "p"),
+                                     (BENIGN_LABEL, _benign_rows, "b")):
+        for gid in range(n_per_class):
+            center, rows = archetype(rng, _draw_size(rng, size), f"{prefix}{gid}")
+            stamped = _with_timestamps(rng, rows)
+            graphs.append(TransactionGraph.build(stamped, center, tier="multiedge", label=label))
+    return DatasetManifest(tuple(batch_at_tier(GraphBatch.of(graphs), tier).graphs()))
 
 
 @dataclass(frozen=True)
@@ -496,6 +611,7 @@ def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetMan
         missing = [c for c in LABELS_HEADER if c not in header]
         if missing:
             raise ValueError(f"{labels_path}: missing column(s) {', '.join(missing)}")
+        _refuse_repeats(header, LABELS_HEADER, labels_path)
         column = {name: i for i, name in enumerate(header)}
         pick = itemgetter(*(column[c] for c in LABELS_HEADER))
         for row in reader:
@@ -510,17 +626,14 @@ def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetMan
     if not entries:
         raise ValueError(f"{root}: labels.csv lists no graphs")
     entries.sort(key=lambda e: e[0])
-    _check_graph_ids([graph_id for graph_id, _, _ in entries], labels_path)
-    graphs = []
-    failures = []
-    for graph_id, center, label in entries:
-        try:
-            records = load_edge_list(root / f"{graph_id}.csv")
-            graphs.append(extract_ego_network(records, center, form, tier).with_label(label))
-        except (ValueError, OSError) as exc:
-            failures.append(f"{graph_id}: {exc}")
+    graph_ids = tuple(graph_id for graph_id, _, _ in entries)
+    _check_graph_ids(graph_ids, labels_path)
+    records, failures, n_records, n_loops = _read_records([root / f"{i}.csv" for i in graph_ids])
+    cut, absent = _cut(records, [center for _, center, _ in entries], form, tier)
+    for i, reason in absent.items():
+        failures.setdefault(i, reason)
     if failures:
-        raise ValueError(
-            f"{root}: {len(failures)} graph(s) failed to load: " + "; ".join(failures)
-        )
-    return DatasetManifest(tuple(graphs), tuple(graph_id for graph_id, _, _ in entries))
+        listed = "; ".join(f"{graph_ids[i]}: {failures[i]}" for i in sorted(failures))
+        raise ValueError(f"{root}: {len(failures)} graph(s) failed to load: {listed}")
+    graphs = replace(cut, labels=tuple(label for _, _, label in entries)).graphs()
+    return DatasetManifest(tuple(graphs), graph_ids, records=n_records, self_loops=n_loops)

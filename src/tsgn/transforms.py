@@ -15,20 +15,24 @@ the variant:
 
 Every builder is a pure function of an immutable input graph. A mapped
 graph's nodes are the edge ids of the records it read, so it keeps their
-count and its edges as numpy arrays of edge ids, built by a few vectorized
-passes per graph; only the float of each amount and the log of each mapped
-weight run per value, through float and math.log, so every weight equals
-map_weight of its pair bit for bit.
+count and its edges as numpy arrays of edge ids. map_graphs maps many graphs
+at once over their concatenated columns (a GraphBatch): the shared-address
+and head-to-tail joins run once over the batch, with at most one sort on
+one int64 key, and one pass takes the logs. Each builder is
+map_graphs on a batch of one graph. Only the float of each amount and the
+log of each mapped weight run per value, through float and math.log, so
+every weight equals map_weight of its pair bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .graphs import TransactionGraph, undirected_projection
+from .graphs import GraphBatch, TransactionGraph, batch_at_tier
 
 VARIANTS = ("tsgn", "dtsgn", "ttsgn", "mtsgn")
 
@@ -119,19 +123,47 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return runs, np.arange(len(runs)) - starts[runs]
 
 
-def _mapped(variant: str, g: TransactionGraph, heads: np.ndarray, tails: np.ndarray) -> TsgnGraph:
-    """The TsgnGraph over the records of ``g`` with edges heads -> tails,
-    sorted by (head, tail) and weighted by map_weight of the two amounts."""
-    order = np.argsort(heads * g.edge_count + tails, kind="stable")
-    heads, tails = heads[order], tails[order]
-    amounts = g.decimals.astype(np.float64)  # float() of each decimal
+def _mapped(variant: str, b: GraphBatch, heads: np.ndarray, tails: np.ndarray) -> list[TsgnGraph]:
+    """The TsgnGraph of each graph of ``b`` over its records, with edges
+    heads -> tails (record positions in the batch, each pair within one
+    graph, sorted by (head, tail)) weighted by map_weight of the two
+    amounts. Positions order by graph first, so the edges come grouped by
+    graph."""
+    amounts = b.decimals.astype(np.float64)  # float() of each decimal
     w_heads, w_tails = amounts[heads], amounts[tails]
     means = (w_heads + w_tails) / 2.0
     # math.log(1.0) is exactly 0.0, map_weight's value for two zero amounts;
     # np.log is not bit-equal to math.log, so the log runs per value
     means[(w_heads == 0) & (w_tails == 0)] = 1.0
     weights = np.fromiter(map(math.log, means.tolist()), dtype=np.float64, count=len(means))
-    return TsgnGraph(variant, g.edge_count, np.stack([heads, tails], axis=1), weights)
+    # each graph's edges, with its records numbered from 0
+    ends = np.searchsorted(heads, b.offsets)
+    shift = np.repeat(b.offsets[:-1], ends[1:] - ends[:-1])
+    edges = np.empty((len(heads), 2), dtype=np.intp)
+    edges[:, 0], edges[:, 1] = heads - shift, tails - shift
+    ends, records = ends.tolist(), b.offsets.tolist()
+    return [
+        TsgnGraph(variant, records[i + 1] - records[i], edges[e0:e1], weights[e0:e1])
+        for i, (e0, e1) in enumerate(zip(ends, ends[1:]))
+    ]
+
+
+def map_graphs(variant: str, graphs: Sequence[TransactionGraph]) -> list[TsgnGraph]:
+    """Map graphs of one tier with one variant, as its builder maps each.
+
+    Every graph is checked first (require_attributes). The mapping then runs
+    once over the graphs' concatenated columns: the builders are this
+    function on one graph, so a batch of any size maps the same way.
+    """
+    for g in graphs:
+        require_attributes(g, variant)
+    b = GraphBatch.of(graphs)
+    if variant == "tsgn":
+        b = batch_at_tier(b, "plain")
+        heads, tails = _shared_address_pairs(b)
+    else:
+        heads, tails = _flow_pairs(b, "temporal" in VARIANT_REQUIREMENTS[variant][0])
+    return _mapped(variant, b, heads, tails)
 
 
 def build_tsgn(g: TransactionGraph) -> TsgnGraph:
@@ -143,19 +175,25 @@ def build_tsgn(g: TransactionGraph) -> TsgnGraph:
     weight is map_weight of the two amounts. An edgeless input yields an
     empty TsgnGraph.
     """
-    plain = undirected_projection(g)
+    return map_graphs("tsgn", [g])[0]
+
+
+def _shared_address_pairs(b: GraphBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The (earlier, later) record pairs of a plain batch that share an
+    address, sorted."""
     # every (address, record) incidence, grouped by address and then by
     # record; each incidence pairs with the ones after it in its group. Two
     # distinct simple edges share at most one address, so no pair repeats.
-    addresses = np.concatenate([plain.src, plain.dst])
-    positions = np.tile(np.arange(plain.edge_count), 2)
-    order = np.lexsort((positions, addresses))
+    m = len(b.src)
+    addresses = np.concatenate([b.src, b.dst])
+    positions = np.tile(np.arange(m), 2)
+    order = np.argsort(addresses * m + positions)
     addresses, positions = addresses[order], positions[order]
     group_end = np.searchsorted(addresses, addresses, side="right")
     firsts, offsets = _expand(group_end - np.arange(len(addresses)) - 1)
-    heads = positions[firsts]
-    tails = positions[firsts + 1 + offsets]
-    return _mapped("tsgn", plain, heads, tails)
+    heads, tails = positions[firsts], positions[firsts + 1 + offsets]
+    order = np.argsort(heads * m + tails)  # by (head, tail), which repeat no pair
+    return heads[order], tails[order]
 
 
 def build_directed_tsgn(g: TransactionGraph) -> TsgnGraph:
@@ -166,7 +204,7 @@ def build_directed_tsgn(g: TransactionGraph) -> TsgnGraph:
     address is implied by that condition, so it is the only check.) An
     anti-parallel pair of transactions yields edges both ways — a 2-cycle.
     """
-    return _build_flow(g, "dtsgn")
+    return map_graphs("dtsgn", [g])[0]
 
 
 def build_temporal_tsgn(g: TransactionGraph) -> TsgnGraph:
@@ -177,7 +215,7 @@ def build_temporal_tsgn(g: TransactionGraph) -> TsgnGraph:
     sequential flow of funds and the result is a DAG. Equal timestamps on a
     head-to-tail pair yield no edge.
     """
-    return _build_flow(g, "ttsgn")
+    return map_graphs("ttsgn", [g])[0]
 
 
 def build_multiple_tsgn(g: TransactionGraph) -> TsgnGraph:
@@ -187,24 +225,24 @@ def build_multiple_tsgn(g: TransactionGraph) -> TsgnGraph:
     break anti-parallel and parallel loops, so the result is a DAG. On a
     simple temporal graph this reduces exactly to build_temporal_tsgn.
     """
-    return _build_flow(g, "mtsgn")
+    return map_graphs("mtsgn", [g])[0]
 
 
-def _build_flow(g: TransactionGraph, variant: str) -> TsgnGraph:
-    """Head-to-tail mapping of ``g``; a variant that needs time keeps only the
-    pairs whose timestamps strictly increase."""
-    require_attributes(g, variant)
-    src, dst = g.src, g.dst
-    # join each record's destination to the records grouped by source
+def _flow_pairs(b: GraphBatch, temporal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The head-to-tail record pairs of a batch, sorted; with ``temporal``
+    only the pairs whose timestamps strictly increase."""
+    src, dst = b.src, b.dst
+    # join each record's destination to the records grouped by source, in
+    # record order: heads and then tails come out sorted
     by_src = np.argsort(src, kind="stable")
-    counts = np.bincount(src, minlength=len(g.nodes))
+    counts = np.bincount(src, minlength=len(b.names))
     starts = np.cumsum(counts) - counts
     heads, offsets = _expand(counts[dst])
     tails = by_src[starts[dst[heads]] + offsets]
     keep = tails != heads
-    if "temporal" in VARIANT_REQUIREMENTS[variant][0]:
-        keep &= g.stamps[tails] > g.stamps[heads]
-    return _mapped(variant, g, heads[keep], tails[keep])
+    if temporal:
+        keep &= b.stamps[tails] > b.stamps[heads]
+    return heads[keep], tails[keep]
 
 
 BUILDERS = {

@@ -6,10 +6,12 @@ eigensolves) and independent of the library code paths it is used to check.
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 from collections import deque
 from decimal import Decimal
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -178,6 +180,39 @@ def collapse_reference(g: TransactionGraph, *, directed: bool) -> TransactionGra
         records.append((key[0], key[1], winner.amount, winner.timestamp))
     tier = "directed" if directed else "plain"
     return TransactionGraph.build(records, g.center, tier=tier, label=g.label)
+
+
+def load_reference(
+    root, tier: str, form: str
+) -> tuple[tuple[str, ...], tuple[TransactionGraph, ...]]:
+    """load_dataset record by record: csv rows read file by file, self-loops
+    dropped, a set-membership ego cut and collapse_reference for the tier.
+    Returns the graph ids, sorted, and their graphs."""
+    root = Path(root)
+    with open(root / "labels.csv", newline="", encoding="utf-8-sig") as fh:
+        entries = sorted(
+            (row["graph_id"], row["center_address"], row["label"]) for row in csv.DictReader(fh)
+        )
+    graphs = []
+    for graph_id, center, label in entries:
+        with open(root / f"{graph_id}.csv", newline="", encoding="utf-8-sig") as fh:
+            records = []
+            for row in csv.DictReader(fh):
+                src, dst = row["src"].strip().lower(), row["dst"].strip().lower()
+                stamp = (row.get("timestamp") or "").strip()
+                if src != dst:
+                    records.append(
+                        (src, dst, Decimal(row["amount"].strip()), int(stamp) if stamp else None)
+                    )
+        target = center.strip().lower()
+        incident = [r for r in records if target in (r[0], r[1])]
+        near = {target} | {r[0] for r in incident} | {r[1] for r in incident}
+        kept = incident if form == "star" else [r for r in records if {r[0], r[1]} <= near]
+        g = TransactionGraph.build(kept, target, tier="multiedge", label=label)
+        if tier != "multiedge":
+            g = collapse_reference(g, directed=tier == "directed")
+        graphs.append(g)
+    return tuple(e[0] for e in entries), tuple(graphs)
 
 
 # ---------------------------------------------------------------- features

@@ -78,17 +78,16 @@ def test_stats_parses_each_record_file_once(tmp_path, capsys, monkeypatch, form)
         {t: dataset_stats(load_dataset(out, tier=t, form=form)) for t in TIERS},
     )
     capsys.readouterr()
-    parsed = []
-    real = ingest.load_edge_list
+    opened = []
 
     def counting(path, *args, **kwargs):
-        parsed.append(Path(path).name)
-        return real(path, *args, **kwargs)
+        opened.append(Path(path).name)
+        return builtins.open(path, *args, **kwargs)
 
-    monkeypatch.setattr(ingest, "load_edge_list", counting)
+    monkeypatch.setattr(ingest, "open", counting, raising=False)
     assert main(["stats", "--dataset", str(out), "--form", form]) == 0
     assert capsys.readouterr().out == expected + "\n"
-    assert sorted(parsed) == sorted(f.name for f in out.glob("graph_*.csv"))
+    assert sorted(opened) == sorted(["labels.csv", *(f.name for f in out.glob("graph_*.csv"))])
 
 
 def test_stats_on_missing_dataset_fails(tmp_path, capsys):
@@ -406,6 +405,43 @@ def test_evaluate_prints_each_variants_forest_counts(tmp_path, capsys):
             assert leaves < nodes
 
 
+def test_transform_and_evaluate_print_what_the_load_and_the_mappings_did(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    # four rows, one a self-loop; the net cut of b keeps two, the directed
+    # tier collapses the parallel pair
+    (ds / "g.csv").write_text("src,dst,amount,timestamp\na,b,1,1\na,b,2,2\nb,b,3,3\nb,c,1,4\n")
+    (ds / "h.csv").write_text("src,dst,amount,timestamp\nx,y,1,1\ny,z,2,2\n")
+    (ds / "labels.csv").write_text("graph_id,center_address,label\ng,b,phishing\nh,y,benign\n")
+    load = r"^load: graphs=2 records=6 self_loops=1 kept=4 seconds=\d+\.\d{3}$"
+    capsys.readouterr()
+    assert main(["transform", "--dataset", str(ds), "--variant", "ttsgn",
+                 "--out", str(tmp_path / "mapped")]) == 0
+    assert len(re.findall(load, capsys.readouterr().out, re.M)) == 1
+    args = ["evaluate", "--dataset", str(ds), "--variant", "ttsgn", "--variant", "dtsgn",
+            "--repeats", "1", "--trees", "3", "--out", str(tmp_path / "report")]
+    assert main(args) == 1  # two graphs cannot be split, which is found after the load
+    out = capsys.readouterr().out
+    assert len(re.findall(load, out, re.M)) == 1
+    assert main(["stats", "--dataset", str(ds)]) == 0
+    assert "load:" not in capsys.readouterr().out  # stats prints its table alone
+
+
+def test_evaluate_prints_each_mapping(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--per-class", "6", "--seed", "3", "--out", str(ds)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--dataset", str(ds), "--variant", "ttsgn", "--variant", "tsgn",
+                 "--repeats", "1", "--trees", "3", "--out", str(tmp_path / "out")]) == 0
+    printed = re.findall(r"^map: variant=(\w+) graphs=(\d+) edges=(\d+) seconds=\d+\.\d{3}$",
+                         capsys.readouterr().out, re.M)
+    graphs = load_dataset(ds, tier="directed").graphs
+    assert printed == [
+        (variant, "12", str(sum(transforms.BUILDERS[variant](g).edge_count for g in graphs)))
+        for variant in ("ttsgn", "tsgn")
+    ]
+
+
 def test_evaluate_report_shape_with_multiple_variants(tmp_path):
     ds = tmp_path / "ds"
     assert main(["synth", "--per-class", "10", "--seed", "31", "--out", str(ds)]) == 0
@@ -536,7 +572,11 @@ def test_short_labels_rows_are_all_named_before_any_record_file_is_read(
     (ds / "labels.csv").write_text(
         "graph_id,center_address,label\ng\n\nh,a\ng,a,phishing\n"
     )
-    monkeypatch.setattr(ingest, "load_edge_list", lambda path: pytest.fail(f"read {path}"))
+    def record_files_unread(path, *args, **kwargs):
+        assert Path(path).name == "labels.csv", f"read {path}"
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(ingest, "open", record_files_unread, raising=False)
     assert main(["stats", "--dataset", str(ds)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
@@ -750,11 +790,12 @@ def test_transform_calls_every_traced_entry_point_by_name(tmp_path, monkeypatch)
                  "--variant", "dtsgn", "--variant", "ttsgn", "--out", str(out)]) == 0
     assert main(["transform", "--dataset", str(ds), "--tier", "multiedge", "--variant", "mtsgn",
                  "--out", str(out)]) == 0
-    # six graphs, loaded once per command and mapped once per variant
+    # six graphs, mapped once per variant one graph at a time; each command
+    # loads, cuts and collapses its dataset as one batch, so load_edge_list,
+    # extract_ego_network, at_tier and undirected_projection are not called
     assert calls == {
-        "load_edge_list": 12, "extract_ego_network": 12, "at_tier": 12,
-        "undirected_projection": 6, "build_tsgn": 6, "build_directed_tsgn": 6,
-        "build_temporal_tsgn": 6, "build_multiple_tsgn": 6,
+        "build_tsgn": 6, "build_directed_tsgn": 6, "build_temporal_tsgn": 6,
+        "build_multiple_tsgn": 6,
     }
 
 
@@ -765,15 +806,15 @@ def test_evaluate_calls_every_traced_entry_point_by_name(tmp_path, monkeypatch):
     repeats = 2
     assert main(["evaluate", "--dataset", str(ds), "--variant", "ttsgn", "--repeats",
                  str(repeats), "--trees", "5", "--out", str(tmp_path / "out")]) == 0
-    # twelve graphs loaded and mapped once; tn and tn+ttsgn each evaluated
-    # over every repeat, with one stacked forest fit and predict per
-    # evaluate, and only the fusion projected by a PCA
+    # twelve graphs loaded and mapped as one batch each, so no per-file or
+    # per-graph entry point is called; tn and tn+ttsgn each evaluated over
+    # every repeat, with one stacked forest fit and predict per evaluate,
+    # and only the fusion projected by a PCA
     per_stack = ("simple_adjacency", "average_neighbor_degree", "average_clustering",
                  "largest_eigenvalue")
     assert all(calls.pop(name, 0) >= 1 for name in per_stack), calls
     assert calls == {
-        "load_dataset": 1, "load_edge_list": 12, "extract_ego_network": 12, "at_tier": 12,
-        "build_temporal_tsgn": 12, "feature_matrix": 2, "FeatureMatrix.to_csv": 2,
+        "load_dataset": 1, "feature_matrix": 2, "FeatureMatrix.to_csv": 2,
         "evaluate": 2, "stratified_split": 2 * repeats, "RandomForest.fit": 2,
         "RandomForest.predict": 2, "PCA.fit": repeats, "PCA.transform": 2 * repeats,
     }

@@ -1,5 +1,7 @@
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from tsgn import (
     handcrafted_features,
 )
 from tsgn import features
+from tsgn.ingest import write_csv
 from tsgn.transforms import BUILDERS, VARIANTS
 from tsgn.features import _path_centralities, largest_eigenvalue, simple_adjacency
 
@@ -329,6 +332,37 @@ def test_written_feature_matrix_loads_back_bit_for_bit(tmp_path):
     rows = out.read_text().splitlines()[1:]
     loaded = np.array([[float(v) for v in row.split(",")[:-1]] for row in rows])
     np.testing.assert_array_equal(loaded, fm.values)
+
+
+_LABELS = st.text(alphabet='ab,"\n\r% é', max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(lambda width: st.tuples(
+        st.just(width),
+        st.lists(st.tuples(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=width,
+                     max_size=width),
+            _LABELS,
+        ), max_size=5),
+    )),
+    st.lists(_LABELS, min_size=3, max_size=3),
+)
+def test_feature_csv_equals_write_csv_of_each_formatted_value(shape, names):
+    # to_csv formats every value in one %-format; the bytes must be those of
+    # write_csv over the values formatted one at a time
+    width, rows = shape
+    values = np.array([v for v, _ in rows], dtype=float).reshape(len(rows), width)
+    fm = FeatureMatrix(values, [label for _, label in rows], tuple(names[:width]))
+    with tempfile.TemporaryDirectory() as tmp:
+        fm.to_csv(f"{tmp}/fast.csv")
+        write_csv(
+            f"{tmp}/slow.csv", (*fm.columns, "label"),
+            ([*(format(v, features.VALUE_FORMAT) for v in row), label]
+             for row, label in zip(fm.values, fm.labels)),
+        )
+        assert Path(f"{tmp}/fast.csv").read_bytes() == Path(f"{tmp}/slow.csv").read_bytes()
 
 
 def _mixed_graphs(rnd, count):

@@ -1,3 +1,4 @@
+import csv
 import logging
 import random
 import re
@@ -19,9 +20,10 @@ from tsgn import (
     save_dataset,
     TransactionGraph,
 )
-from tsgn.ingest import stats_table
+from tsgn.graphs import TIERS
+from tsgn.ingest import FORMS, stats_table
 
-from oracles import generate_dense_star_graphs, rows_of, validate
+from oracles import generate_dense_star_graphs, load_reference, rows_of, validate
 
 
 def _write(tmp_path, text, name="records.csv"):
@@ -164,6 +166,55 @@ def test_load_reports_rows_shorter_than_the_header(tmp_path):
     assert "line 2: 2 field(s) for 4 columns" in message
     assert "line 4: 3 field(s) for 4 columns" in message
     assert "line 3" not in message
+
+
+@pytest.mark.parametrize(
+    "field, column, reason",
+    [
+        ("1_000", "amount", "unparseable amount '1_000'"),
+        ("١٢", "amount", "unparseable amount '١٢'"),
+        ("1_0", "timestamp", "unparseable timestamp '1_0'"),
+        ("١٢", "timestamp", "unparseable timestamp '١٢'"),
+    ],
+)
+def test_load_refuses_underscores_and_non_ascii_digits(tmp_path, field, column, reason):
+    row = {"amount": "1", "timestamp": "1", column: field}
+    text = f"src,dst,amount,timestamp\na,b,1,1\nb,c,{row['amount']},{row['timestamp']}\n"
+    path = _write(tmp_path, text)
+    with pytest.raises(ValueError, match=f"line 3: {reason}$"):
+        load_edge_list(path)
+
+
+def test_load_keeps_exponents_signs_and_spaces_around_fields(tmp_path):
+    path = _write(tmp_path, "src,dst,amount,timestamp\na,b, 7e-3 , +5\nb,c,+1.5,-3\nc,a,-0, 4 \n")
+    records = rows_of(load_edge_list(path))
+    assert [(r.amount, r.timestamp) for r in records] == [
+        (Decimal("7e-3"), 5), (Decimal("1.5"), -3), (Decimal("-0"), 4),
+    ]
+
+
+def test_load_dataset_names_every_graph_with_repeated_columns(tmp_path):
+    (tmp_path / "good.csv").write_text("src,dst,amount,timestamp\na,b,1,1\n")
+    (tmp_path / "twice.csv").write_text("src,dst,amount,src\na,b,1,2\n")
+    (tmp_path / "thrice.csv").write_text("timestamp,src,dst,amount,timestamp,dst\n1,a,b,1,2,c\n")
+    (tmp_path / "labels.csv").write_text(
+        "graph_id,center_address,label\ngood,a,phishing\ntwice,a,benign\nthrice,a,benign\n"
+    )
+    with pytest.raises(ValueError, match=r"2 graph\(s\) failed to load") as err:
+        load_dataset(tmp_path)
+    message = str(err.value)
+    assert f"twice: {tmp_path / 'twice.csv'}: repeated column(s) src" in message
+    assert f"thrice: {tmp_path / 'thrice.csv'}: repeated column(s) dst, timestamp" in message
+    assert "good:" not in message
+
+
+def test_load_dataset_refuses_repeated_labels_columns(tmp_path):
+    (tmp_path / "g.csv").write_text("src,dst,amount,timestamp\na,b,1,1\n")
+    (tmp_path / "labels.csv").write_text(
+        "graph_id,center_address,label,label\ng,a,phishing,benign\n"
+    )
+    with pytest.raises(ValueError, match=r"labels.csv: repeated column\(s\) label$"):
+        load_dataset(tmp_path)
 
 
 # ------------------------------------------------------------- ego extraction
@@ -550,3 +601,63 @@ def test_load_dataset_reads_files_with_a_byte_order_mark(tmp_path):
     plain = load_dataset(tmp_path / "plain")
     assert plain.graph_ids == ("g",) and plain.graphs[0].edge_count == 2
     assert load_dataset(tmp_path / "marked") == plain
+
+
+# raw addresses: case, outer spaces, a comma, a quote and a line break, each
+# distinct once stripped and lowercased, so files share them
+_RAW_ADDRESSES = ["a", " A ", "B", "c,d", 'e"f', "g\nh"]
+# parallel records equal as floats but not as decimals, and one decimal
+# spelled two ways
+_RAW_AMOUNTS = ["0", "0.1", "0.1000000000000000000001", "1.5", "1.50", "2", "7e-3"]
+
+
+@st.composite
+def _dataset_files(draw):
+    """Files of a dataset directory: record files sharing addresses, with
+    self-loops, untimed rows and files without a timestamp column, some
+    written with a byte-order mark or every field quoted, and labels.csv."""
+    def address(exclude=None):
+        return draw(st.sampled_from(
+            [a for a in _RAW_ADDRESSES if a.strip().lower() != exclude]
+        ))
+
+    files = {}
+    labels = [("graph_id", "center_address", "label")]
+    for k in range(draw(st.integers(1, 4))):
+        center = address()
+        timed = draw(st.booleans())
+        rows = [(center, address(center.strip().lower()))]  # the center is in a record
+        rows += [(address(), address()) for _ in range(draw(st.integers(0, 8)))]
+        header = ("src", "dst", "amount", "timestamp")[: 3 + timed]
+        body = [header]
+        for src, dst in rows:
+            stamp = draw(st.one_of(st.none(), st.integers(0, 4)))
+            row = (src, dst, draw(st.sampled_from(_RAW_AMOUNTS)), "" if stamp is None else stamp)
+            body.append(row[: 3 + timed])
+        files[f"g{k}.csv"] = body
+        labels.append((f"g{k}", center, draw(st.sampled_from(["phishing", "benign"]))))
+    files["labels.csv"] = labels
+    styles = {name: (draw(st.booleans()), draw(st.booleans())) for name in files}
+    return files, styles
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dataset_files())
+def test_load_dataset_equals_the_record_by_record_reference(dataset):
+    files, styles = dataset
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, rows in files.items():
+            marked, quote_all = styles[name]
+            with open(f"{tmp}/{name}", "w", encoding="utf-8-sig" if marked else "utf-8",
+                      newline="") as fh:
+                quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
+                csv.writer(fh, lineterminator="\n", quoting=quoting).writerows(rows)
+        for tier in TIERS:
+            for form in FORMS:
+                loaded = load_dataset(tmp, tier=tier, form=form)
+                ids, graphs = load_reference(tmp, tier, form)
+                assert loaded.graph_ids == ids
+                assert loaded.graphs == graphs
+                # which of two equal decimals won shows in its text
+                text = lambda gs: [list(map(str, g.decimals.tolist())) for g in gs]
+                assert text(loaded.graphs) == text(graphs)

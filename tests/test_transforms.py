@@ -17,6 +17,7 @@ from tsgn import (
     map_weight,
     undirected_projection,
 )
+from tsgn.transforms import BUILDERS, VARIANTS, map_graphs
 
 from oracles import (
     edge_pairs,
@@ -386,3 +387,22 @@ def test_simple_graph_mappings_match_brute_force(g):
     assert edge_pairs(temporal) <= edge_pairs(directed)
     assert is_dag(range(temporal.node_count), edge_pairs(temporal))
     assert edge_tuples(build_multiple_tsgn(simple)) == edge_tuples(temporal)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs=st.lists(temporal_multigraphs(), max_size=5), plain=st.booleans())
+def test_mapping_a_batch_equals_mapping_each_graph(graphs, plain):
+    # the batch shares one set of columns, so a pair must never join records
+    # of two graphs, and each graph's edge ids must start again at 0
+    for variant in VARIANTS:
+        tier = "multiedge" if variant == "mtsgn" else "directed"
+        if variant == "tsgn" and plain:
+            tier = "plain"
+        tiered = [at_tier(g, tier) for g in graphs]
+        batch = map_graphs(variant, tiered)
+        assert len(batch) == len(tiered)
+        for t, g in zip(batch, tiered):
+            alone = BUILDERS[variant](g)
+            assert (t.variant, t.node_count) == (alone.variant, alone.node_count)
+            assert t.edges.tolist() == alone.edges.tolist()
+            assert t.weights.tobytes() == alone.weights.tobytes()  # bit for bit
