@@ -291,6 +291,7 @@ def _print_forest(report: EvalReport) -> None:
         f"nodes={stats.nodes} leaves={stats.leaves} fit_seconds={stats.fit_seconds:.3f} "
         f"predict_seconds={stats.predict_seconds:.3f}"
     )
+    print(f"search: variant={report.variant} breaks={stats.breaks} scored={stats.scored}")
 
 
 def _render_report(reports: list[EvalReport]) -> str:

@@ -100,6 +100,16 @@ def _refuse_repeats(header: list[str], names: Sequence[str], where) -> None:
         raise ValueError(f"{where}: repeated column(s) {', '.join(repeated)}")
 
 
+def _rows(reader, path: Path):
+    """The rows of a csv reader of ``path``. A file the csv module cannot
+    read, such as one with a field over ``csv.field_size_limit()``, raises a
+    ValueError naming the line it was on."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_file(path: Path) -> tuple[list[list[str]], list[int], list[tuple[int, str]]]:
     """One record CSV's stripped fields by column (src and dst lowercased,
     amount, and timestamp: "" where the file has no timestamp column), the
@@ -109,7 +119,8 @@ def _read_file(path: Path) -> tuple[list[list[str]], list[int], list[tuple[int, 
     # is not part of the first column name
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        rows_read = _rows(reader, path)
+        header = next(rows_read, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
         missing = [c for c in RECORD_COLUMNS[:3] if c not in header]
@@ -117,7 +128,7 @@ def _read_file(path: Path) -> tuple[list[list[str]], list[int], list[tuple[int, 
             raise ValueError(f"{path}: missing mandatory column(s) {missing}")
         _refuse_repeats(header, RECORD_COLUMNS, path)
         rows, lines, short = [], [], []
-        for row in reader:
+        for row in rows_read:
             if len(row) >= len(header):
                 lines.append(reader.line_num)
                 rows.append(row)
@@ -607,14 +618,15 @@ def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetMan
     short = []
     with open(labels_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
+        rows_read = _rows(reader, labels_path)
+        header = next(rows_read, [])
         missing = [c for c in LABELS_HEADER if c not in header]
         if missing:
             raise ValueError(f"{labels_path}: missing column(s) {', '.join(missing)}")
         _refuse_repeats(header, LABELS_HEADER, labels_path)
         column = {name: i for i, name in enumerate(header)}
         pick = itemgetter(*(column[c] for c in LABELS_HEADER))
-        for row in reader:
+        for row in rows_read:
             if len(row) >= len(header):
                 entries.append(pick(row))
             elif row:  # blank lines are skipped

@@ -13,6 +13,14 @@ therefore grows one depth level per step, with the nodes of a level scored
 together in split searches of at most KEY_CAP keys, and a fixed master seed
 reproduces identical reports.
 
+A search scores only the rank breaks that can win: it skips a break between
+two values held by a single row each, both of one class, since for Gini a
+cut inside a same-class run never scores lowest. Such a break scores at
+least 2 / n**4 above a kept one for n training rows, and a score of C
+classes rounds by at most (C + 6) * 2**-53, so the skip applies only while
+2 * (C + 6) * 2**-53 * n**4 < 1 (up to n = 4096 with 8 classes); above
+that every break is scored. The trees are the same either way.
+
 One RandomForest can hold a stack of independent forests, one per seed,
 each on its own rows. The forests of a stack grow in passes of at most
 PASS_CELLS (8 * KEY_CAP) root cells, counted as trees times distinct
@@ -127,6 +135,8 @@ class RandomForest:
         self.n_features_: int | None = None
         # (first forest, stop, node table) of every pass, as _grow_forest made it
         self._tables: list[tuple[int, int, _Tree]] = []
+        # rank breaks the split searches of the last fit found and scored
+        self.breaks_ = self.scored_ = 0
 
     def fit(
         self, x: np.ndarray, labels: Sequence, seeds: Sequence[int] | None = None
@@ -175,6 +185,7 @@ class RandomForest:
         ))
         n_trees = self.config.n_trees
         tables = []
+        self.breaks_ = self.scored_ = 0
         for a, b in _passes([n_trees * len(rows) for rows in first]):
             start = np.cumsum([0] + [len(rows) for rows in first[a:b]])
             forest = np.repeat(np.arange(a, b), np.diff(start))
@@ -184,6 +195,8 @@ class RandomForest:
                 np.stack(group[a:b]) + start[:-1, None], start,
             )
             tables.append((a, b, _grow_forest(n_trees, seeds[a:b], data)))
+            self.breaks_ += data.breaks
+            self.scored_ += data.scored
         self._tables = tables
         return self
 
@@ -308,6 +321,9 @@ class _RankedRows:
         self.segment_shift = self.rank_bits + self.class_bits + self.count_bits
         # every (feature, row) key without its segment and count
         self.cell_keys = (((self.ranks << self.class_bits) | y) << self.count_bits).ravel()
+        self.skip_runs = _skipping_is_exact(group.shape[1], n_classes)
+        # rank breaks found and scored by every search so far
+        self.breaks = self.scored = 0
 
     def best_splits(
         self,
@@ -329,6 +345,40 @@ class _RankedRows:
         go to the earliest drawn feature, then to the lowest value: the order
         of the sorted keys. Returns the split nodes and, for each, its
         feature, its rank (rows ranked at most this go left) and threshold.
+
+        A break whose rank groups on both sides are single keys of one class
+        is never the first lowest score (Fayyad & Irani, Machine Learning 8,
+        1992), so where ``_skipping_is_exact`` holds it is found but not
+        scored; the ``breaks`` and ``scored`` counters add up both. Why the
+        pick stays the same, for C classes, n training rows per forest and
+        an impure node of m <= n drawn rows:
+
+        - A run of skipped breaks in a segment moves rows of one class c
+          only, and each of its two ends is a kept break (the keys there
+          differ in class or share a rank) or a segment end.
+        - Along the run a side of s rows holds o = sum_{j != c} x_j rows of
+          other classes, fixed, with Q = sum_{j != c} x_j**2. Its term of
+          the weighted Gini sum F is s - sum_j x_j**2 / s = 2o - (o**2 + Q) / s,
+          and s moves by one per row moved, so F'' = -sum_sides 2(o**2 + Q)
+          / s**3. The node is impure, so some side has o >= 1, hence
+          o**2 + Q >= 2, and s <= n: F'' <= -4 / n**3.
+        - So at an interior break, u >= 1 rows from one end and v >= 1 rows
+          from the other, F lies at least 2uv / n**3 above the chord between
+          the ends, and the score F / m at least 2 / n**4 above the lower
+          end. A segment end scores the parent's Gini, which no break
+          exceeds, so that lower end is a kept break.
+        - Rounding, in units u = 2**-53 and to first order: counts and sizes
+          are exact. Each term (x / s)**2 rounds twice, 3u relative; the sum
+          of C terms, at most 1, adds (C - 1)u; 1 - sum adds u, so a side's
+          Gini is off by (C + 3)u. The product with s adds s * u, the sum of
+          the two sides m * u, and the division by m one more u: a score is
+          off by at most (C + 6)u.
+        - Two scores 2 / n**4 apart stay ordered when each is off by less
+          than 1 / n**4: (C + 6) * 2**-53 * n**4 < 1, required here with a
+          factor of 2 to spare for the terms of second order. Then every
+          skipped break's score lies above a kept break's, and the first
+          lowest score of a node is the kept break that scoring every break
+          picks. That holds up to n = 4096 with 8 classes.
         """
         n_nodes, k = features.shape
         shift = self.segment_shift
@@ -344,20 +394,39 @@ class _RankedRows:
         key = key.ravel()
         key.sort()
 
-        value = key >> (self.class_bits + self.count_bits)  # segment and rank
+        class_bits = self.class_bits
+        value = key >> self.count_bits  # segment, rank and class
+        label = value & ((1 << class_bits) - 1)
         change = value[1:] ^ value[:-1]
+        # moved[i + 1]: key i + 1 has another segment or rank than key i
+        moved = np.ones(len(key) + 1, dtype=bool)
+        np.greater_equal(change, 1 << class_bits, out=moved[1:-1])
+        new_segment = change >= (1 << (self.rank_bits + class_bits))
+        del change
+        # every segment holds keys, so segment s is the s-th run
+        start = np.flatnonzero(new_segment)
         # a split after key q leaves the keys start .. q of q's segment on the
         # left: the next key has another rank in the same segment
-        q = np.flatnonzero((change != 0) & (change < (1 << self.rank_bits)))
+        breaks = np.greater(moved[1:-1], new_segment, out=new_segment)
+        found = np.count_nonzero(breaks)
+        if self.skip_runs:
+            # skip a break whose rank groups on both sides are single keys
+            # of one class
+            lone = moved[:-2] & moved[2:]
+            lone &= label[1:] == label[:-1]
+            np.greater(breaks, lone, out=breaks)
+            del lone
+        del moved
+        q = np.flatnonzero(breaks)
+        del breaks
+        self.breaks += found
+        self.scored += len(q)
         if not q.size:
             nothing = np.zeros(0, dtype=np.int64)
             return nothing, nothing, nothing, np.zeros(0)
-        seg = value.take(q) >> self.rank_bits
-        # every segment holds keys, so segment s is the s-th run
-        start = np.flatnonzero(change >= (1 << self.rank_bits))
+        seg = value.take(q) >> (self.rank_bits + class_bits)
         start += 1
         start = np.concatenate(([0], start)).take(seg)
-        del change
 
         # the class counts left of every break, from one running sum of the
         # bootstrap counts packed into bit fields of count_bits, per_word
@@ -367,15 +436,13 @@ class _RankedRows:
         width = self.count_bits
         per_word = 63 // width
         packed = key & ((1 << width) - 1)
-        field = key >> width
         del key
-        field &= (1 << self.class_bits) - 1
         if per_word < self.n_classes:
-            word = field // per_word
-            field -= word * per_word
-        field *= width
-        packed <<= field
-        del field
+            word = label // per_word
+            label -= word * per_word
+        label *= width  # now the shift of each key's count field
+        packed <<= label
+        del label
         left = np.empty((self.n_classes, len(q)))
         running = np.zeros(len(packed) + 1, dtype=np.int64)
         for first in range(0, self.n_classes, per_word):
@@ -415,14 +482,24 @@ class _RankedRows:
         nodes = node[best]
         split_feature = features[nodes, seg[best] % k]
         rank_mask = (1 << self.rank_bits) - 1
-        low_rank = value[q[best]] & rank_mask
+        low_rank = (value[q[best]] >> class_bits) & rank_mask
         offset = self.value_start[split_feature]
         low = self.values[offset + low_rank]
-        high = self.values[offset + (value[q[best] + 1] & rank_mask)]
+        high = self.values[offset + ((value[q[best] + 1] >> class_bits) & rank_mask)]
         threshold = (low + high) / 2.0
         collapsed = threshold >= high  # fp rounding collapsed the midpoint
         threshold[collapsed] = low[collapsed]
         return nodes, split_feature, low_rank, threshold
+
+
+def _skipping_is_exact(n: int, n_classes: int) -> bool:
+    """Whether a split search of trees on ``n`` training rows of
+    ``n_classes`` classes may skip the breaks inside same-class runs and
+    still pick the break it would pick scoring every one: a score's
+    rounding, at most (n_classes + 6) * 2**-53, stays below a quarter of
+    2 / n**4, the least gap between a skipped break's score and a kept one's
+    (derived in ``_RankedRows.best_splits``)."""
+    return 2 * (n_classes + 6) * n**4 < 2**53
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -593,6 +670,9 @@ class ForestStats(NamedTuple):
     passes: int
     nodes: int
     leaves: int
+    # rank breaks the split searches found, and those they scored
+    breaks: int
+    scored: int
     fit_seconds: float
     predict_seconds: float
 
@@ -728,6 +808,8 @@ def evaluate(
             passes=len(forest._tables),
             nodes=sum(len(t.feature) for *_, t in forest._tables),
             leaves=sum(int(np.count_nonzero(t.feature < 0)) for *_, t in forest._tables),
+            breaks=forest.breaks_,
+            scored=forest.scored_,
             fit_seconds=fitted - started,
             predict_seconds=predicted - fitted,
         ),

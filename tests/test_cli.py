@@ -383,6 +383,27 @@ def test_evaluate_writes_reports_and_is_deterministic(tmp_path, capsys):
     assert len(features) == 31  # one row per graph
 
 
+# SHA-256 of every file evaluate writes for the synth fixture below, taken
+# with the split search that scored every rank break, before the search
+# skipped the breaks inside same-class runs. A change to the synth generator,
+# the features or the forest's draws changes it too; a faster search must
+# not.
+EVALUATE_DIGEST = "69eadcbce7ca2a260f542d0f2b6a0a5b138eca8fbfe5cabe4d5cf328d02875b2"
+
+
+def test_evaluate_output_matches_golden_digest(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--per-class", "40", "--seed", "13", "--out", str(ds)]) == 0
+    out = tmp_path / "out"
+    assert main(["evaluate", "--dataset", str(ds), "--variant", "ttsgn", "--repeats", "12",
+                 "--trees", "30", "--seed", "5", "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for f in sorted(out.rglob("*")):
+        digest.update(f"{f.relative_to(out).as_posix()}\n".encode())
+        digest.update(f.read_bytes())
+    assert digest.hexdigest() == EVALUATE_DIGEST
+
+
 def test_evaluate_prints_each_variants_forest_counts(tmp_path, capsys):
     ds = tmp_path / "ds"
     assert main(["synth", "--per-class", "10", "--seed", "3", "--out", str(ds)]) == 0
@@ -403,6 +424,21 @@ def test_evaluate_prints_each_variants_forest_counts(tmp_path, capsys):
         assert nodes >= forests * trees
         if nodes > forests * trees:  # some root split
             assert leaves < nodes
+
+
+def test_evaluate_prints_what_each_variants_split_search_skipped(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--per-class", "10", "--seed", "3", "--out", str(ds)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--dataset", str(ds), "--variant", "ttsgn", "--repeats", "3",
+                 "--trees", "7", "--out", str(tmp_path / "out")]) == 0
+    printed = re.findall(r"^search: variant=(\S+) breaks=(\d+) scored=(\d+)$",
+                         capsys.readouterr().out, re.M)
+    assert [variant for variant, *_ in printed] == ["tn", "tn+ttsgn"]
+    counts = {variant: (int(breaks), int(scored)) for variant, breaks, scored in printed}
+    for breaks, scored in counts.values():
+        assert 0 < scored <= breaks
+    assert counts["tn"][1] < counts["tn"][0]
 
 
 def test_transform_and_evaluate_print_what_the_load_and_the_mappings_did(tmp_path, capsys):
@@ -681,6 +717,40 @@ def test_load_failures_name_every_bad_graph(tmp_path, capsys):
     assert "malformed: " in err and "unparseable amount 'lots'" in err
     assert "nocenter: target 'nobody' does not appear in any record" in err
     assert "good:" not in err
+
+
+@pytest.mark.parametrize("command", ["stats", "evaluate"])
+def test_a_field_over_the_csv_limit_fails_its_graph_by_line(tmp_path, capsys, command):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    rows = "src,dst,amount,timestamp\na,b,1,1\nb,c,2,2\n"
+    for i in range(6):
+        (ds / f"good{i}.csv").write_text(rows)
+    (ds / "long.csv").write_text(rows + f"a,{'d' * 200_000},1,3\n")
+    (ds / "bad.csv").write_text(rows.replace(",1,1", ",lots,1"))
+    labels = [f"good{i},b,{('phishing', 'benign')[i % 2]}" for i in range(6)]
+    (ds / "labels.csv").write_text(
+        "\n".join(["graph_id,center_address,label", *labels, "long,b,phishing", "bad,b,benign"])
+        + "\n"
+    )
+    out = tmp_path / "out"
+    args = [command, "--dataset", str(ds)] + (["--out", str(out)] if command == "evaluate" else [])
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "2 graph(s) failed to load" in err[0]
+    assert f"long: {ds / 'long.csv'}: line 4: field larger than field limit" in err[0]
+    assert "bad: " in err[0] and "unparseable amount 'lots'" in err[0]
+    assert not out.exists()
+
+
+def test_a_labels_field_over_the_csv_limit_fails_the_load_by_line(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "labels.csv").write_text(f"graph_id,center_address,label\ng,{'a' * 200_000},benign\n")
+    assert main(["stats", "--dataset", str(ds)]) == 1
+    assert f"{ds / 'labels.csv'}: line 2: field larger than field limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("amount", ["NaN", "sNaN", "Infinity", "1e400", "5e-324"])

@@ -504,6 +504,75 @@ def test_a_stack_needs_the_same_classes_in_every_forest():
         RandomForest(ForestConfig()).fit(x, [list("aabbaa")] * 2, [1])
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_forests=st.integers(1, 3),
+    n_rows=st.integers(4, 40),
+    n_features=st.integers(1, 5),
+    n_values=st.integers(2, 6),
+    n_classes=st.integers(2, 4),
+)
+def test_skipping_same_class_breaks_keeps_every_tree(
+    seed, n_forests, n_rows, n_features, n_values, n_classes
+):
+    # few distinct values per feature, so values shared by several rows and
+    # runs of one class are common, and rows repeat; the class mostly follows
+    # feature 0
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, n_values, size=(n_forests, n_rows, n_features)).astype(float)
+    codes = np.where(
+        rng.random((n_forests, n_rows)) < 0.7,
+        x[:, :, 0].astype(int) % n_classes,
+        rng.integers(0, n_classes, size=(n_forests, n_rows)),
+    )
+    codes[:, -n_classes:] = np.arange(n_classes)
+    labels = [[f"c{v}" for v in row] for row in codes]
+    seeds = [int(v) for v in rng.integers(0, 2**62, size=n_forests)]
+    config = ForestConfig(n_trees=3, seed=1)
+    probe = np.concatenate([x, rng.integers(-1, n_values + 1, size=x.shape)], axis=1)
+    stack = RandomForest(config).fit(x, labels, seeds)
+    predicted = stack.predict(probe)
+    for f, s in enumerate(seeds):
+        reference = ReferenceForest(replace(config, seed=s)).fit(x[f], labels[f])
+        a, _, table = next(entry for entry in stack._tables if entry[0] <= f < entry[1])
+        roots = (f - a) * config.n_trees + np.arange(config.n_trees)
+        assert [_tree_shape(table, r) for r in roots] == [
+            _reference_shape(root) for root in reference._trees
+        ]
+        assert predicted[f] == reference.predict(probe[f])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ml, "_skipping_is_exact", lambda n, n_classes: False)
+        every = RandomForest(config).fit(x, labels, seeds)
+    assert len(every._tables) == len(stack._tables)
+    for (a, b, table), (a2, b2, table2) in zip(stack._tables, every._tables):
+        assert (a, b) == (a2, b2)
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(table, table2))
+    assert every.scored_ == every.breaks_ == stack.breaks_ >= stack.scored_
+
+
+def test_the_skipping_bound_at_its_edge():
+    # 2 * (8 + 6) * n**4 < 2**53 holds up to n = 4235: 28 * 4235**4 is
+    # 9.00682e15, below 2**53 = 9.00720e15, and 28 * 4236**4 is 9.01533e15
+    assert ml._skipping_is_exact(4096, 8)
+    assert ml._skipping_is_exact(4235, 8)
+    assert not ml._skipping_is_exact(4236, 8)
+    # fewer classes leave more room; the benchmark's 630 training rows of
+    # two classes are far inside
+    assert ml._skipping_is_exact(4236, 2)
+    assert ml._skipping_is_exact(630, 2)
+
+
+def test_a_fit_above_the_bound_scores_every_break(monkeypatch):
+    x, y = _separable(40, seed=2)  # 80 rows of two classes, one feature
+    config = ForestConfig(n_trees=5, seed=1)
+    below = RandomForest(config).fit(x, y)
+    monkeypatch.setattr(ml, "_skipping_is_exact", lambda n, n_classes: n < 80)
+    above = RandomForest(config).fit(x, y)
+    assert above.scored_ == above.breaks_ == below.breaks_ > below.scored_
+    assert above._tables[0][2].threshold.tobytes() == below._tables[0][2].threshold.tobytes()
+
+
 # ---------------------------------------------------------------------- splits
 
 def test_stratified_split_keeps_both_classes():
