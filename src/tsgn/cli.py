@@ -30,8 +30,10 @@ from .ingest import (
     stats_table,
     write_csv,
 )
-from .ml import EvalReport, ForestConfig, evaluate, train_rows
-from .transforms import BUILDERS, VARIANTS, TsgnGraph, map_graphs, require_attributes
+from .ml import EvalReport, ForestConfig, _passes, evaluate, train_rows
+from .transforms import (
+    VARIANTS, TsgnGraph, map_batch, map_graphs, pair_counts, require_attributes,
+)
 
 
 def _require_variants(manifest: DatasetManifest, variants) -> None:
@@ -90,6 +92,22 @@ def _load(args) -> DatasetManifest:
     return manifest
 
 
+# cmd_transform maps a variant family in runs of consecutive graphs whose
+# joins hold at most this many pairs together (transforms.pair_counts); a
+# graph with more goes alone. A run's join, logs and rows take about 110
+# bytes per pair at their peak, so memory stays flat in the dataset. On the
+# benchmark's seed-41 etherg3 dataset the traced peak of its two transforms
+# reads 2.0 MB at budgets up to 2**14, where its largest graphs (17,580 tsgn
+# pairs) set it, 3.8 MB at 2**15, 7.5 MB at 2**16 and 60 MB unbounded, against
+# 5.4 MB when each graph was mapped alone; larger budgets gained no time.
+PAIR_CAP = 1 << 15
+
+# The variants that share a join: tsgn's shared addresses, and the
+# head-to-tail flows, where ttsgn's and mtsgn's edges are dtsgn's under its
+# ``increasing`` mask.
+_FAMILIES = {"tsgn": ("tsgn",), "flow": ("dtsgn", "ttsgn", "mtsgn")}
+
+
 def cmd_transform(args) -> int:
     variants = list(dict.fromkeys(args.variant))  # drop repeats, keep order
     manifest = _load(args)
@@ -97,23 +115,14 @@ def cmd_transform(args) -> int:
         raise ValueError(f"{args.dataset}: graph id summary would name summary.csv")
     _require_variants(manifest, variants)
     out = Path(args.out)
-    # map, write and drop one graph at a time, so memory does not grow with
-    # the dataset
+    done = {}
+    for family, members in _FAMILIES.items():
+        wanted = [v for v in members if v in variants]
+        if wanted:
+            done.update(_transform_family(family, wanted, manifest, out))
     for variant in variants:
-        builder = BUILDERS[variant]
-        variant_dir = out / variant
-        variant_dir.mkdir(parents=True, exist_ok=True)
-        elapsed = written = 0.0
-        summary = []
-        for graph_id, g in zip(manifest.graph_ids, manifest.graphs):
-            started = time.perf_counter()
-            t = builder(g)
-            elapsed += time.perf_counter() - started
-            started = time.perf_counter()
-            _write_mapped(variant_dir / f"{graph_id}.csv", t)
-            written += time.perf_counter() - started
-            summary.append((graph_id, t.node_count, t.edge_count))
-        write_csv(variant_dir / "summary.csv", ("graph_id", "nodes", "edges"), summary)
+        elapsed, written, summary = done[variant]
+        write_csv(out / variant / "summary.csv", ("graph_id", "nodes", "edges"), summary)
         total_nodes = sum(nodes for _, nodes, _ in summary)
         total_edges = sum(edges for _, _, edges in summary)
         print(
@@ -123,18 +132,67 @@ def cmd_transform(args) -> int:
     return 0
 
 
+def _transform_family(family: str, wanted: list[str], manifest: DatasetManifest, out: Path):
+    """Map and write the variants of one family run by run; returns each
+    variant's mapping and writing seconds and its summary rows.
+
+    A run's graphs are joined, logged and formatted once: the first variant
+    is mapped (so the join's time counts under it), and each other one keeps
+    its edges, weights and rows under the first's ``increasing`` mask. Each
+    graph's file is a slice of the run's rows, and a run is dropped before
+    the next is mapped, so memory does not grow with the dataset.
+    """
+    counts = pair_counts(wanted[0], manifest.graphs).tolist()
+    done = {v: [0.0, 0.0, []] for v in wanted}  # map and write seconds, summary rows
+    for variant in wanted:
+        (out / variant).mkdir(parents=True, exist_ok=True)
+    runs = list(_passes(counts, PAIR_CAP))
+    for start, stop in runs:
+        ids = manifest.graph_ids[start:stop]
+        shared = None
+        for variant in wanted:
+            started = time.perf_counter()
+            if shared is None:
+                t = shared = map_batch(variant, GraphBatch.of(manifest.graphs[start:stop]))
+            else:  # ttsgn or mtsgn: the first's time-ordered edges
+                t = shared.where(shared.increasing, variant)
+            done[variant][0] += time.perf_counter() - started
+            started = time.perf_counter()
+            keep = shared.increasing
+            if t is shared:
+                rows = shared_rows = _rows(t.edges, t.weights)
+            else:
+                rows = shared_rows if keep is None else shared_rows[keep]
+            ends = t.offsets.tolist()
+            for graph_id, e0, e1 in zip(ids, ends, ends[1:]):
+                _write_rows(out / variant / f"{graph_id}.csv", rows[e0:e1])
+            done[variant][1] += time.perf_counter() - started
+            done[variant][2].extend(
+                zip(ids, np.diff(t.records).tolist(), np.diff(t.offsets).tolist())
+            )
+        del t, shared, keep, rows, shared_rows
+    pairs = [sum(counts[start:stop]) for start, stop in runs]
+    kept = " ".join(f"{v}={sum(edges for _, _, edges in done[v][2])}" for v in wanted)
+    print(
+        f"chunks: family={family} runs={len(runs)} "
+        f"max_graphs={max(stop - start for start, stop in runs)} max_pairs={max(pairs)} "
+        f"pairs={sum(counts)} {kept}"
+    )
+    return done
+
+
 _POW10 = 10.0 ** np.arange(16)
 
 
 @functools.cache
 def _ascii_words():
-    """_write_mapped's lookup tables, built on its first call (a few ms).
+    """_rows' lookup tables, built on its first call (a few ms).
 
     A word is a little-endian uint64 whose bytes are text padded with NULs.
     For n in 0..9999: ``digits[n]`` holds n in four digits, ``stripped[n]``
     the same with leading zeros as NULs (0 is all NUL) and ``trailing[n]``
     the count of trailing zeros in the four. ``id_low[n]`` holds n and a
-    comma, and ``id_low[10**4 + n]`` the four digits and a comma. Row
+    comma, and ``id_low[10**4 + n]`` the four digits and a comma. Column
     ``192 * sign + 16 * z + k`` of ``masks`` serves a weight whose 12 digits
     end in ``z`` zeros and whose text has ``k`` digits after the point: its
     sign and ``0.000`` prefix, then masks over the 16-byte digit text for
@@ -164,16 +222,26 @@ def _ascii_words():
     prefix = np.frombuffer(b"".join(p.ljust(8, b"\0") for p in prefixes), "<u8")
     prefix = np.broadcast_to(prefix.reshape(2, 1, 16, 1), planes.shape[:3] + (1,))
     masks = np.concatenate([prefix, planes], axis=-1)
-    return digits, stripped, trailing, id_low, masks.reshape(384, 7)
+    return digits, stripped, trailing, id_low, np.ascontiguousarray(masks.reshape(384, 7).T)
 
 
 def _write_mapped(path: Path, t: TsgnGraph) -> None:
-    """One mapped edge list, ``from_tx,to_tx,weight`` by edge id, in one write.
+    """One mapped edge list, ``from_tx,to_tx,weight`` by edge id, in one write."""
+    _write_rows(path, _rows(t.edges, t.weights))
 
-    The text equals ``f"{a},{b},{w:.12g}\\n"`` per edge, formatted in numpy
-    without a Python call per edge: each edge becomes a row of NUL-padded
-    words (both ids with their commas, then the weight and its newline), and
-    one ``translate`` drops the NULs. A weight whose ``%.12g`` is
+
+def _write_rows(path: Path, rows: np.ndarray) -> None:
+    """Write the edge list of rows formatted by _rows, dropping their NULs."""
+    with open(path, "wb") as fh:
+        fh.write(b"from_tx,to_tx,weight\n" + rows.tobytes().translate(None, b"\0"))
+
+
+def _rows(edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The text ``f"{a},{b},{w:.12g}\\n"`` of each edge as a row of NUL-padded
+    words: both ids with their commas, then the weight and its newline.
+
+    It is formatted in numpy without a Python call per edge, and _write_rows
+    drops the NULs with one ``translate``. A weight whose ``%.12g`` is
     fixed-point is scaled by an exact power of ten to ``s`` in [1e11, 1e12),
     one rounding that is off by at most 6.1e-5 there, so ``rint(s)`` gives
     its 12 digits unless ``s`` is within 1e-4 of a tie. Python's ``%``
@@ -181,41 +249,75 @@ def _write_mapped(path: Path, t: TsgnGraph) -> None:
     (exact ties round half-even) and ``s`` within 0.5 of either end.
     """
     digits, stripped, trailing, id_low, masks = _ascii_words()
-    m = t.edge_count
-    width = 2 if m and t.edges.max() >= 10**4 else 1  # words per id
-    rows = np.empty((m, 2 * width + 3), "<u8")
-    for end, x in enumerate(np.ascontiguousarray(t.edges.T, dtype=np.intp)):
-        if width == 2:  # the digits above the last four, then those four padded
-            h, x = np.divmod(x, 10**4)
-            mid = np.where(h >= 10**4, digits[h % 10**4], stripped[h % 10**4])
-            rows[:, 2 * end] = stripped[h // 10**4] | mid << 32
-            x += 10**4 * (h > 0)
-        rows[:, width * end + width - 1] = id_low[x]
-    w = t.weights
-    a = np.abs(w)
+    m = len(weights)
+    top = edges.max() if m else 0
+    # each step works in place or drops its inputs, so the temporaries stay
+    # within a few words per edge beside the rows
+    if top < 1000:  # both ids in one word: below 1000, id_low's first byte is NUL
+        rows = np.empty((m, 4), "<u8")
+        x = id_low.take(edges[:, 0].astype(np.intp))
+        x >>= 8
+        x |= id_low.take(edges[:, 1].astype(np.intp)) << 24
+        rows[:, 0] = x
+    else:
+        width = 2 if top >= 10**4 else 1  # words per id
+        rows = np.empty((m, 2 * width + 3), "<u8")
+        for end in range(2):
+            x = edges[:, end].astype(np.intp)
+            if width == 2:  # the digits above the last four, then those four padded
+                h, x = np.divmod(x, 10**4)
+                mid = np.where(h >= 10**4, digits[h % 10**4], stripped[h % 10**4])
+                rows[:, 2 * end] = stripped[h // 10**4] | mid << 32
+                x += 10**4 * (h > 0)
+                del h, mid
+            rows[:, width * end + width - 1] = id_low[x]
+    del x
+    w = weights
+    s = np.abs(w)
     with np.errstate(all="ignore"):  # nan, inf, 0 and a clipped k all fail ok
-        k = np.clip((11 - np.floor(np.log10(a))).astype(np.intp), 0, 15)  # digits after the point
-        s = a * _POW10[k]
-        r = np.rint(s)
-        ok = (np.abs(s - 5.5e11) < 4.5e11 - 0.5) & (np.abs(s - r) < 0.4999)
-    n = np.where(ok, r, 1e11).astype(np.int64)
-    p0, p1, p2 = n // 10**8, n // 10**4 % 10**4, n % 10**4
-    lo = digits[p0] | digits[p1] << 32
-    hi = digits[p2]
-    zeros = trailing[p2]
-    z = np.flatnonzero(p2 == 0)
-    zeros[z] += trailing[p1[z]] + (p1[z] == 0) * trailing[p0[z]]
-    key = 192 * np.signbit(w) + 16 * zeros + k
-    prefix, left_lo, left_hi, right_lo, right_hi, marks_lo, marks_hi = masks.take(key, axis=0).T
-    rows[:, -3] = prefix
-    rows[:, -2] = (lo & left_lo) | (lo << 8 & right_lo) | marks_lo
-    rows[:, -1] = (hi & left_hi) | ((hi << 8 | lo >> 56) & right_hi) | marks_hi
+        k = np.log10(s)
+        np.floor(k, out=k)
+        k = np.clip((11 - k).astype(np.intp), 0, 15)  # digits after the point
+        s *= _POW10[k]
+        n = np.rint(s)
+        ok = np.abs(s - 5.5e11) < 4.5e11 - 0.5
+        ok &= np.abs(s - n) < 0.4999
+    del s
+    n[~ok] = 1e11
+    n = n.astype(np.int64)
+    low = n % 10**4
+    hi = digits[low]
+    key = trailing[low]  # trailing zeros, then the key of the weight's masks
+    z = np.flatnonzero(low == 0)
+    n //= 10**4
+    low = n % 10**4
+    n //= 10**4
+    lo = digits[n]
+    lo |= digits[low] << 32
+    key[z] += trailing[low[z]] + (low[z] == 0) * trailing[n[z]]
+    del n, low, z
+    key *= 16
+    key += k
+    key[np.signbit(w)] += 192
+    del k
+    prefix, left_lo, left_hi, right_lo, right_hi, marks_lo, marks_hi = masks
+    rows[:, -3] = prefix[key]
+    text = lo << 8
+    text &= right_lo[key]
+    text |= lo & left_lo[key]
+    text |= marks_lo[key]
+    rows[:, -2] = text
+    lo >>= 56
+    lo |= hi << 8
+    lo &= right_hi[key]
+    lo |= hi & left_hi[key]
+    lo |= marks_hi[key]
+    rows[:, -1] = lo
     bad = np.flatnonzero(~ok)
     if len(bad):
         text = "".join([("%.12g\n" % v).ljust(24, "\0") for v in w[bad].tolist()])
         rows[bad, -3:] = np.frombuffer(text.encode(), "<u8").reshape(-1, 3)
-    with open(path, "wb") as fh:
-        fh.write(b"from_tx,to_tx,weight\n" + rows.tobytes().translate(None, b"\0"))
+    return rows
 
 
 def cmd_evaluate(args) -> int:

@@ -186,7 +186,7 @@ class RandomForest:
         n_trees = self.config.n_trees
         tables = []
         self.breaks_ = self.scored_ = 0
-        for a, b in _passes([n_trees * len(rows) for rows in first]):
+        for a, b in _passes([n_trees * len(rows) for rows in first], PASS_CELLS):
             start = np.cumsum([0] + [len(rows) for rows in first[a:b]])
             forest = np.repeat(np.arange(a, b), np.diff(start))
             rows = np.concatenate(first[a:b])
@@ -260,16 +260,17 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(rows, return_index=True, return_inverse=True)[1:]
 
 
-def _passes(cells: list[int]):
-    """(first, stop) ranges of consecutive forests whose root cells sum to at
-    most PASS_CELLS each; a forest with more goes alone."""
+def _passes(sizes: list[int], cap: int):
+    """(first, stop) ranges of consecutive items, such as forests by their
+    root cells, whose sizes sum to at most ``cap`` each; an item above the
+    cap goes alone."""
     first, total = 0, 0
-    for f, c in enumerate(cells):
-        if f > first and total + c > PASS_CELLS:
-            yield first, f
-            first, total = f, 0
-        total += c
-    yield first, len(cells)
+    for i, size in enumerate(sizes):
+        if i > first and total + size > cap:
+            yield first, i
+            first, total = i, 0
+        total += size
+    yield first, len(sizes)
 
 
 class _RankedRows:

@@ -15,13 +15,18 @@ the variant:
 
 Every builder is a pure function of an immutable input graph. A mapped
 graph's nodes are the edge ids of the records it read, so it keeps their
-count and its edges as numpy arrays of edge ids. map_graphs maps many graphs
-at once over their concatenated columns (a GraphBatch): the shared-address
-and head-to-tail joins run once over the batch, with at most one sort on
-one int64 key, and one pass takes the logs. Each builder is
-map_graphs on a batch of one graph. Only the float of each amount and the
-log of each mapped weight run per value, through float and math.log, so
-every weight equals map_weight of its pair bit for bit.
+count and its edges as numpy arrays of edge ids. map_batch maps many graphs
+at once over their concatenated columns (a GraphBatch) into one MappedBatch:
+the shared-address and head-to-tail joins run once over the batch, each
+sorting packed int64 keys with np.sort and decoding them with shifts and
+masks, and one pass takes the logs. map_graphs splits that batch into
+TsgnGraphs, and each builder is map_graphs on a batch of one graph. A dtsgn
+batch of timed records carries the mask of its time-ordered pairs, so
+ttsgn's and mtsgn's edges follow from one flow join. pair_counts gives each
+graph's join size without the join, so a caller can map a dataset in runs of
+bounded memory. Only the float of each amount and the log of each mapped
+weight run per value, through float and math.log, so every weight equals
+map_weight of its pair bit for bit.
 """
 
 from __future__ import annotations
@@ -114,38 +119,86 @@ def require_attributes(g: TransactionGraph, variant: str) -> None:
         )
 
 
-def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For runs of the given lengths, each slot's run index and its offset
-    within the run: counts [2, 0, 3] give runs [0, 0, 2, 2, 2] and offsets
-    [0, 1, 0, 1, 2]."""
-    runs = np.repeat(np.arange(len(counts)), counts)
-    starts = np.cumsum(counts) - counts
-    return runs, np.arange(len(runs)) - starts[runs]
+@dataclass(frozen=True, eq=False)
+class MappedBatch:
+    """The mapped graphs of a GraphBatch as one set of columns.
+
+    Mapped graph ``i`` has ``records[i + 1] - records[i]`` nodes and the
+    edges ``offsets[i]:offsets[i + 1]``: rows of ``edges``, an ``(m, 2)``
+    int32 array of node ids numbered from 0 in each graph, with the float64
+    ``weights``, sorted by (from, to) within each graph as in TsgnGraph. A
+    dtsgn batch of timed records also holds ``increasing``, the mask of its
+    edges whose timestamps strictly increase: ttsgn's and mtsgn's edges.
+    """
+
+    variant: str
+    records: np.ndarray
+    offsets: np.ndarray
+    edges: np.ndarray
+    weights: np.ndarray
+    increasing: np.ndarray | None = None
+
+    def where(self, keep: np.ndarray | None, variant: str) -> "MappedBatch":
+        """The batch of the edges under the mask ``keep`` (None keeps all),
+        as ``variant``'s."""
+        if keep is None:
+            return MappedBatch(variant, self.records, self.offsets, self.edges, self.weights)
+        kept = np.concatenate([[0], np.cumsum(keep)])[self.offsets]
+        return MappedBatch(variant, self.records, kept, self.edges[keep], self.weights[keep])
+
+    def graphs(self) -> list[TsgnGraph]:
+        """Each mapped graph, its columns slices of the batch's."""
+        records, ends = self.records.tolist(), self.offsets.tolist()
+        return [
+            TsgnGraph(self.variant, records[i + 1] - records[i], self.edges[e0:e1],
+                      self.weights[e0:e1])
+            for i, (e0, e1) in enumerate(zip(ends, ends[1:]))
+        ]
 
 
-def _mapped(variant: str, b: GraphBatch, heads: np.ndarray, tails: np.ndarray) -> list[TsgnGraph]:
-    """The TsgnGraph of each graph of ``b`` over its records, with edges
-    heads -> tails (record positions in the batch, each pair within one
-    graph, sorted by (head, tail)) weighted by map_weight of the two
-    amounts. Positions order by graph first, so the edges come grouped by
-    graph."""
+def _bits(n: int) -> int:
+    """The bits that hold every integer in [0, n)."""
+    return max(n - 1, 1).bit_length()
+
+
+def _mapped(
+    variant: str, b: GraphBatch, heads: np.ndarray, tails: np.ndarray,
+    increasing: np.ndarray | None = None,
+) -> MappedBatch:
+    """The mapped batch of ``b`` over its records, with edges heads -> tails
+    (record positions in the batch, each pair within one graph, sorted by
+    (head, tail)) weighted by map_weight of the two amounts. Positions order
+    by graph first, so the edges come grouped by graph."""
     amounts = b.decimals.astype(np.float64)  # float() of each decimal
-    w_heads, w_tails = amounts[heads], amounts[tails]
-    means = (w_heads + w_tails) / 2.0
+    means = amounts[heads] + amounts[tails]
+    means /= 2.0
     # math.log(1.0) is exactly 0.0, map_weight's value for two zero amounts;
     # np.log is not bit-equal to math.log, so the log runs per value
-    means[(w_heads == 0) & (w_tails == 0)] = 1.0
+    zero = amounts == 0
+    means[zero[heads] & zero[tails]] = 1.0
     weights = np.fromiter(map(math.log, means.tolist()), dtype=np.float64, count=len(means))
+    del means
     # each graph's edges, with its records numbered from 0
+    local = np.arange(len(amounts)) - np.repeat(b.offsets[:-1], np.diff(b.offsets))
+    edges = np.empty((len(heads), 2), dtype=np.int32)
+    edges[:, 0], edges[:, 1] = local[heads], local[tails]
     ends = np.searchsorted(heads, b.offsets)
-    shift = np.repeat(b.offsets[:-1], ends[1:] - ends[:-1])
-    edges = np.empty((len(heads), 2), dtype=np.intp)
-    edges[:, 0], edges[:, 1] = heads - shift, tails - shift
-    ends, records = ends.tolist(), b.offsets.tolist()
-    return [
-        TsgnGraph(variant, records[i + 1] - records[i], edges[e0:e1], weights[e0:e1])
-        for i, (e0, e1) in enumerate(zip(ends, ends[1:]))
-    ]
+    return MappedBatch(variant, b.offsets, ends, edges, weights, increasing)
+
+
+def map_batch(variant: str, b: GraphBatch) -> MappedBatch:
+    """Map every graph of a batch with one variant, unchecked: map_graphs
+    without require_attributes, returning the mapped batch."""
+    if variant == "tsgn":
+        b = batch_at_tier(b, "plain")
+        return _mapped(variant, b, *_shared_address_pairs(b))
+    heads, tails = _flow_pairs(b)
+    increasing = None
+    if b.timed.all():
+        increasing = b.stamps[tails] > b.stamps[heads]
+        if "temporal" in VARIANT_REQUIREMENTS[variant][0]:
+            heads, tails, increasing = heads[increasing], tails[increasing], None
+    return _mapped(variant, b, heads, tails, increasing)
 
 
 def map_graphs(variant: str, graphs: Sequence[TransactionGraph]) -> list[TsgnGraph]:
@@ -157,13 +210,30 @@ def map_graphs(variant: str, graphs: Sequence[TransactionGraph]) -> list[TsgnGra
     """
     for g in graphs:
         require_attributes(g, variant)
+    return map_batch(variant, GraphBatch.of(graphs)).graphs()
+
+
+def pair_counts(variant: str, graphs: Sequence[TransactionGraph]) -> np.ndarray:
+    """The pairs map_batch joins for each graph, counted without the join:
+    the address-sharing pairs of its plain records for tsgn, every
+    head-to-tail candidate before the time and self-pair masks for the
+    flow variants."""
     b = GraphBatch.of(graphs)
+    n = len(b.names)
     if variant == "tsgn":
-        b = batch_at_tier(b, "plain")
-        heads, tails = _shared_address_pairs(b)
+        # the plain tier keeps one record per address pair, and each address
+        # pairs each of its records with every later one
+        low, high = np.minimum(b.src, b.dst), np.maximum(b.src, b.dst)
+        bits = _bits(n)
+        pairs = np.sort(low << bits | high)
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        records = np.bincount(pairs >> bits, minlength=n)
+        records += np.bincount(pairs & ((1 << bits) - 1), minlength=n)
+        per_node, bounds = records * (records - 1) // 2, b.node_offsets
     else:
-        heads, tails = _flow_pairs(b, "temporal" in VARIANT_REQUIREMENTS[variant][0])
-    return _mapped(variant, b, heads, tails)
+        per_node, bounds = np.bincount(b.src, minlength=n)[b.dst], b.offsets
+    total = np.concatenate([[0], np.cumsum(per_node)])[bounds]
+    return total[1:] - total[:-1]
 
 
 def build_tsgn(g: TransactionGraph) -> TsgnGraph:
@@ -181,19 +251,28 @@ def build_tsgn(g: TransactionGraph) -> TsgnGraph:
 def _shared_address_pairs(b: GraphBatch) -> tuple[np.ndarray, np.ndarray]:
     """The (earlier, later) record pairs of a plain batch that share an
     address, sorted."""
-    # every (address, record) incidence, grouped by address and then by
-    # record; each incidence pairs with the ones after it in its group. Two
-    # distinct simple edges share at most one address, so no pair repeats.
+    # every (address, record) incidence, packed in one key and sorted by
+    # address and then by record; each incidence pairs with the ones after
+    # it in its group. Two distinct simple edges share at most one address,
+    # so no pair repeats.
     m = len(b.src)
-    addresses = np.concatenate([b.src, b.dst])
-    positions = np.tile(np.arange(m), 2)
-    order = np.argsort(addresses * m + positions)
-    addresses, positions = addresses[order], positions[order]
-    group_end = np.searchsorted(addresses, addresses, side="right")
-    firsts, offsets = _expand(group_end - np.arange(len(addresses)) - 1)
-    heads, tails = positions[firsts], positions[firsts + 1 + offsets]
-    order = np.argsort(heads * m + tails)  # by (head, tail), which repeat no pair
-    return heads[order], tails[order]
+    bits = _bits(m)
+    low = (1 << bits) - 1
+    keys = np.concatenate([b.src, b.dst]) << bits
+    keys[:m] |= np.arange(m)
+    keys[m:] |= np.arange(m)
+    keys.sort()
+    positions = keys & low
+    ends = np.cumsum(np.bincount(keys >> bits, minlength=len(b.names)))[keys >> bits]
+    later = ends - np.arange(1, 2 * m + 1)
+    heads = np.repeat(positions, later)
+    # the incidence after each head's, then the ones after that
+    tails = np.repeat(np.arange(1, 2 * m + 1) - np.cumsum(later) + later, later)
+    tails += np.arange(len(tails))
+    keys = heads << bits | positions[tails]
+    del heads, tails
+    keys.sort()  # by (head, tail), which repeat no pair
+    return keys >> bits, keys & low
 
 
 def build_directed_tsgn(g: TransactionGraph) -> TsgnGraph:
@@ -228,21 +307,27 @@ def build_multiple_tsgn(g: TransactionGraph) -> TsgnGraph:
     return map_graphs("mtsgn", [g])[0]
 
 
-def _flow_pairs(b: GraphBatch, temporal: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The head-to-tail record pairs of a batch, sorted; with ``temporal``
-    only the pairs whose timestamps strictly increase."""
+def _flow_pairs(b: GraphBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The head-to-tail record pairs of a batch, sorted by (head, tail)."""
     src, dst = b.src, b.dst
+    m = len(src)
     # join each record's destination to the records grouped by source, in
-    # record order: heads and then tails come out sorted
-    by_src = np.argsort(src, kind="stable")
+    # record order (one sort of source and position packed in one key):
+    # heads and then tails come out sorted
+    bits = _bits(m)
+    by_src = np.sort(src << bits | np.arange(m)) & ((1 << bits) - 1)
     counts = np.bincount(src, minlength=len(b.names))
     starts = np.cumsum(counts) - counts
-    heads, offsets = _expand(counts[dst])
-    tails = by_src[starts[dst[heads]] + offsets]
-    keep = tails != heads
-    if temporal:
-        keep &= b.stamps[tails] > b.stamps[heads]
-    return heads[keep], tails[keep]
+    tails_of = counts[dst]
+    heads = np.repeat(np.arange(m), tails_of)
+    # each head's first tail, then the ones after it
+    tails = np.repeat(starts[dst] - np.cumsum(tails_of) + tails_of, tails_of)
+    tails += np.arange(len(tails))
+    tails = by_src[tails]
+    if (src == dst).any():  # a self-loop is its own tail
+        keep = tails != heads
+        heads, tails = heads[keep], tails[keep]
+    return heads, tails
 
 
 BUILDERS = {

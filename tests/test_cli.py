@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -152,40 +153,181 @@ def test_transform_outputs_are_deterministic_across_threads(tmp_path):
     assert runs[0] == runs[1] == runs[2]
 
 
+def _chunks(stdout: str) -> dict:
+    """The ``chunks:`` lines of a transform's stdout, by family."""
+    lines = re.findall(r"^chunks: family=(\w+) runs=(\d+) max_graphs=(\d+) max_pairs=(\d+) "
+                       r"pairs=(\d+)((?: \w+=\d+)+)$", stdout, re.MULTILINE)
+    return {
+        family: (*map(int, counts), dict((k, int(v)) for k, v in re.findall(r"(\w+)=(\d+)", kept)))
+        for family, *counts, kept in lines
+    }
+
+
 def test_transform_streams_one_mapped_graph_at_a_time(tmp_path, capsys, monkeypatch):
+    """Each run of graphs is mapped, written and dropped before the next is
+    mapped: with a budget of one pair every run holds one graph, so at most
+    one mapped graph is alive, and at the default budget at most one run's."""
     ds = tmp_path / "ds"
     assert main(["synth", "--per-class", "6", "--seed", "7", "--out", str(ds)]) == 0
-    mapped = []  # a weak reference to every graph mapped so far
+    mapped = []  # a weak reference to every mapped batch so far, with its graph count
     alive_at_call = []
 
-    def tracked(builder):
-        def build(g):
-            alive_at_call.append(sum(ref() is not None for ref in mapped))
-            t = builder(g)
-            mapped.append(weakref.ref(t))
-            return t
-        return build
+    def tracked(variant, b):
+        alive_at_call.append(sum(n for ref, n in mapped if ref() is not None))
+        t = transforms.map_batch(variant, b)
+        mapped.append((weakref.ref(t), len(t.records) - 1))
+        return t
 
-    for variant, builder in transforms.BUILDERS.items():
-        monkeypatch.setitem(transforms.BUILDERS, variant, tracked(builder))
-    capsys.readouterr()
-    out = tmp_path / "out"
-    assert main(["transform", "--dataset", str(ds), "--variant", "tsgn",
-                 "--variant", "ttsgn", "--threads", "1", "--out", str(out)]) == 0
-    assert len(alive_at_call) == 24
-    assert max(alive_at_call) <= 1
-    stdout = capsys.readouterr().out
-    printed = re.findall(r"^(\w+): graphs=(\d+) nodes=(\d+) edges=(\d+) seconds=",
-                         stdout, re.MULTILINE)
-    assert [p[0] for p in printed] == ["tsgn", "ttsgn"]
-    written = re.findall(r" seconds=(\d+\.\d{3}) write_seconds=(\d+\.\d{3})$",
-                         stdout, re.MULTILINE)
-    assert len(written) == 2 and all(float(w) >= 0 for _, w in written)
-    for variant, graphs, nodes, edges in printed:
-        rows = [r.split(",") for r in (out / variant / "summary.csv").read_text().splitlines()[1:]]
-        assert (int(graphs), int(nodes), int(edges)) == (
-            len(rows), sum(int(r[1]) for r in rows), sum(int(r[2]) for r in rows)
-        )
+    monkeypatch.setattr(cli, "map_batch", tracked)
+    for cap in (1, cli.PAIR_CAP):
+        monkeypatch.setattr(cli, "PAIR_CAP", cap)
+        mapped.clear()
+        alive_at_call.clear()
+        capsys.readouterr()
+        out = tmp_path / f"out{cap}"
+        assert main(["transform", "--dataset", str(ds), "--variant", "tsgn",
+                     "--variant", "ttsgn", "--threads", "1", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        chunks = _chunks(stdout)
+        assert list(chunks) == ["tsgn", "flow"]
+        assert len(alive_at_call) == sum(runs for runs, *_ in chunks.values())
+        largest_run = max(graphs for _, graphs, *_ in chunks.values())
+        assert max(alive_at_call) <= largest_run
+        if cap == 1:
+            assert len(alive_at_call) == 24
+            assert max(alive_at_call) <= 1
+        printed = re.findall(r"^(\w+): graphs=(\d+) nodes=(\d+) edges=(\d+) seconds=",
+                             stdout, re.MULTILINE)
+        assert [p[0] for p in printed] == ["tsgn", "ttsgn"]
+        written = re.findall(r" seconds=(\d+\.\d{3}) write_seconds=(\d+\.\d{3})$",
+                             stdout, re.MULTILINE)
+        assert len(written) == 2 and all(float(w) >= 0 for _, w in written)
+        for variant, graphs, nodes, edges in printed:
+            summary = (out / variant / "summary.csv").read_text().splitlines()[1:]
+            rows = [r.split(",") for r in summary]
+            assert (int(graphs), int(nodes), int(edges)) == (
+                len(rows), sum(int(r[1]) for r in rows), sum(int(r[2]) for r in rows)
+            )
+
+
+def test_transform_prints_each_familys_runs_and_kept_pairs(tmp_path, capsys, monkeypatch):
+    ds = tmp_path / "ds"
+    assert main(["synth", "--profile", "etherg3", "--per-class", "3", "--seed", "5",
+                 "--out", str(ds)]) == 0
+    graphs = load_dataset(ds, tier="directed").graphs
+    expected = {
+        v: [transforms.BUILDERS[v](g).edge_count for g in graphs]
+        for v in ("tsgn", "dtsgn", "ttsgn")
+    }
+    for cap in (cli.PAIR_CAP, 40_000, 1):
+        monkeypatch.setattr(cli, "PAIR_CAP", cap)
+        capsys.readouterr()
+        assert main(["transform", "--dataset", str(ds), "--variant", "ttsgn", "--variant", "tsgn",
+                     "--variant", "dtsgn", "--out", str(tmp_path / f"out{cap}")]) == 0
+        chunks = _chunks(capsys.readouterr().out)
+        assert list(chunks) == ["tsgn", "flow"]
+        for family, members in (("tsgn", ("tsgn",)), ("flow", ("dtsgn", "ttsgn"))):
+            runs, max_graphs, max_pairs, pairs, kept = chunks[family]
+            counts = transforms.pair_counts(members[0], graphs).tolist()
+            # consecutive runs of at most cap pairs each, or of one graph alone
+            bounds = list(ml._passes(counts, cap))
+            assert runs == len(bounds) and max_graphs == max(b - a for a, b in bounds)
+            assert max_pairs == max(sum(counts[a:b]) for a, b in bounds)
+            assert all(b - a == 1 or sum(counts[a:b]) <= cap for a, b in bounds)
+            assert pairs == sum(counts)
+            assert kept == {v: sum(expected[v]) for v in members}
+        # tsgn's pairs are counted exactly; ttsgn keeps a subset of dtsgn's candidates
+        assert chunks["tsgn"][3] == sum(expected["tsgn"])
+        assert 0 < sum(expected["ttsgn"]) < sum(expected["dtsgn"]) <= chunks["flow"][3]
+        if cap == 1:
+            assert chunks["tsgn"][0] == chunks["flow"][0] == len(graphs)
+
+
+@st.composite
+def _timed_datasets(draw):
+    """One to five labeled ego-nets of timed records over at most six
+    addresses around v0: parallel, anti-parallel and repeated records, zero
+    amounts and tied timestamps."""
+    amounts = st.sampled_from(["0", "0.5", "1", "2.25", "7", "1e-3"])
+    graphs = []
+    for i in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(2, 6))
+        records = []  # v0 trades with every other address, so the cut keeps all
+        for v in range(1, k):
+            ends = ("v0", f"v{v}") if draw(st.booleans()) else (f"v{v}", "v0")
+            records.append((*ends, draw(amounts), draw(st.integers(0, 5))))
+        for _ in range(draw(st.integers(0, 12))):
+            src = draw(st.integers(0, k - 1))
+            dst = (src + draw(st.integers(1, k - 1))) % k
+            records.append((f"v{src}", f"v{dst}", draw(amounts), draw(st.integers(0, 5))))
+        label = ("phishing", "benign")[i % 2]
+        graphs.append(TransactionGraph.build(records, "v0", tier="multiedge", label=label))
+    return DatasetManifest(tuple(graphs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(manifest=_timed_datasets(), budget=st.integers(2, 80))
+def test_transform_writes_each_graph_as_its_builder_maps_it_at_any_budget(manifest, budget):
+    """Whatever runs the pair budget makes, and whichever variants share a
+    join, every file transform writes equals the per-graph builder's mapping
+    through _write_mapped, byte for byte."""
+    cases = (("directed", ("dtsgn", "ttsgn")), ("directed", ("ttsgn",)),
+             ("multiedge", ("tsgn", "mtsgn")))
+    default = cli.PAIR_CAP
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        ds = save_dataset(manifest, root / "ds")
+        for tier, variants in cases:
+            loaded = load_dataset(ds, tier=tier)
+            expected = root / f"expected-{tier}-{'-'.join(variants)}"
+            for variant in variants:
+                (expected / variant).mkdir(parents=True)
+                summary = []
+                for graph_id, g in zip(loaded.graph_ids, loaded.graphs):
+                    t = transforms.BUILDERS[variant](g)
+                    cli._write_mapped(expected / variant / f"{graph_id}.csv", t)
+                    summary.append((graph_id, t.node_count, t.edge_count))
+                ingest.write_csv(expected / variant / "summary.csv",
+                                 ("graph_id", "nodes", "edges"), summary)
+            for cap in (1, default, 2**62, budget):
+                out = root / f"{tier}-{'-'.join(variants)}-{cap}"
+                args = ["transform", "--dataset", str(ds), "--tier", tier, "--out", str(out)]
+                for variant in variants:
+                    args += ["--variant", variant]
+                cli.PAIR_CAP = cap
+                try:
+                    assert main(args) == 0
+                finally:
+                    cli.PAIR_CAP = default
+                assert _dir_bytes(out) == _dir_bytes(expected)
+
+
+def test_transform_memory_does_not_grow_with_the_dataset(tmp_path, monkeypatch):
+    """The traced peak of a transform is one run's: on a dataset that holds
+    each graph twice it stays within 10% of the peak on the original. The
+    load is left out (the manifest is loaded beforehand), since its columns
+    hold the whole dataset."""
+    ds = tmp_path / "ds"
+    assert main(["synth", "--profile", "etherg3", "--per-class", "4", "--seed", "3",
+                 "--out", str(ds)]) == 0
+    original = load_dataset(ds, tier="directed")
+    doubled = DatasetManifest(original.graphs * 2)
+    peaks = []
+    # the first run builds the writer's tables and anything else made once
+    for manifest in (original, original, doubled):
+        monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: manifest)
+        out = tmp_path / f"out{len(peaks)}"
+        tracemalloc.start()
+        try:
+            assert main(["transform", "--dataset", str(ds), "--variant", "tsgn", "--variant",
+                         "dtsgn", "--variant", "ttsgn", "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    counts = [transforms.pair_counts(v, original.graphs).tolist() for v in ("tsgn", "dtsgn")]
+    runs = [len(list(ml._passes(c, cli.PAIR_CAP))) for c in counts]
+    assert max(runs) > 1  # the original already takes more than one run
+    assert peaks[2] <= 1.1 * peaks[1], peaks
 
 
 # SHA-256 of every file transform writes for the synth fixture below, taken
@@ -860,13 +1002,11 @@ def test_transform_calls_every_traced_entry_point_by_name(tmp_path, monkeypatch)
                  "--variant", "dtsgn", "--variant", "ttsgn", "--out", str(out)]) == 0
     assert main(["transform", "--dataset", str(ds), "--tier", "multiedge", "--variant", "mtsgn",
                  "--out", str(out)]) == 0
-    # six graphs, mapped once per variant one graph at a time; each command
-    # loads, cuts and collapses its dataset as one batch, so load_edge_list,
-    # extract_ego_network, at_tier and undirected_projection are not called
-    assert calls == {
-        "build_tsgn": 6, "build_directed_tsgn": 6, "build_temporal_tsgn": 6,
-        "build_multiple_tsgn": 6,
-    }
+    # each command loads, cuts and collapses its dataset as one batch, and
+    # maps each variant family in runs of graphs through map_batch, so no
+    # traced name is called: load_edge_list, extract_ego_network, at_tier,
+    # undirected_projection and the four per-graph builders all read 0
+    assert calls == {}
 
 
 def test_evaluate_calls_every_traced_entry_point_by_name(tmp_path, monkeypatch):
