@@ -30,10 +30,8 @@ from .ingest import (
     stats_table,
     write_csv,
 )
-from .ml import EvalReport, ForestConfig, _passes, evaluate, train_rows
-from .transforms import (
-    VARIANTS, TsgnGraph, map_batch, map_graphs, pair_counts, require_attributes,
-)
+from .ml import EvalReport, ForestConfig, evaluate, train_rows
+from .transforms import VARIANTS, TsgnGraph, map_graphs, map_runs, require_attributes
 
 
 def _require_variants(manifest: DatasetManifest, variants) -> None:
@@ -92,16 +90,6 @@ def _load(args) -> DatasetManifest:
     return manifest
 
 
-# cmd_transform maps a variant family in runs of consecutive graphs whose
-# joins hold at most this many pairs together (transforms.pair_counts); a
-# graph with more goes alone. A run's join, logs and rows take about 110
-# bytes per pair at their peak, so memory stays flat in the dataset. On the
-# benchmark's seed-41 etherg3 dataset the traced peak of its two transforms
-# reads 2.0 MB at budgets up to 2**14, where its largest graphs (17,580 tsgn
-# pairs) set it, 3.8 MB at 2**15, 7.5 MB at 2**16 and 60 MB unbounded, against
-# 5.4 MB when each graph was mapped alone; larger budgets gained no time.
-PAIR_CAP = 1 << 15
-
 # The variants that share a join: tsgn's shared addresses, and the
 # head-to-tail flows, where ttsgn's and mtsgn's edges are dtsgn's under its
 # ``increasing`` mask.
@@ -133,32 +121,29 @@ def cmd_transform(args) -> int:
 
 
 def _transform_family(family: str, wanted: list[str], manifest: DatasetManifest, out: Path):
-    """Map and write the variants of one family run by run; returns each
-    variant's mapping and writing seconds and its summary rows.
+    """Map and write the variants of one family run by run (map_runs of the
+    first); returns each variant's mapping and writing seconds and its
+    summary rows.
 
     A run's graphs are joined, logged and formatted once: the first variant
-    is mapped (so the join's time counts under it), and each other one keeps
-    its edges, weights and rows under the first's ``increasing`` mask. Each
-    graph's file is a slice of the run's rows, and a run is dropped before
-    the next is mapped, so memory does not grow with the dataset.
+    is mapped (so the join's time, and pair_counts' before the first run,
+    count under it), and each other one keeps its edges, weights and rows
+    under the first's ``increasing`` mask. Each graph's file is a slice of
+    the run's rows, and a run is dropped before the next is mapped, so
+    memory does not grow with the dataset.
     """
-    counts = pair_counts(wanted[0], manifest.graphs).tolist()
     done = {v: [0.0, 0.0, []] for v in wanted}  # map and write seconds, summary rows
     for variant in wanted:
         (out / variant).mkdir(parents=True, exist_ok=True)
-    runs = list(_passes(counts, PAIR_CAP))
-    for start, stop in runs:
-        ids = manifest.graph_ids[start:stop]
-        shared = None
+    runs = []  # the graphs and pairs of each run
+    started = time.perf_counter()
+    for start, stop, pairs, shared in map_runs(wanted[0], manifest.graphs):
+        ids, keep = manifest.graph_ids[start:stop], shared.increasing
         for variant in wanted:
-            started = time.perf_counter()
-            if shared is None:
-                t = shared = map_batch(variant, GraphBatch.of(manifest.graphs[start:stop]))
-            else:  # ttsgn or mtsgn: the first's time-ordered edges
-                t = shared.where(shared.increasing, variant)
+            # ttsgn or mtsgn after the first: the first's time-ordered edges
+            t = shared if variant == wanted[0] else shared.where(keep, variant)
             done[variant][0] += time.perf_counter() - started
             started = time.perf_counter()
-            keep = shared.increasing
             if t is shared:
                 rows = shared_rows = _rows(t.edges, t.weights)
             else:
@@ -170,13 +155,14 @@ def _transform_family(family: str, wanted: list[str], manifest: DatasetManifest,
             done[variant][2].extend(
                 zip(ids, np.diff(t.records).tolist(), np.diff(t.offsets).tolist())
             )
+            started = time.perf_counter()
+        runs.append((stop - start, pairs))
         del t, shared, keep, rows, shared_rows
-    pairs = [sum(counts[start:stop]) for start, stop in runs]
     kept = " ".join(f"{v}={sum(edges for _, _, edges in done[v][2])}" for v in wanted)
+    graphs, pairs = zip(*runs)
     print(
-        f"chunks: family={family} runs={len(runs)} "
-        f"max_graphs={max(stop - start for start, stop in runs)} max_pairs={max(pairs)} "
-        f"pairs={sum(counts)} {kept}"
+        f"chunks: family={family} runs={len(runs)} max_graphs={max(graphs)} "
+        f"max_pairs={max(pairs)} pairs={sum(pairs)} {kept}"
     )
     return done
 

@@ -16,11 +16,14 @@ function of its input graph.
 
 A GraphBatch holds the records of many graphs as one set of columns, so a
 step such as the tier's collapse runs once over a whole dataset; the
-functions on one graph run the same code on a batch of one.
+functions on one graph run the same code on a batch of one. runs_within
+splits a sequence of items, such as graphs by their join sizes, into runs
+of bounded size, so such a step can also run a bounded batch at a time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass, replace
 from decimal import Decimal
 from itertools import accumulate, chain, repeat
@@ -48,6 +51,21 @@ def _as_amount(value) -> Decimal:
 
 
 _COLUMNS = ("src", "dst", "stamps", "timed", "decimals")
+
+
+def runs_within(sizes: Sequence[int], cap: int) -> list[tuple[int, int]]:
+    """(first, stop) ranges of consecutive items whose sizes sum to at most
+    ``cap`` each, each run as long as it can be; an item above the cap goes
+    alone, and no items make no runs.
+
+    Each run ends where a binary search finds its first item's running sum
+    plus the cap. The sums of int sizes are Python ints, so none overflows.
+    """
+    ends = [0, *accumulate(sizes)]
+    stops = [0]
+    while stops[-1] < len(sizes):
+        stops.append(max(stops[-1] + 1, bisect_right(ends, ends[stops[-1]] + cap) - 1))
+    return list(zip(stops, stops[1:]))
 
 
 class TransactionGraph:

@@ -40,6 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .features import PCA, FeatureMatrix
+from .graphs import runs_within
 from .ingest import PHISHING_LABEL
 
 # share of every class that stratified_split puts in the training rows (9:1)
@@ -186,7 +187,7 @@ class RandomForest:
         n_trees = self.config.n_trees
         tables = []
         self.breaks_ = self.scored_ = 0
-        for a, b in _passes([n_trees * len(rows) for rows in first], PASS_CELLS):
+        for a, b in runs_within([n_trees * len(rows) for rows in first], PASS_CELLS):
             start = np.cumsum([0] + [len(rows) for rows in first[a:b]])
             forest = np.repeat(np.arange(a, b), np.diff(start))
             rows = np.concatenate(first[a:b])
@@ -258,19 +259,6 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the distinct row of every row, comparing rows as bytes."""
     rows = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
     return np.unique(rows, return_index=True, return_inverse=True)[1:]
-
-
-def _passes(sizes: list[int], cap: int):
-    """(first, stop) ranges of consecutive items, such as forests by their
-    root cells, whose sizes sum to at most ``cap`` each; an item above the
-    cap goes alone."""
-    first, total = 0, 0
-    for i, size in enumerate(sizes):
-        if i > first and total + size > cap:
-            yield first, i
-            first, total = i, 0
-        total += size
-    yield first, len(sizes)
 
 
 class _RankedRows:
@@ -644,23 +632,17 @@ def _search_in_chunks(
     node_of = slot[owner]
     keep = node_of >= 0
     node_of, rows, weight = node_of[keep], rows[keep], weight[keep]
-    row_end = np.cumsum(np.bincount(node_of, minlength=len(impure)))
-    key_end = row_end * data.k
-    parts = []
-    first = 0
-    while first < len(impure):
-        limit = (key_end[first - 1] if first else 0) + KEY_CAP
-        stop = max(first + 1, int(np.searchsorted(key_end, limit, "right")))
-        a, b = row_end[first - 1] if first else 0, row_end[stop - 1]
+    node_rows = np.bincount(node_of, minlength=len(impure))
+    row_end = np.concatenate([[0], np.cumsum(node_rows)]).tolist()
+    nothing = np.zeros(0, dtype=np.intp)
+    parts = [(nothing, nothing, nothing, np.zeros(0))]  # for a level with no impure node
+    for first, stop in runs_within((node_rows * data.k).tolist(), KEY_CAP):
+        a, b = row_end[first], row_end[stop]
         at, *split = data.best_splits(
             features[first:stop], rows[a:b], weight[a:b], node_of[a:b] - first,
             counts[impure[first:stop]],
         )
         parts.append((impure[first:stop][at], *split))
-        first = stop
-    if not parts:
-        nothing = np.zeros(0, dtype=np.intp)
-        return nothing, nothing, nothing, np.zeros(0)
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 

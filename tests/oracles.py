@@ -215,6 +215,20 @@ def load_reference(
     return tuple(e[0] for e in entries), tuple(graphs)
 
 
+def greedy_runs(sizes: list[int], cap: int):
+    """(first, stop) ranges of consecutive items whose sizes sum to at most
+    ``cap`` each, an item above the cap alone: one item at a time, closing
+    a run when the next item would take it past the cap. Makes one empty
+    range for no items."""
+    first, total = 0, 0
+    for i, size in enumerate(sizes):
+        if i > first and total + size > cap:
+            yield first, i
+            first, total = i, 0
+        total += size
+    yield first, len(sizes)
+
+
 # ---------------------------------------------------------------- features
 
 def oracle_adjacency(graph):

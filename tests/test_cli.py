@@ -26,7 +26,7 @@ from tsgn.ingest import FORMS, dataset_stats, load_dataset, stats_table
 from tsgn.transforms import VARIANTS
 from tsgn.cli import main
 
-from oracles import star_with_neighbor_trades
+from oracles import greedy_runs, star_with_neighbor_trades
 
 
 def _dir_bytes(path: Path) -> dict:
@@ -171,16 +171,17 @@ def test_transform_streams_one_mapped_graph_at_a_time(tmp_path, capsys, monkeypa
     assert main(["synth", "--per-class", "6", "--seed", "7", "--out", str(ds)]) == 0
     mapped = []  # a weak reference to every mapped batch so far, with its graph count
     alive_at_call = []
+    map_batch = transforms.map_batch
 
     def tracked(variant, b):
         alive_at_call.append(sum(n for ref, n in mapped if ref() is not None))
-        t = transforms.map_batch(variant, b)
+        t = map_batch(variant, b)
         mapped.append((weakref.ref(t), len(t.records) - 1))
         return t
 
-    monkeypatch.setattr(cli, "map_batch", tracked)
-    for cap in (1, cli.PAIR_CAP):
-        monkeypatch.setattr(cli, "PAIR_CAP", cap)
+    monkeypatch.setattr(transforms, "map_batch", tracked)
+    for cap in (1, transforms.PAIR_CAP):
+        monkeypatch.setattr(transforms, "PAIR_CAP", cap)
         mapped.clear()
         alive_at_call.clear()
         capsys.readouterr()
@@ -219,8 +220,8 @@ def test_transform_prints_each_familys_runs_and_kept_pairs(tmp_path, capsys, mon
         v: [transforms.BUILDERS[v](g).edge_count for g in graphs]
         for v in ("tsgn", "dtsgn", "ttsgn")
     }
-    for cap in (cli.PAIR_CAP, 40_000, 1):
-        monkeypatch.setattr(cli, "PAIR_CAP", cap)
+    for cap in (transforms.PAIR_CAP, 40_000, 1):
+        monkeypatch.setattr(transforms, "PAIR_CAP", cap)
         capsys.readouterr()
         assert main(["transform", "--dataset", str(ds), "--variant", "ttsgn", "--variant", "tsgn",
                      "--variant", "dtsgn", "--out", str(tmp_path / f"out{cap}")]) == 0
@@ -230,7 +231,7 @@ def test_transform_prints_each_familys_runs_and_kept_pairs(tmp_path, capsys, mon
             runs, max_graphs, max_pairs, pairs, kept = chunks[family]
             counts = transforms.pair_counts(members[0], graphs).tolist()
             # consecutive runs of at most cap pairs each, or of one graph alone
-            bounds = list(ml._passes(counts, cap))
+            bounds = list(greedy_runs(counts, cap))
             assert runs == len(bounds) and max_graphs == max(b - a for a, b in bounds)
             assert max_pairs == max(sum(counts[a:b]) for a, b in bounds)
             assert all(b - a == 1 or sum(counts[a:b]) <= cap for a, b in bounds)
@@ -270,21 +271,23 @@ def _timed_datasets(draw):
 def test_transform_writes_each_graph_as_its_builder_maps_it_at_any_budget(manifest, budget):
     """Whatever runs the pair budget makes, and whichever variants share a
     join, every file transform writes equals the per-graph builder's mapping
-    through _write_mapped, byte for byte."""
+    through _write_mapped, byte for byte, and so does every graph
+    map_graphs returns."""
     cases = (("directed", ("dtsgn", "ttsgn")), ("directed", ("ttsgn",)),
              ("multiedge", ("tsgn", "mtsgn")))
-    default = cli.PAIR_CAP
+    default = transforms.PAIR_CAP
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         ds = save_dataset(manifest, root / "ds")
         for tier, variants in cases:
             loaded = load_dataset(ds, tier=tier)
             expected = root / f"expected-{tier}-{'-'.join(variants)}"
+            built = {}
             for variant in variants:
                 (expected / variant).mkdir(parents=True)
                 summary = []
-                for graph_id, g in zip(loaded.graph_ids, loaded.graphs):
-                    t = transforms.BUILDERS[variant](g)
+                built[variant] = [transforms.BUILDERS[variant](g) for g in loaded.graphs]
+                for graph_id, t in zip(loaded.graph_ids, built[variant]):
                     cli._write_mapped(expected / variant / f"{graph_id}.csv", t)
                     summary.append((graph_id, t.node_count, t.edge_count))
                 ingest.write_csv(expected / variant / "summary.csv",
@@ -294,12 +297,21 @@ def test_transform_writes_each_graph_as_its_builder_maps_it_at_any_budget(manife
                 args = ["transform", "--dataset", str(ds), "--tier", tier, "--out", str(out)]
                 for variant in variants:
                     args += ["--variant", variant]
-                cli.PAIR_CAP = cap
+                transforms.PAIR_CAP = cap
                 try:
                     assert main(args) == 0
+                    mapped = {v: transforms.map_graphs(v, loaded.graphs) for v in variants}
                 finally:
-                    cli.PAIR_CAP = default
+                    transforms.PAIR_CAP = default
                 assert _dir_bytes(out) == _dir_bytes(expected)
+                for variant in variants:
+                    assert [_mapped_bytes(t) for t in mapped[variant]] == [
+                        _mapped_bytes(t) for t in built[variant]
+                    ]
+
+
+def _mapped_bytes(t: transforms.TsgnGraph) -> tuple:
+    return t.variant, t.node_count, t.edges.tobytes(), t.weights.tobytes()
 
 
 def test_transform_memory_does_not_grow_with_the_dataset(tmp_path, monkeypatch):
@@ -325,7 +337,7 @@ def test_transform_memory_does_not_grow_with_the_dataset(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
     counts = [transforms.pair_counts(v, original.graphs).tolist() for v in ("tsgn", "dtsgn")]
-    runs = [len(list(ml._passes(c, cli.PAIR_CAP))) for c in counts]
+    runs = [len(graphs.runs_within(c, transforms.PAIR_CAP)) for c in counts]
     assert max(runs) > 1  # the original already takes more than one run
     assert peaks[2] <= 1.1 * peaks[1], peaks
 

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgn import TransactionGraph, at_tier, extract_ego_network, undirected_projection
-from tsgn.graphs import TIERS
+from tsgn.graphs import TIERS, runs_within
 from tsgn.ingest import FORMS, DatasetManifest
 
 from oracles import (
     collapse_reference,
+    greedy_runs,
     random_digraph,
     random_multigraph,
     rows_of,
@@ -253,3 +254,16 @@ def test_tiers_and_projection_equal_the_record_level_collapse(g):
         t = at_tier(g, tier)
         timed = all(r.timestamp is not None for r in rows_of(t))
         assert t.tier == tier and t.temporal == (tier != "plain" and timed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cap=st.one_of(st.sampled_from([1, 2, 2**62]), st.integers(1, 40)),
+    sizes=st.lists(st.one_of(st.integers(0, 50), st.sampled_from([2**62, 2**62 + 1, 2**63])),
+                   max_size=30),
+)
+def test_runs_within_makes_the_greedy_runs(sizes, cap):
+    """runs_within's binary search over running sums gives the ranges of the
+    item-at-a-time greedy loop, with sizes of 0 and above the cap, and one
+    range less (the empty one) for no items."""
+    assert runs_within(sizes, cap) == (list(greedy_runs(sizes, cap)) if sizes else [])

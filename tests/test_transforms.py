@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from tsgn import (
     map_weight,
     undirected_projection,
 )
-from tsgn.transforms import BUILDERS, VARIANTS, map_graphs
+from tsgn.graphs import runs_within
+from tsgn.ingest import generate_synthetic_dataset
+from tsgn.transforms import BUILDERS, PAIR_CAP, VARIANTS, map_graphs, pair_counts
 
 from oracles import (
     edge_pairs,
@@ -406,3 +409,23 @@ def test_mapping_a_batch_equals_mapping_each_graph(graphs, plain):
             assert (t.variant, t.node_count) == (alone.variant, alone.node_count)
             assert t.edges.tolist() == alone.edges.tolist()
             assert t.weights.tobytes() == alone.weights.tobytes()  # bit for bit
+
+
+def test_map_graphs_memory_does_not_grow_with_the_dataset():
+    """map_graphs joins one run of graphs at a time: its traced peak, less
+    the edges and weights it returns, stays within 10% on a dataset that
+    holds each graph twice."""
+    original = generate_synthetic_dataset("etherg3", n_per_class=4, seed=3, tier="directed").graphs
+    assert len(runs_within(pair_counts("tsgn", original).tolist(), PAIR_CAP)) > 1
+    transients = []
+    # the first call makes anything made once
+    for graphs in (original, original, original * 2):
+        tracemalloc.start()
+        try:
+            mapped = map_graphs("tsgn", graphs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        transients.append(peak - sum(t.edges.nbytes + t.weights.nbytes for t in mapped))
+        del mapped
+    assert transients[2] <= 1.1 * transients[1], transients
