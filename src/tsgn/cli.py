@@ -309,6 +309,7 @@ def _rows(edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def cmd_evaluate(args) -> int:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    config = ForestConfig(n_trees=args.trees, seed=args.seed)
     variants = list(dict.fromkeys(args.variant))
     manifest = _load(args)
     name = Path(args.dataset).name
@@ -326,7 +327,6 @@ def cmd_evaluate(args) -> int:
     pca_dim = len(FEATURE_NAMES)
     if variants:
         PCA(pca_dim).require_rows(n_train)
-    config = ForestConfig(n_trees=args.trees, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tn = feature_matrix(manifest.graphs, labels, variant="tn")

@@ -17,18 +17,17 @@ function of its input graph.
 A GraphBatch holds the records of many graphs as one set of columns, so a
 step such as the tier's collapse runs once over a whole dataset; the
 functions on one graph run the same code on a batch of one. runs_within
-splits a sequence of items, such as graphs by their join sizes, into runs
-of bounded size, so such a step can also run a bounded batch at a time.
+splits items, such as graphs by their join sizes, into runs of bounded size
+as their sizes come, so such a step can also run a bounded batch at a time.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass, replace
 from decimal import Decimal
 from itertools import accumulate, chain, repeat
 from operator import is_not
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,19 +52,21 @@ def _as_amount(value) -> Decimal:
 _COLUMNS = ("src", "dst", "stamps", "timed", "decimals")
 
 
-def runs_within(sizes: Sequence[int], cap: int) -> list[tuple[int, int]]:
+def runs_within(sizes: Iterable[int], cap: int) -> Iterator[tuple[int, int]]:
     """(first, stop) ranges of consecutive items whose sizes sum to at most
     ``cap`` each, each run as long as it can be; an item above the cap goes
     alone, and no items make no runs.
 
-    Each run ends where a binary search finds its first item's running sum
-    plus the cap. The sums of int sizes are Python ints, so none overflows.
+    Sizes are taken one at a time and a run is yielded once the next size
+    would take it past the cap, so the sizes may be drawn while the runs
+    before are used. A last size past every cap closes the last run.
     """
-    ends = [0, *accumulate(sizes)]
-    stops = [0]
-    while stops[-1] < len(sizes):
-        stops.append(max(stops[-1] + 1, bisect_right(ends, ends[stops[-1]] + cap) - 1))
-    return list(zip(stops, stops[1:]))
+    first = total = 0
+    for stop, size in enumerate(chain(sizes, [float("inf")])):
+        if stop > first and total + size > cap:
+            yield first, stop
+            first, total = stop, 0
+        total += size
 
 
 class TransactionGraph:
@@ -224,6 +225,20 @@ class GraphBatch:
     @property
     def graph_of_record(self) -> np.ndarray:
         return np.repeat(np.arange(len(self.offsets) - 1), self.offsets[1:] - self.offsets[:-1])
+
+    def run(self, start: int, stop: int) -> "GraphBatch":
+        """The batch of graphs ``start`` to ``stop - 1``, as GraphBatch.of
+        would make it, its columns slices of this one's."""
+        if start == 0 and stop == len(self.centers):
+            return self
+        (n0, n1), (r0, r1) = self.node_offsets[[start, stop]], self.offsets[[start, stop]]
+        columns = {name: getattr(self, name)[r0:r1] for name in _COLUMNS}
+        return replace(
+            self, **{**columns, "src": columns["src"] - n0, "dst": columns["dst"] - n0},
+            names=self.names[n0:n1], node_offsets=self.node_offsets[start : stop + 1] - n0,
+            offsets=self.offsets[start : stop + 1] - r0, centers=self.centers[start:stop],
+            labels=self.labels[start:stop],
+        )
 
     def take(self, rows, **changes) -> "GraphBatch":
         """The batch of the records at ``rows`` (a mask or positions in graph

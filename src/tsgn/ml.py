@@ -26,7 +26,9 @@ each on its own rows. The forests of a stack grow in passes of at most
 PASS_CELLS (8 * KEY_CAP) root cells, counted as trees times distinct
 training rows, each pass one level loop and one node table over all its
 forests; every forest's trees are those it would grow alone. ``evaluate``
-fits all its repeats' forests as one stack and routes them in one ``predict``.
+cuts its repeats into the same passes as it draws them and runs one stacked
+``fit`` and ``predict`` per pass, dropping each pass before the next, so its
+memory does not grow with the repeats.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ KEY_CAP = 1 << 14
 
 # Most (tree, distinct training row) cells the roots of one pass of a stacked
 # fit hold. Forests go into passes in stack order, so the working memory of a
-# fit does not grow with the number of forests it stacks.
+# fit does not grow with the number of forests it stacks; evaluate cuts its
+# repeats into the same passes.
 PASS_CELLS = 8 * KEY_CAP
 
 
@@ -178,12 +181,9 @@ class RandomForest:
         n_forests, n = x.shape[:2]
         y = np.fromiter((code[v] for row in labels for v in row), dtype=np.int64,
                         count=n_forests * n).reshape(n_forests, n)
-        # every forest's distinct (row, class) pairs, compared as bytes, so
-        # -0.0 is not 0.0. first[f] holds a row of each pair, group[f] the
-        # pair of each row.
-        first, group = zip(*(
-            _distinct_rows(np.column_stack((xf.view(np.int64), yf))) for xf, yf in zip(x, y)
-        ))
+        # first[f] holds a row of each of forest f's (row, class) pairs,
+        # group[f] the pair of each row
+        first, group = zip(*map(_distinct_pairs, x, y))
         n_trees = self.config.n_trees
         tables = []
         self.breaks_ = self.scored_ = 0
@@ -254,9 +254,11 @@ class RandomForest:
         return leaf.reshape(n_trees, n_rows)
 
 
-def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first row of each distinct row of the C-contiguous 2-D ``a``, and
-    the distinct row of every row, comparing rows as bytes."""
+def _distinct_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct (row, class) pair of the float rows
+    ``x`` and int classes ``y``, and the pair of every row, comparing rows
+    as bytes, so -0.0 is not 0.0."""
+    a = np.column_stack((x.view(np.int64), y))
     rows = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
     return np.unique(rows, return_index=True, return_inverse=True)[1:]
 
@@ -647,7 +649,8 @@ def _search_in_chunks(
 
 
 class ForestStats(NamedTuple):
-    """What the stacked forest of one ``evaluate`` did, and its seconds."""
+    """What the forests of one ``evaluate`` did, and their seconds, summed
+    over its passes."""
 
     forests: int
     passes: int
@@ -742,58 +745,54 @@ def evaluate(
     Each repeat draws its own seeded split (stream derived from the master
     seed by repeat index, so repeats are order-independent), optionally fits a
     PCA projection on the training rows only, and draws its forest's seed.
-    Every split draws the same number of rows per class, so the repeats'
-    forests grow in one stacked ``RandomForest.fit``, in passes of at most
-    PASS_CELLS root cells, and are routed in one stacked ``predict``; each
-    repeat's trees are those of a forest fitted alone. Scores the F1 of the
-    phishing class on each repeat's held-out rows and reports the mean and
-    the population (ddof=0) standard deviation over repeats, with the
-    forest's ``ForestStats``.
+    The repeats go into passes as RandomForest.fit would cut their stack,
+    runs of at most PASS_CELLS root cells (runs_within, taking each repeat's
+    cells as it is drawn). Each pass is one stacked ``fit`` and ``predict``
+    whose rows and forest are dropped before the next pass is drawn, so
+    memory does not grow with the repeats; each repeat's trees are those of
+    a forest fitted alone. Scores the F1 of the phishing class on each
+    repeat's held-out rows and reports the mean and the population (ddof=0)
+    standard deviation over repeats, with the ``ForestStats`` summed over
+    passes.
     """
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
     labels = np.array(dataset.labels)
-    n_train = train_rows(labels)
-    width = dataset.values.shape[1] if pca_dim is None else pca_dim
-    x_train = np.empty((n_repeats, n_train, width))
-    x_test = np.empty((n_repeats, len(labels) - n_train, width))
-    train_idx = np.empty((n_repeats, n_train), dtype=np.intp)
-    test_idx = np.empty((n_repeats, len(labels) - n_train), dtype=np.intp)
-    seeds = []
-    for i in range(n_repeats):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(i,))
-        )
-        train_idx[i], test_idx[i] = stratified_split(labels, rng)
-        train, test = dataset.values[train_idx[i]], dataset.values[test_idx[i]]
-        if pca_dim is not None:
-            projector = PCA(pca_dim).fit(train)
-            train, test = projector.transform(train), projector.transform(test)
-        x_train[i], x_test[i] = train, test
-        seeds.append(int(rng.integers(2**62)))
-    started = time.perf_counter()
-    forest = RandomForest(config).fit(x_train, labels[train_idx], seeds)
-    fitted = time.perf_counter()
-    predictions = forest.predict(x_test)
-    predicted = time.perf_counter()
-    scores = np.array([
-        f1_score(p, list(labels[t]), PHISHING_LABEL) for p, t in zip(predictions, test_idx)
-    ])
+    codes = np.unique(labels, return_inverse=True)[1]
+    # per repeat drawn and not yet fitted: training rows and labels, test rows
+    # and labels, forest seed
+    drawn = []
+
+    def root_cells():
+        for i in range(n_repeats):
+            rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
+            train, test = stratified_split(labels, rng)
+            x_train, x_test = dataset.values[train], dataset.values[test]
+            if pca_dim is not None:
+                projector = PCA(pca_dim).fit(x_train)
+                x_train, x_test = projector.transform(x_train), projector.transform(x_test)
+            drawn.append((x_train, labels[train], x_test, labels[test], int(rng.integers(2**62))))
+            yield config.n_trees * len(_distinct_pairs(x_train, codes[train])[0])
+
+    scores, stats = [], []
+    for a, b in runs_within(root_cells(), PASS_CELLS):
+        x_train, y_train, x_test, y_test, seeds = zip(*drawn[: b - a])
+        del drawn[: b - a]
+        started = time.perf_counter()
+        forest = RandomForest(config).fit(np.stack(x_train), y_train, seeds)
+        fitted = time.perf_counter()
+        predictions = forest.predict(np.stack(x_test))
+        predicted = time.perf_counter()
+        scores += [f1_score(p, list(t), PHISHING_LABEL) for p, t in zip(predictions, y_test)]
+        features = [table.feature for *_, table in forest._tables]
+        stats.append(ForestStats(
+            b - a, len(features), sum(map(len, features)),
+            sum(int(np.count_nonzero(f < 0)) for f in features), forest.breaks_, forest.scored_,
+            fitted - started, predicted - fitted,
+        ))
+        # the pass's rows and forest go before the next pass is drawn
+        del x_train, x_test, forest, features
     return EvalReport(
-        dataset=dataset_name,
-        variant=variant,
-        mean_f1=float(scores.mean()),
-        std_f1=float(scores.std()),
-        n_repeats=n_repeats,
-        seed=config.seed,
-        forest=ForestStats(
-            forests=n_repeats,
-            passes=len(forest._tables),
-            nodes=sum(len(t.feature) for *_, t in forest._tables),
-            leaves=sum(int(np.count_nonzero(t.feature < 0)) for *_, t in forest._tables),
-            breaks=forest.breaks_,
-            scored=forest.scored_,
-            fit_seconds=fitted - started,
-            predict_seconds=predicted - fitted,
-        ),
+        dataset_name, variant, float(np.mean(scores)), float(np.std(scores)), n_repeats,
+        config.seed, forest=ForestStats(*map(sum, zip(*stats))),
     )

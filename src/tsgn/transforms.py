@@ -21,13 +21,14 @@ the shared-address and head-to-tail joins run once over the batch, each
 sorting packed int64 keys with np.sort and decoding them with shifts and
 masks, and one pass takes the logs. A dtsgn batch of timed records carries
 the mask of its time-ordered pairs, so ttsgn's and mtsgn's edges follow
-from one flow join. map_runs maps a sequence of graphs in runs of
-consecutive graphs whose joins hold at most PAIR_CAP pairs together, counted
-per graph by pair_counts before any join, so its memory does not grow with
-the number of graphs. map_graphs is every TsgnGraph of those runs, and each
-builder is map_graphs on one graph. Only the float of each amount and the
-log of each mapped weight run per value, through float and math.log, so
-every weight equals map_weight of its pair bit for bit.
+from one flow join. map_runs batches a sequence of graphs once and maps
+the batch in runs of consecutive graphs whose joins hold at most PAIR_CAP
+pairs together, counted per graph by pair_counts before any join, so the
+memory of its joins does not grow with the number of graphs. map_graphs is
+every TsgnGraph of those runs, and each builder is map_graphs on one graph.
+Only the float of each amount and the log of each mapped weight run per
+value, through float and math.log, so every weight equals map_weight of its
+pair bit for bit.
 """
 
 from __future__ import annotations
@@ -217,20 +218,21 @@ def map_runs(
 ) -> Iterator[tuple[int, int, int, MappedBatch]]:
     """Map graphs of one tier with one variant a run at a time.
 
-    Every graph is checked first (require_attributes). The graphs then go
-    into runs of consecutive graphs whose pair_counts sum to at most
-    PAIR_CAP, a graph with more alone (runs_within), and each run is mapped
-    once over its concatenated columns (map_batch). Yields each run's
-    (start, stop) positions in ``graphs``, its pairs and its mapped batch; a
-    caller that drops the batch before taking the next holds one run's
-    mapping at a time.
+    Every graph is checked first (require_attributes), and all go into one
+    GraphBatch. The graphs then go into runs of consecutive graphs whose
+    pair_counts sum to at most PAIR_CAP, a graph with more alone
+    (runs_within), and each run, a slice of the batch, is mapped once
+    (map_batch). Yields each run's (start, stop) positions in ``graphs``,
+    its pairs and its mapped batch; a caller that drops the batch before
+    taking the next holds one run's mapping at a time.
     """
     for g in graphs:
         require_attributes(g, variant)
-    counts = pair_counts(variant, graphs).tolist()
+    b = GraphBatch.of(graphs)
+    counts = pair_counts(variant, b).tolist()
     for start, stop in runs_within(counts, PAIR_CAP):
         pairs = sum(counts[start:stop])
-        yield start, stop, pairs, map_batch(variant, GraphBatch.of(graphs[start:stop]))
+        yield start, stop, pairs, map_batch(variant, b.run(start, stop))
 
 
 def map_graphs(variant: str, graphs: Sequence[TransactionGraph]) -> list[TsgnGraph]:
@@ -240,12 +242,11 @@ def map_graphs(variant: str, graphs: Sequence[TransactionGraph]) -> list[TsgnGra
     return [t for *_, mapped in map_runs(variant, graphs) for t in mapped.graphs()]
 
 
-def pair_counts(variant: str, graphs: Sequence[TransactionGraph]) -> np.ndarray:
-    """The pairs map_batch joins for each graph, counted without the join:
-    the address-sharing pairs of its plain records for tsgn, every
+def pair_counts(variant: str, b: GraphBatch) -> np.ndarray:
+    """The pairs map_batch joins for each graph of a batch, counted without
+    the join: the address-sharing pairs of its plain records for tsgn, every
     head-to-tail candidate before the time and self-pair masks for the
     flow variants. map_runs bounds its runs with them."""
-    b = GraphBatch.of(graphs)
     n = len(b.names)
     if variant == "tsgn":
         # the plain tier keeps one record per address pair, and each address

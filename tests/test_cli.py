@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import tsgn
 from tsgn import DatasetManifest, TransactionGraph, save_dataset
 from tsgn import cli, features, graphs, ingest, ml, transforms
-from tsgn.graphs import TIERS
+from tsgn.graphs import TIERS, GraphBatch
 from tsgn.ingest import FORMS, dataset_stats, load_dataset, stats_table
 from tsgn.transforms import VARIANTS
 from tsgn.cli import main
@@ -229,7 +229,7 @@ def test_transform_prints_each_familys_runs_and_kept_pairs(tmp_path, capsys, mon
         assert list(chunks) == ["tsgn", "flow"]
         for family, members in (("tsgn", ("tsgn",)), ("flow", ("dtsgn", "ttsgn"))):
             runs, max_graphs, max_pairs, pairs, kept = chunks[family]
-            counts = transforms.pair_counts(members[0], graphs).tolist()
+            counts = transforms.pair_counts(members[0], GraphBatch.of(graphs)).tolist()
             # consecutive runs of at most cap pairs each, or of one graph alone
             bounds = list(greedy_runs(counts, cap))
             assert runs == len(bounds) and max_graphs == max(b - a for a, b in bounds)
@@ -336,8 +336,9 @@ def test_transform_memory_does_not_grow_with_the_dataset(tmp_path, monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    counts = [transforms.pair_counts(v, original.graphs).tolist() for v in ("tsgn", "dtsgn")]
-    runs = [len(graphs.runs_within(c, transforms.PAIR_CAP)) for c in counts]
+    counts = [transforms.pair_counts(v, GraphBatch.of(original.graphs)).tolist()
+              for v in ("tsgn", "dtsgn")]
+    runs = [len(list(graphs.runs_within(c, transforms.PAIR_CAP))) for c in counts]
     assert max(runs) > 1  # the original already takes more than one run
     assert peaks[2] <= 1.1 * peaks[1], peaks
 
@@ -740,6 +741,24 @@ def test_evaluate_rejects_zero_repeats_before_any_output(tmp_path, capsys, monke
     out = tmp_path / "x"
     assert main(["evaluate", "--dataset", str(ds), "--repeats", "0", "--out", str(out)]) == 1
     assert "--repeats must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--trees", "0", "n_trees must be >= 1"),
+    ("--seed", "-1", "seed must be non-negative"),
+])
+def test_evaluate_rejects_bad_forest_flags_before_the_load(
+    tmp_path, capsys, monkeypatch, flag, value, message
+):
+    def no_load(*args, **kwargs):
+        raise AssertionError("dataset loaded for a run evaluate must reject")
+
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    out = tmp_path / "x"
+    args = ["evaluate", "--dataset", str(tmp_path / "ds"), flag, value, "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -263,7 +263,23 @@ def test_tiers_and_projection_equal_the_record_level_collapse(g):
                    max_size=30),
 )
 def test_runs_within_makes_the_greedy_runs(sizes, cap):
-    """runs_within's binary search over running sums gives the ranges of the
-    item-at-a-time greedy loop, with sizes of 0 and above the cap, and one
-    range less (the empty one) for no items."""
-    assert runs_within(sizes, cap) == (list(greedy_runs(sizes, cap)) if sizes else [])
+    """runs_within, closing its last run on a sentinel size, gives the ranges
+    of the item-at-a-time greedy loop, with sizes of 0 and above the cap, and
+    one range less (the empty one) for no items; it takes the sizes from an
+    iterator as well."""
+    expected = list(greedy_runs(sizes, cap)) if sizes else []
+    assert list(runs_within(sizes, cap)) == list(runs_within(iter(sizes), cap)) == expected
+
+
+def test_runs_within_yields_each_run_before_drawing_past_it():
+    """A run is yielded as soon as the size after it is drawn, so a caller
+    can draw items while it uses the runs before them."""
+    drawn = []
+
+    def sizes():
+        for size in [3, 3, 5, 1, 9]:
+            drawn.append(size)
+            yield size
+
+    seen = [(run, len(drawn)) for run in runs_within(sizes(), 6)]
+    assert seen == [((0, 2), 3), ((2, 4), 5), ((4, 5), 5)]

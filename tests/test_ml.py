@@ -647,6 +647,52 @@ def test_evaluate_with_pca_runs_leakage_free():
     assert report.mean_f1 == 1.0
 
 
+def _noisy_matrix(n_rows, n_features, seed):
+    """Rows of n_features normal features, some repeated, whose class
+    follows the first feature with 5% of the labels flipped."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n_rows // 2, n_features))[rng.integers(0, n_rows // 2, size=n_rows)]
+    flip = rng.random(n_rows) < 0.05
+    return _matrix(x, ["phishing" if v else "benign" for v in (x[:, 0] > 0) ^ flip])
+
+
+def test_passes_never_change_an_evaluation(monkeypatch):
+    # a fused-width matrix projected by a PCA per split, evaluated one
+    # repeat per pass, about three repeats per pass, in passes of the
+    # default size (one here) and in one pass
+    matrix = _noisy_matrix(80, 20, seed=3)
+    reports = []
+    for cap in (1, 3 * 12 * 60, ml.PASS_CELLS, 2**62):
+        monkeypatch.setattr(ml, "PASS_CELLS", cap)
+        reports.append(evaluate(matrix, ForestConfig(n_trees=12, seed=6), n_repeats=7, pca_dim=4))
+    passes = [r.forest.passes for r in reports]
+    assert passes[0] == 7 and 1 < passes[1] < 7 and passes[2:] == [1, 1], passes
+    for r in reports:
+        assert (r.mean_f1, r.std_f1) == (reports[0].mean_f1, reports[0].std_f1)
+        assert r.forest.forests == 7
+        assert r.forest[2:6] == reports[0].forest[2:6]  # nodes, leaves, breaks, scored
+    assert 0 < reports[0].std_f1
+
+
+def test_evaluate_memory_does_not_grow_with_its_passes():
+    # 630 rows of about 315 distinct ones, as in the forest memory tests:
+    # four repeats of 100 trees to a pass. Four times the passes peak
+    # within 10%: one pass's rows and forest at a time, not every repeat's.
+    matrix = _noisy_matrix(630, 10, seed=5)
+    config = ForestConfig(n_trees=100, seed=5)
+    evaluate(matrix, config, n_repeats=1)  # leave numpy's one-time allocations out of the count
+    peaks, passes = [], []
+    for n_repeats in (8, 32):
+        tracemalloc.start()
+        try:
+            passes.append(evaluate(matrix, config, n_repeats=n_repeats).forest.passes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert passes[1] >= 4 * passes[0] >= 8, passes
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 def test_evaluate_validates_parameters():
     x, y = _separable(10)
     with pytest.raises(ValueError, match="n_repeats"):

@@ -18,7 +18,7 @@ from tsgn import (
     map_weight,
     undirected_projection,
 )
-from tsgn.graphs import runs_within
+from tsgn.graphs import GraphBatch, runs_within
 from tsgn.ingest import generate_synthetic_dataset
 from tsgn.transforms import BUILDERS, PAIR_CAP, VARIANTS, map_graphs, pair_counts
 
@@ -411,12 +411,42 @@ def test_mapping_a_batch_equals_mapping_each_graph(graphs, plain):
             assert t.weights.tobytes() == alone.weights.tobytes()  # bit for bit
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_builder_batches_its_graph_once(monkeypatch, variant):
+    """map_runs batches its graphs once, for pair_counts and every run, so a
+    builder on one graph makes exactly one GraphBatch."""
+    g = at_tier(time_filtered_flow_graph(), "multiedge" if variant == "mtsgn" else "directed")
+    of, calls = GraphBatch.of.__func__, []
+
+    def counted(cls, graphs):
+        calls.append(len(graphs))
+        return of(cls, graphs)
+
+    monkeypatch.setattr(GraphBatch, "of", classmethod(counted))
+    BUILDERS[variant](g)
+    assert calls == [1]
+
+
+def test_a_run_of_a_batch_is_the_batch_of_its_graphs():
+    graphs = generate_synthetic_dataset("etherg1", n_per_class=3, seed=2, tier="directed").graphs
+    whole = GraphBatch.of(graphs)
+    for start in range(len(graphs)):
+        for stop in range(start + 1, len(graphs) + 1):
+            run, alone = whole.run(start, stop), GraphBatch.of(graphs[start:stop])
+            assert run.graphs() == alone.graphs() == list(graphs[start:stop])
+            for name in ("node_offsets", "offsets", "src", "dst", "stamps", "timed", "decimals"):
+                assert getattr(run, name).tolist() == getattr(alone, name).tolist(), name
+            assert (run.names, run.tier, run.centers, run.labels) == (
+                alone.names, alone.tier, alone.centers, alone.labels)
+
+
 def test_map_graphs_memory_does_not_grow_with_the_dataset():
     """map_graphs joins one run of graphs at a time: its traced peak, less
     the edges and weights it returns, stays within 10% on a dataset that
     holds each graph twice."""
     original = generate_synthetic_dataset("etherg3", n_per_class=4, seed=3, tier="directed").graphs
-    assert len(runs_within(pair_counts("tsgn", original).tolist(), PAIR_CAP)) > 1
+    counts = pair_counts("tsgn", GraphBatch.of(original)).tolist()
+    assert len(list(runs_within(counts, PAIR_CAP))) > 1
     transients = []
     # the first call makes anything made once
     for graphs in (original, original, original * 2):
