@@ -141,23 +141,25 @@ def _transform_family(family: str, wanted: list[str], manifest: DatasetManifest,
         ids, keep = manifest.graph_ids[start:stop], shared.increasing
         for variant in wanted:
             # ttsgn or mtsgn after the first: the first's time-ordered edges
-            t = shared if variant == wanted[0] else shared.where(keep, variant)
+            offsets = shared.offsets
+            if variant != wanted[0] and keep is not None:
+                offsets = np.concatenate([[0], np.cumsum(keep)])[offsets]
             done[variant][0] += time.perf_counter() - started
             started = time.perf_counter()
-            if t is shared:
-                rows = shared_rows = _rows(t.edges, t.weights)
+            if variant == wanted[0]:
+                rows = shared_rows = _rows(shared.edges, shared.weights)
             else:
                 rows = shared_rows if keep is None else shared_rows[keep]
-            ends = t.offsets.tolist()
+            ends = offsets.tolist()
             for graph_id, e0, e1 in zip(ids, ends, ends[1:]):
                 _write_rows(out / variant / f"{graph_id}.csv", rows[e0:e1])
             done[variant][1] += time.perf_counter() - started
             done[variant][2].extend(
-                zip(ids, np.diff(t.records).tolist(), np.diff(t.offsets).tolist())
+                zip(ids, np.diff(shared.records).tolist(), np.diff(offsets).tolist())
             )
             started = time.perf_counter()
         runs.append((stop - start, pairs))
-        del t, shared, keep, rows, shared_rows
+        del shared, keep, rows, shared_rows
     kept = " ".join(f"{v}={sum(edges for _, _, edges in done[v][2])}" for v in wanted)
     graphs, pairs = zip(*runs)
     print(

@@ -7,6 +7,12 @@ files carry the columns src, dst, amount (decimal string: 0, or from
 MIN_AMOUNT to MAX_AMOUNT) and timestamp (integer seconds within int64; the
 field may be empty and the column absent).
 
+Both kinds of file go through one CSV reader, _read_csv, under the same
+rules: UTF-8 with or without a leading byte-order mark, the header checked
+before any other row is read, blank lines skipped, and each row shorter
+than the header, or a field over the csv module's limit, named by the file
+line it ends on. Only the column checks and their messages differ.
+
 load_dataset reads every record file of a dataset into one set of columns,
 a GraphBatch, and runs each step once over all of it: the field checks and
 the self-loop drop, each file's node numbering as one sort on (file,
@@ -100,40 +106,51 @@ def _refuse_repeats(header: list[str], names: Sequence[str], where) -> None:
         raise ValueError(f"{where}: repeated column(s) {', '.join(repeated)}")
 
 
-def _rows(reader, path: Path):
-    """The rows of a csv reader of ``path``. A file the csv module cannot
-    read, such as one with a field over ``csv.field_size_limit()``, raises a
-    ValueError naming the line it was on."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+def _read_csv(
+    path: Path, check
+) -> tuple[list[str], list[list[str]], list[int], list[tuple[int, str]]]:
+    """A CSV file's header, its rows as long as the header or longer with the
+    file line each ends on, and a (line, reason) for each shorter row. Blank
+    lines are skipped.
+
+    ``check(header)`` runs on the first row (None for an empty file) before
+    any other row is read, and raises to refuse it. A leading byte-order
+    mark, as spreadsheet programs write, is not part of the first column
+    name. A file the csv module cannot read, such as one with a field over
+    ``csv.field_size_limit()``, raises a ValueError naming the line it was on.
+    """
+    rows, lines, short = [], [], []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            check(header)
+            for row in reader:
+                if len(row) >= len(header):
+                    lines.append(reader.line_num)
+                    rows.append(row)
+                elif row:
+                    reason = f"{len(row)} field(s) for {len(header)} columns"
+                    short.append((reader.line_num, reason))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return header, rows, lines, short
 
 
 def _read_file(path: Path) -> tuple[list[list[str]], list[int], list[tuple[int, str]]]:
     """One record CSV's stripped fields by column (src and dst lowercased,
     amount, and timestamp: "" where the file has no timestamp column), the
     file line each row ends on, and a (line, reason) for each row shorter
-    than the header. Blank lines are skipped."""
-    # utf-8-sig: a leading byte-order mark, as spreadsheet programs write,
-    # is not part of the first column name
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        rows_read = _rows(reader, path)
-        header = next(rows_read, None)
+    than the header, as _read_csv reads them."""
+    def check(header):
         if header is None:
             raise ValueError(f"{path}: empty file")
         missing = [c for c in RECORD_COLUMNS[:3] if c not in header]
         if missing:
             raise ValueError(f"{path}: missing mandatory column(s) {missing}")
         _refuse_repeats(header, RECORD_COLUMNS, path)
-        rows, lines, short = [], [], []
-        for row in rows_read:
-            if len(row) >= len(header):
-                lines.append(reader.line_num)
-                rows.append(row)
-            elif row:
-                short.append((reader.line_num, f"{len(row)} field(s) for {len(header)} columns"))
+
+    header, rows, lines, short = _read_csv(path, check)
     fields = [
         list(map(str.strip, map(itemgetter(header.index(name)), rows)))
         if name in header else [""] * len(rows)
@@ -614,30 +631,20 @@ def load_dataset(path, tier: str = "multiedge", form: str = "net") -> DatasetMan
     labels_path = root / "labels.csv"
     if not labels_path.is_file():
         raise ValueError(f"{root}: not a dataset directory (labels.csv missing)")
-    entries = []
-    short = []
-    with open(labels_path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        rows_read = _rows(reader, labels_path)
-        header = next(rows_read, [])
-        missing = [c for c in LABELS_HEADER if c not in header]
+
+    def check(header):
+        missing = [c for c in LABELS_HEADER if c not in (header or ())]
         if missing:
             raise ValueError(f"{labels_path}: missing column(s) {', '.join(missing)}")
         _refuse_repeats(header, LABELS_HEADER, labels_path)
-        column = {name: i for i, name in enumerate(header)}
-        pick = itemgetter(*(column[c] for c in LABELS_HEADER))
-        for row in rows_read:
-            if len(row) >= len(header):
-                entries.append(pick(row))
-            elif row:  # blank lines are skipped
-                short.append(
-                    f"line {reader.line_num}: {len(row)} field(s) for {len(header)} columns"
-                )
+
+    header, rows, _, short = _read_csv(labels_path, check)
     if short:
-        raise ValueError(f"{labels_path}: malformed rows: " + "; ".join(short))
+        listed = "; ".join(f"line {n}: {p}" for n, p in short)
+        raise ValueError(f"{labels_path}: malformed rows: {listed}")
+    entries = sorted(map(itemgetter(*map(header.index, LABELS_HEADER)), rows), key=itemgetter(0))
     if not entries:
         raise ValueError(f"{root}: labels.csv lists no graphs")
-    entries.sort(key=lambda e: e[0])
     graph_ids = tuple(graph_id for graph_id, _, _ in entries)
     _check_graph_ids(graph_ids, labels_path)
     records, failures, n_records, n_loops = _read_records([root / f"{i}.csv" for i in graph_ids])

@@ -72,7 +72,7 @@ def f1_score(predictions: Sequence, truth: Sequence, positive_class) -> float:
         raise ValueError(
             f"got {len(predictions)} predictions for {len(truth)} truth labels"
         )
-    if not truth:
+    if len(truth) == 0:
         raise ValueError("f1_score needs at least one sample")
     hits = Counter((p == positive_class, t == positive_class) for p, t in zip(predictions, truth))
     tp, fp, fn = hits[True, True], hits[True, False], hits[False, True]
@@ -718,10 +718,11 @@ def train_rows(labels: Sequence) -> int:
 
 
 def stratified_split(
-    labels: np.ndarray, rng: np.random.Generator
+    labels: Sequence, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-class random ``TRAIN_FRACTION`` split keeping every class on both
     sides; raises ValueError when some class is too small for that."""
+    labels = np.asarray(labels)
     train: list[np.ndarray] = []
     test: list[np.ndarray] = []
     for c, k in _class_train_sizes(labels).items():

@@ -150,14 +150,6 @@ class MappedBatch:
     weights: np.ndarray
     increasing: np.ndarray | None = None
 
-    def where(self, keep: np.ndarray | None, variant: str) -> "MappedBatch":
-        """The batch of the edges under the mask ``keep`` (None keeps all),
-        as ``variant``'s."""
-        if keep is None:
-            return MappedBatch(variant, self.records, self.offsets, self.edges, self.weights)
-        kept = np.concatenate([[0], np.cumsum(keep)])[self.offsets]
-        return MappedBatch(variant, self.records, kept, self.edges[keep], self.weights[keep])
-
     def graphs(self) -> list[TsgnGraph]:
         """Each mapped graph, its columns slices of the batch's."""
         records, ends = self.records.tolist(), self.offsets.tolist()

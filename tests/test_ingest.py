@@ -5,6 +5,7 @@ import re
 import tempfile
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -601,6 +602,67 @@ def test_load_dataset_reads_files_with_a_byte_order_mark(tmp_path):
     plain = load_dataset(tmp_path / "plain")
     assert plain.graph_ids == ("g",) and plain.graphs[0].edge_count == 2
     assert load_dataset(tmp_path / "marked") == plain
+
+
+@st.composite
+def _bodies(draw):
+    """A CSV body's layout after its header: each row full, one field short or
+    blank, whether it starts with a byte-order mark, its line end, and
+    whether its last line is ended."""
+    rows = draw(st.lists(st.sampled_from(["full", "short", "blank"]), max_size=8))
+    return rows, draw(st.booleans()), draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans())
+
+
+def _render(header, full, short, body):
+    """The bytes of a body from _bodies with a file kind's header, and its
+    rows from ``full(k)`` and ``short(k)`` for row ``k``."""
+    rows, marked, end, last_ended = body
+    fields = {"full": full, "short": short, "blank": lambda k: ""}
+    lines = [header] + [fields[kind](k) for k, kind in enumerate(rows)]
+    text = end.join(lines) + (end if last_ended else "")
+    return (b"\xef\xbb\xbf" if marked else b"") + text.encode("utf-8")
+
+
+def _named_lines(path):
+    """The lines a failed load_dataset of ``path`` names, or None if it loads."""
+    try:
+        load_dataset(path)
+    except ValueError as exc:
+        return [int(n) for n in re.findall(r"line (\d+): ", str(exc))]
+    return None
+
+
+@settings(max_examples=50, deadline=None)
+@given(_bodies())
+def test_labels_and_record_files_name_the_same_short_rows(body):
+    full = body[0].count("full")
+    short = [n for n, kind in enumerate(body[0], start=2) if kind == "short"]
+    with tempfile.TemporaryDirectory() as tmp:
+        # the body as labels.csv, each full row a graph with a valid record file
+        as_labels = Path(tmp) / "labels"
+        as_labels.mkdir()
+        text = _render(
+            "graph_id,center_address,label", lambda k: f"g{k},a,phishing", lambda k: f"g{k},a",
+            body,
+        )
+        (as_labels / "labels.csv").write_bytes(text)
+        for k in range(len(body[0])):
+            (as_labels / f"g{k}.csv").write_text("src,dst,amount,timestamp\na,b,1,1\n")
+        # the body as the record file of a dataset's one graph
+        as_records = Path(tmp) / "records"
+        as_records.mkdir()
+        text = _render(
+            "src,dst,amount,timestamp", lambda k: f"a,b,1,{k}", lambda k: "a,b,1", body
+        )
+        (as_records / "g.csv").write_bytes(text)
+        (as_records / "labels.csv").write_text("graph_id,center_address,label\ng,a,phishing\n")
+        # with no full row, labels.csv lists no graph and the center is in no record
+        expected = short or (None if full else [])
+        assert _named_lines(as_labels) == expected
+        assert _named_lines(as_records) == expected
+        if expected is None:
+            assert load_dataset(as_labels).n_graphs == full
+            assert load_dataset(as_records).graphs[0].edge_count == full
 
 
 # raw addresses: case, outer spaces, a comma, a quote and a line break, each

@@ -44,6 +44,16 @@ def test_f1_rejects_bad_input():
         f1_score([], [], 1)
 
 
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+def test_f1_takes_lists_tuples_and_arrays_alike(kind):
+    predictions, truth = [1, 0, 1, 1, 0], [1, 1, 0, 1, 0]
+    assert f1_score(kind(predictions), kind(truth), 1) == f1_score(predictions, truth, 1)
+    assert f1_score(kind([0]), kind([0]), 1) == 0.0
+    assert f1_score(kind(["p"]), kind(["p"]), "p") == 1.0
+    with pytest.raises(ValueError, match="^f1_score needs at least one sample$"):
+        f1_score(kind([]), kind([]), 1)
+
+
 def test_percent_increase_reference_values():
     assert percent_increase(85.88, 80.36) == pytest.approx(6.87, abs=0.01)
     assert percent_increase(94.90, 90.47) == pytest.approx(4.90, abs=0.01)
@@ -590,6 +600,15 @@ def test_train_rows_counts_what_stratified_split_draws(sizes):
     labels = np.array([c for c, n in zip("abc", sizes) for _ in range(n)])
     train, _ = stratified_split(labels, np.random.default_rng(1))
     assert train_rows(labels) == len(train)
+
+
+def test_stratified_split_takes_a_list_as_its_array():
+    labels = ["a"] * 10 + ["b"] * 10
+    from_list = stratified_split(labels, np.random.default_rng(0))
+    from_array = stratified_split(np.array(labels), np.random.default_rng(0))
+    assert [len(rows) for rows in from_array] == [18, 2]
+    for rows, same in zip(from_list, from_array):
+        np.testing.assert_array_equal(rows, same)
 
 
 def test_stratified_split_errors_on_singleton_class():
