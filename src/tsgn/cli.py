@@ -20,7 +20,6 @@ from .features import FEATURE_NAMES, PCA, concat_features, feature_matrix
 from .graphs import TIERS, GraphBatch, batch_at_tier
 from .ingest import (
     FORMS,
-    PHISHING_LABEL,
     SIZE_PROFILES,
     DatasetManifest,
     dataset_stats,
@@ -30,7 +29,7 @@ from .ingest import (
     stats_table,
     write_csv,
 )
-from .ml import EvalReport, ForestConfig, evaluate, train_rows
+from .ml import EvalReport, ForestConfig, evaluate, require_phishing_label, train_rows
 from .transforms import VARIANTS, TsgnGraph, map_graphs, map_runs, require_attributes
 
 
@@ -317,11 +316,7 @@ def cmd_evaluate(args) -> int:
     name = Path(args.dataset).name
     _require_variants(manifest, variants)
     labels = manifest.labels
-    if PHISHING_LABEL not in labels:
-        raise ValueError(
-            f"evaluate scores the F1 of the {PHISHING_LABEL!r} label, which no graph "
-            f"has (labels: {', '.join(sorted(set(labels)))})"
-        )
+    require_phishing_label(labels)
     # every split must keep each class on both sides (train_rows raises
     # otherwise), and each fusion is projected back to the tn width by a PCA
     # fitted on the training rows of every split; check both before any work

@@ -169,18 +169,17 @@ class RandomForest:
             raise ValueError(f"got {len(seeds)} seeds for {len(x)} forests")
         if x.size and not np.isfinite(x).all():
             raise ValueError("training features contain non-finite values")
-        seen = [set(row) for row in labels]
-        if min(map(len, seen)) < 2:
-            raise ValueError("training data contains a single class")
-        if any(s != seen[0] for s in seen):
-            raise ValueError("the forests of a stack see different classes")
-        classes = tuple(sorted(seen[0]))
-        self.classes_ = classes
-        self.n_features_ = x.shape[2]
-        code = {c: i for i, c in enumerate(classes)}
         n_forests, n = x.shape[:2]
-        y = np.fromiter((code[v] for row in labels for v in row), dtype=np.int64,
-                        count=n_forests * n).reshape(n_forests, n)
+        classes, y = np.unique(np.asarray(labels), return_inverse=True)
+        y = y.reshape(n_forests, n)
+        seen = np.zeros((n_forests, len(classes)), dtype=bool)
+        seen[np.arange(n_forests)[:, None], y] = True
+        if seen.sum(axis=1).min() < 2:
+            raise ValueError("training data contains a single class")
+        if not seen.all():
+            raise ValueError("the forests of a stack see different classes")
+        self.classes_ = tuple(classes.tolist())
+        self.n_features_ = x.shape[2]
         # first[f] holds a row of each of forest f's (row, class) pairs,
         # group[f] the pair of each row
         first, group = zip(*map(_distinct_pairs, x, y))
@@ -192,7 +191,7 @@ class RandomForest:
             forest = np.repeat(np.arange(a, b), np.diff(start))
             rows = np.concatenate(first[a:b])
             data = _RankedRows(
-                x[forest, rows], y[forest, rows], len(classes),
+                x[forest, rows], y[forest, rows], len(self.classes_),
                 np.stack(group[a:b]) + start[:-1, None], start,
             )
             tables.append((a, b, _grow_forest(n_trees, seeds[a:b], data)))
@@ -220,17 +219,18 @@ class RandomForest:
             raise ValueError(f"got rows for {n_forests} forests, fitted {self._tables[-1][1]}")
         x = x.reshape(n_forests * m, p)
         n_trees = self.config.n_trees
-        votes = np.zeros((len(x), len(self.classes_)))
-        # at most KEY_CAP (tree, row) cells are routed at once; trees vote one
-        # after another, in fit order, so the float sums (and hence argmax
-        # ties) do not depend on how the rows are routed
+        votes = np.empty((len(x), len(self.classes_)))
+        # at most KEY_CAP (tree, row) cells are routed at once; numpy sums a
+        # block's votes along its outer, tree axis one tree after another, in
+        # fit order, so the float sums (and hence argmax ties) do not depend
+        # on how the rows are routed
         block = max(1, KEY_CAP // n_trees)
         for a, b, table in self._tables:
             for start in range(a * m, b * m, block):
                 rows = slice(start, min(start + block, b * m))
                 first_root = (np.arange(rows.start, rows.stop) // m - a) * n_trees
-                for leaf in self._route(table, n_trees, first_root, x[rows]):
-                    votes[rows] += table.probs[leaf]
+                leaves = self._route(table, n_trees, first_root, x[rows])
+                votes[rows] = table.probs[leaves].sum(axis=0)
         predicted = [self.classes_[i] for i in votes.argmax(axis=1)]
         per_forest = [predicted[f * m : (f + 1) * m] for f in range(n_forests)]
         return per_forest if stacked else per_forest[0]
@@ -323,19 +323,20 @@ class _RankedRows:
         weight: np.ndarray,
         node_of: np.ndarray,
         counts: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The best split of each node, for the nodes whose Gini it lowers.
 
-        Node ``i`` holds the distinct rows ``rows[node_of == i]``, drawn
-        ``weight`` times each, has class counts ``counts[i]`` and has drawn
-        ``features[i]``. Only rank breaks inside a segment can split, so only
+        Node ``i`` holds the distinct rows ``rows[node_of == i]``, if any,
+        drawn ``weight`` times each, has class counts ``counts[i]`` and has
+        drawn ``features[i]``. Only rank breaks inside a segment can split, so only
         those are scored. The class counts left of a break come from one
         integer running sum; they are whole numbers, and the Gini expressions
         repeat the per-position formulas term by term, so the scores are
         bit-identical to scoring every sorted position. Ties between scores
         go to the earliest drawn feature, then to the lowest value: the order
         of the sorted keys. Returns the split nodes and, for each, its
-        feature, its rank (rows ranked at most this go left) and threshold.
+        feature, its rank (rows ranked at most this go left), threshold and
+        the class counts of its left child, a (splits, classes) int64 array.
 
         A break whose rank groups on both sides are single keys of one class
         is never the first lowest score (Fayyad & Irani, Machine Learning 8,
@@ -381,7 +382,9 @@ class _RankedRows:
         key *= self.ranks.shape[1]
         key += rows
         key = self.cell_keys.take(key)
-        key += np.add.outer(np.arange(k) << shift, ((node_of * k) << shift) | weight)
+        key += np.add.outer(
+            np.arange(k) << shift, ((node_of.astype(np.int64) * k) << shift) | weight
+        )
         key = key.ravel()
         key.sort()
 
@@ -394,7 +397,7 @@ class _RankedRows:
         np.greater_equal(change, 1 << class_bits, out=moved[1:-1])
         new_segment = change >= (1 << (self.rank_bits + class_bits))
         del change
-        # every segment holds keys, so segment s is the s-th run
+        # the keys after which another segment's keys begin
         start = np.flatnonzero(new_segment)
         # a split after key q leaves the keys start .. q of q's segment on the
         # left: the next key has another rank in the same segment
@@ -414,10 +417,12 @@ class _RankedRows:
         self.scored += len(q)
         if not q.size:
             nothing = np.zeros(0, dtype=np.int64)
-            return nothing, nothing, nothing, np.zeros(0)
+            return nothing, nothing, nothing, np.zeros(0), np.zeros((0, self.n_classes), np.int64)
         seg = value.take(q) >> (self.rank_bits + class_bits)
+        # the first key of each break's run; a node without rows has no run
+        run = np.searchsorted(start, q)
         start += 1
-        start = np.concatenate(([0], start)).take(seg)
+        start = np.concatenate(([0], start)).take(run)
 
         # the class counts left of every break, from one running sum of the
         # bootstrap counts packed into bit fields of count_bits, per_word
@@ -453,12 +458,13 @@ class _RankedRows:
         m = total.take(node)
         sizes_left = left.sum(axis=0)
         sizes_right = m - sizes_left
-        # the terms of the Gini sums, in the arrays of the counts
-        terms = np.divide(left, sizes_left, out=left)
-        gini_left = 1.0 - _sum_classes(np.square(terms, out=terms))
+        # the terms of the Gini sums, in the array of the right counts, so
+        # the left counts stay for the children of the chosen splits
         terms = np.divide(right, sizes_right, out=right)
         gini_right = 1.0 - _sum_classes(np.square(terms, out=terms))
-        del left, right, terms
+        terms = np.divide(left, sizes_left, out=terms)
+        gini_left = 1.0 - _sum_classes(np.square(terms, out=terms))
+        del right, terms
         score = (sizes_left * gini_left + sizes_right * gini_right) / m
 
         # the first lowest score of every node, kept when it lowers the Gini
@@ -480,7 +486,7 @@ class _RankedRows:
         threshold = (low + high) / 2.0
         collapsed = threshold >= high  # fp rounding collapsed the midpoint
         threshold[collapsed] = low[collapsed]
-        return nodes, split_feature, low_rank, threshold
+        return nodes, split_feature, low_rank, threshold, left.T[best].astype(np.int64)
 
 
 def _skipping_is_exact(n: int, n_classes: int) -> bool:
@@ -545,7 +551,9 @@ def _grow_forest(n_trees: int, seeds: Sequence[int], data: _RankedRows) -> _Tree
     ``f * n_trees + t`` is the root of tree ``t`` of forest ``f`` and each
     level is one range of numbers. The rows of a level's nodes are held as
     int32 cells sorted by node: ``node``, the distinct ``rows`` drawn and
-    their ``weight``, the times drawn. Returns the stack's node table.
+    their ``weight``, the times drawn; a node that is pure or not split
+    drops its rows. The roots' class counts come from their rows, the
+    others' from the split that made them. Returns the stack's node table.
     """
     n_classes, p, n = data.n_classes, data.n_features, data.group.shape[1]
     d = data.ranks.shape[1]  # distinct rows
@@ -571,19 +579,22 @@ def _grow_forest(n_trees: int, seeds: Sequence[int], data: _RankedRows) -> _Tree
         keys.append(_draws(root_key, n_trees)[0])
     node, rows, weight, keys = map(np.concatenate, (node, rows, weight, keys))
     del cell, tree, row
+    counts = np.bincount(
+        node * n_classes + data.y[rows], weights=weight, minlength=len(keys) * n_classes
+    ).astype(np.int64).reshape(-1, n_classes)
     first = 0  # number of the level's first node
     levels = []  # per level: feature, threshold, left child, class shares
     while len(keys):
         width = len(keys)
-        owner = node - first
-        counts = np.bincount(
-            owner * n_classes + data.y[rows], weights=weight, minlength=width * n_classes
-        ).astype(np.int64).reshape(width, n_classes)
         m = counts.sum(axis=1)
-        impure = np.flatnonzero(counts.max(axis=1) < m)
-        features = np.argsort(_draws(keys[impure], p), axis=1, kind="stable")[:, : data.k]
-        at, split_feature, split_rank, split_threshold = _search_in_chunks(
-            data, impure, features, owner, rows, weight, counts
+        # the rows of a pure node are done; the others are sorted by node
+        keep = np.flatnonzero((counts.max(axis=1) < m)[node])
+        keep = keep[np.argsort(node[keep], kind="stable")]
+        node, rows, weight = node[keep], rows[keep], weight[keep]
+        del keep
+        features = np.argsort(_draws(keys, p), axis=1, kind="stable")[:, : data.k]
+        at, split_feature, split_rank, split_threshold, split_left = _search_in_chunks(
+            data, features, node, rows, weight, counts
         )
         feature = np.full(width, -1, dtype=np.intp)
         feature[at] = split_feature
@@ -592,21 +603,21 @@ def _grow_forest(n_trees: int, seeds: Sequence[int], data: _RankedRows) -> _Tree
         left = np.full(width, -1, dtype=np.int32)
         left[at] = first + width + 2 * np.arange(len(at))
         levels.append((feature, threshold, left, counts / m[:, None]))
-        # the rows of a split node move to its left or right child, kept
-        # sorted by node; the rows of a leaf are done
+        # the rows of a split node move to its left or right child, numbered
+        # within the next level; the rows of an unsplit node are done
         cut = np.full(width, -1)
         cut[at] = split_rank
-        moving = cut[owner] >= 0
-        owner, rows, weight = owner[moving], rows[moving], weight[moving]
-        node = left[owner] + (data.ranks.take(feature[owner] * d + rows) > cut[owner])
+        moving = cut[node] >= 0
+        node, rows, weight = node[moving], rows[moving], weight[moving]
+        right = data.ranks.take(feature[node] * d + rows) > cut[node]
+        node = left[node] - (first + width) + right
         # a split that keeps every row on one side would repeat at every
         # level without end
-        if not np.bincount(node - first - width, minlength=2 * len(at)).all():
+        if not np.bincount(node, minlength=2 * len(at)).all():
             level = len(levels) - 1
             raise RuntimeError(f"forest level {level}: a split sends all its rows one way")
-        order = np.argsort(node, kind="stable")
-        node, rows, weight = node[order], rows[order], weight[order]
-        del owner, order
+        del moving, right
+        counts = np.stack((split_left, counts[at] - split_left), axis=1).reshape(-1, n_classes)
         keys = _draws(keys[at], 2, first=p + 1).ravel()
         first += width
     return _Tree(*map(np.concatenate, zip(*levels)))
@@ -614,37 +625,32 @@ def _grow_forest(n_trees: int, seeds: Sequence[int], data: _RankedRows) -> _Tree
 
 def _search_in_chunks(
     data: _RankedRows,
-    impure: np.ndarray,
     features: np.ndarray,
-    owner: np.ndarray,
+    node_of: np.ndarray,
     rows: np.ndarray,
     weight: np.ndarray,
     counts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``data.best_splits`` of the impure nodes of a level, called on runs of
-    whole nodes of at most KEY_CAP keys each; a node with more goes alone.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``data.best_splits`` of the nodes of a level, called on runs of whole
+    nodes of at most KEY_CAP keys each; a node with more goes alone.
 
-    ``owner`` is the node of every row, ascending, and ``impure`` the nodes
-    to search, in the order of ``features``. Returns the split nodes and,
-    for each, its feature, rank and threshold.
+    Node ``i`` has drawn ``features[i]``, has class counts ``counts[i]`` and
+    holds the rows ``rows[node_of == i]``, ``node_of`` ascending; a node
+    without rows is not split. Returns what ``best_splits`` returns.
     """
-    # the rows of the impure nodes, each numbered by its node's place in impure
-    slot = np.full(len(counts), -1)
-    slot[impure] = np.arange(len(impure))
-    node_of = slot[owner]
-    keep = node_of >= 0
-    node_of, rows, weight = node_of[keep], rows[keep], weight[keep]
-    node_rows = np.bincount(node_of, minlength=len(impure))
+    node_rows = np.bincount(node_of, minlength=len(features))
     row_end = np.concatenate([[0], np.cumsum(node_rows)]).tolist()
-    nothing = np.zeros(0, dtype=np.intp)
-    parts = [(nothing, nothing, nothing, np.zeros(0))]  # for a level with no impure node
+    nothing = np.zeros(0, dtype=np.intp)  # the splits of a level without rows
+    parts = [(nothing, nothing, nothing, np.zeros(0), np.zeros((0, data.n_classes), np.int64))]
     for first, stop in runs_within((node_rows * data.k).tolist(), KEY_CAP):
         a, b = row_end[first], row_end[stop]
+        if a == b:
+            continue
         at, *split = data.best_splits(
             features[first:stop], rows[a:b], weight[a:b], node_of[a:b] - first,
-            counts[impure[first:stop]],
+            counts[first:stop],
         )
-        parts.append((impure[first:stop][at], *split))
+        parts.append((at + first, *split))
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
@@ -692,6 +698,16 @@ class EvalReport:
         )
 
 
+def require_phishing_label(labels: Sequence) -> None:
+    """Raise ValueError unless some label is PHISHING_LABEL, the class whose
+    F1 ``evaluate`` scores."""
+    if PHISHING_LABEL not in labels:
+        raise ValueError(
+            f"evaluate scores the F1 of the {PHISHING_LABEL!r} label, which no graph "
+            f"has (labels: {', '.join(sorted(set(labels)))})"
+        )
+
+
 def _class_train_sizes(labels: Sequence) -> dict:
     """Training rows per class (in sorted class order) that every split
     draws; raises ValueError naming each class that would then be absent from
@@ -700,7 +716,8 @@ def _class_train_sizes(labels: Sequence) -> dict:
     The sizes do not depend on the draw, so a class that is too small for one
     split is too small for all of them.
     """
-    counts = sorted(Counter(labels).items())
+    classes, members = np.unique(np.asarray(labels), return_counts=True)
+    counts = list(zip(classes.tolist(), members.tolist()))
     sizes = {c: int(round(TRAIN_FRACTION * n)) for c, n in counts}
     small = [f"{c} ({n} members)" for c, n in counts if not 0 < sizes[c] < n]
     if small:
@@ -754,25 +771,30 @@ def evaluate(
     a forest fitted alone. Scores the F1 of the phishing class on each
     repeat's held-out rows and reports the mean and the population (ddof=0)
     standard deviation over repeats, with the ``ForestStats`` summed over
-    passes.
+    passes. Raises ValueError when no label is phishing or some class is
+    too small for a split. The labels are split, fitted, predicted and
+    scored as integer codes, one per class in sorted order.
     """
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
-    labels = np.array(dataset.labels)
-    codes = np.unique(labels, return_inverse=True)[1]
-    # per repeat drawn and not yet fitted: training rows and labels, test rows
-    # and labels, forest seed
+    labels = np.asarray(dataset.labels)
+    require_phishing_label(labels)
+    _class_train_sizes(labels)  # names a class too small to split by its label
+    classes, codes = np.unique(labels, return_inverse=True)
+    positive = int(np.searchsorted(classes, PHISHING_LABEL))
+    # per repeat drawn and not yet fitted: training rows and codes, test rows
+    # and codes, forest seed
     drawn = []
 
     def root_cells():
         for i in range(n_repeats):
             rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
-            train, test = stratified_split(labels, rng)
+            train, test = stratified_split(codes, rng)
             x_train, x_test = dataset.values[train], dataset.values[test]
             if pca_dim is not None:
                 projector = PCA(pca_dim).fit(x_train)
                 x_train, x_test = projector.transform(x_train), projector.transform(x_test)
-            drawn.append((x_train, labels[train], x_test, labels[test], int(rng.integers(2**62))))
+            drawn.append((x_train, codes[train], x_test, codes[test], int(rng.integers(2**62))))
             yield config.n_trees * len(_distinct_pairs(x_train, codes[train])[0])
 
     scores, stats = [], []
@@ -784,7 +806,7 @@ def evaluate(
         fitted = time.perf_counter()
         predictions = forest.predict(np.stack(x_test))
         predicted = time.perf_counter()
-        scores += [f1_score(p, list(t), PHISHING_LABEL) for p, t in zip(predictions, y_test)]
+        scores += [f1_score(p, t, positive) for p, t in zip(predictions, y_test)]
         features = [table.feature for *_, table in forest._tables]
         stats.append(ForestStats(
             b - a, len(features), sum(map(len, features)),

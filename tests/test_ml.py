@@ -121,6 +121,36 @@ def test_forest_rejects_degenerate_input():
         RandomForest(ForestConfig()).predict(x)
 
 
+def test_predict_adds_the_votes_of_each_tree_in_fit_order(monkeypatch):
+    # 40 values, each held by one row of each of three classes: a tree's
+    # leaf at a value holds shares such as 1/2 or 1/3, so votes tie in exact
+    # arithmetic, and which class wins a tie depends on the order in which
+    # the float sums add the trees. Six forests in passes of two, routed in
+    # blocks of six rows.
+    n_trees, values = 10, np.arange(40.0)
+    x = np.repeat(values, 3)[:, None]
+    y = ["a", "b", "c"] * 40
+    seeds = list(range(6))
+    probe = np.stack([values[:, None]] * len(seeds))
+    monkeypatch.setattr(ml, "PASS_CELLS", 2 * n_trees * len(y))
+    monkeypatch.setattr(ml, "KEY_CAP", 64)
+    forest = RandomForest(ForestConfig(n_trees=n_trees))
+    predicted = forest.fit(np.stack([x] * len(seeds)), [y] * len(seeds), seeds).predict(probe)
+    assert len(forest._tables) == 3
+    in_order, reversed_order = [], []
+    for a, b, table in forest._tables:
+        for f in range(a, b):
+            first_root = np.full(len(values), (f - a) * n_trees)
+            leaves = RandomForest._route(table, n_trees, first_root, probe[f])
+            for trees, out in ((leaves, in_order), (leaves[::-1], reversed_order)):
+                votes = np.zeros((len(values), 3))
+                for leaf in trees:
+                    votes += table.probs[leaf]
+                out.append([forest.classes_[i] for i in votes.argmax(axis=1)])
+    assert reversed_order != in_order  # some ties here are decided by the order
+    assert predicted == in_order
+
+
 def test_forest_refuses_rows_of_another_width():
     # narrower rows would read past their own row into the next one's values
     rng = np.random.default_rng(2)
@@ -334,13 +364,40 @@ def test_a_one_sided_split_raises_instead_of_growing_forever(monkeypatch):
     search = ml._RankedRows.best_splits
 
     def one_sided(self, *args):
-        at, feature, rank, threshold = search(self, *args)
-        return at, feature, np.full_like(rank, np.iinfo(np.int32).max), threshold
+        at, feature, rank, threshold, left = search(self, *args)
+        return at, feature, np.full_like(rank, np.iinfo(np.int32).max), threshold, left
 
     monkeypatch.setattr(ml._RankedRows, "best_splits", one_sided)
     x, y = _separable(20, seed=4)
     with pytest.raises(RuntimeError, match="forest level 0: a split sends all its rows one way"):
         RandomForest(ForestConfig(n_trees=3, seed=1)).fit(x, y)
+
+
+def test_each_searched_node_holds_the_rows_of_its_class_counts(monkeypatch):
+    # a child's class counts come from the split that made it, not from its
+    # rows: they must still count the rows it holds, drawn weight times
+    # each, and a node holds rows exactly while it is impure
+    rng = np.random.default_rng(12)
+    x = np.round(rng.normal(size=(240, 5)), 1)
+    noisy = x[:, 0] - x[:, 1] + rng.normal(size=240)
+    y = [f"c{v}" for v in np.digitize(noisy, [-1.0, 1.0])]
+    search = ml._RankedRows.best_splits
+    searched = []
+
+    def check(self, features, rows, weight, node_of, counts):
+        held = np.zeros_like(counts)
+        np.add.at(held, (node_of, self.y[rows]), weight)
+        has_rows = held.any(axis=1)
+        np.testing.assert_array_equal(held[has_rows], counts[has_rows])
+        np.testing.assert_array_equal(has_rows, counts.max(axis=1) < counts.sum(axis=1))
+        searched.append(np.count_nonzero(has_rows))
+        return search(self, features, rows, weight, node_of, counts)
+
+    monkeypatch.setattr(ml._RankedRows, "best_splits", check)
+    monkeypatch.setattr(ml, "KEY_CAP", 256)  # levels searched in chunks
+    stack = np.stack([x, x[::-1]])
+    RandomForest(ForestConfig(n_trees=12)).fit(stack, [y, y[::-1]], [3, 4])
+    assert len(searched) > 20 and sum(searched) > 10 * 24
 
 
 def test_forest_memory_is_bounded_by_the_key_cap():
@@ -710,6 +767,22 @@ def test_evaluate_memory_does_not_grow_with_its_passes():
             tracemalloc.stop()
     assert passes[1] >= 4 * passes[0] >= 8, passes
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_evaluate_refuses_labels_without_phishing():
+    # two separable classes, neither of them phishing, used to score a mean
+    # F1 of 0.0 without an error
+    x, y = _separable(20, seed=3)
+    y = ["scam" if v == "phishing" else "legit" for v in y]
+    message = r"'phishing' label, which no graph has \(labels: legit, scam\)"
+    with pytest.raises(ValueError, match=message):
+        evaluate(_matrix(x, y), ForestConfig(n_trees=5), n_repeats=2)
+
+
+def test_evaluate_names_a_class_too_small_to_split_by_its_label():
+    x = np.arange(12.0)[:, None]
+    with pytest.raises(ValueError, match=r"absent .*: benign \(1 members\)$"):
+        evaluate(_matrix(x, ["phishing"] * 11 + ["benign"]), ForestConfig(n_trees=5))
 
 
 def test_evaluate_validates_parameters():
